@@ -11,9 +11,7 @@ from .bellman import (
     BoundComparison,
     ExtremalPolicy,
     GridConfig,
-    Lemma1Report,
     ValueTable,
-    backup_objective,
     compare_bounds,
     extremal_policy,
     full_value,
@@ -29,7 +27,6 @@ from .chains import (
     exact_expectation,
     extremal_chain_law,
     intro_chain_law,
-    intro_kernel,
     policy_schedule,
     simulate_extremal,
     simulate_intro,
@@ -101,11 +98,9 @@ __all__ = [
     "GridConfig",
     "ValueTable",
     "BoundComparison",
-    "Lemma1Report",
     "ExtremalPolicy",
     "grid_error_budget",
     "value_iteration",
-    "backup_objective",
     "full_value",
     "extremal_policy",
     "verify_lemma1",
@@ -115,7 +110,6 @@ __all__ = [
     "SimulationResult",
     "intro_chain_law",
     "exact_expectation",
-    "intro_kernel",
     "doob_decompose",
     "simulate_intro",
     "extremal_chain_law",

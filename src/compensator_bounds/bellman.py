@@ -58,6 +58,12 @@ class GridConfig:
             raise ValueError("y_max must be > 0")
         if self.step <= 0.0 or self.step > self.y_max:
             raise ValueError("step must lie in (0, y_max]")
+        # points() spaces the nodes y_max / (n - 1) apart while reads
+        # interpolate with step, so the two must agree.
+        if not math.isclose((self.n_points - 1) * self.step, self.y_max,
+                            rel_tol=1e-12):
+            raise ValueError(f"step {self.step!r} does not divide "
+                             f"y_max {self.y_max!r}")
 
     @property
     def n_points(self) -> int:

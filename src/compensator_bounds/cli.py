@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -94,10 +93,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every random draw (default 0)")
-    common.add_argument("--threads", type=_positive_int, default=None,
-                        help="cap on worker parallelism (the numerics are "
-                             "vectorized in-process, so this is an upper "
-                             "bound, not a demand)")
     common.add_argument("--json", metavar="PATH",
                         help="also write the JSON document to this file")
     common.add_argument("--csv", metavar="PATH",
@@ -196,8 +191,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_rep.add_argument("--trials", type=_positive_int, default=1000)
 
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
 
     if args.csv is not None and args.command in ("bound", "test-shift"):
         parser.error(f"--csv is not supported for '{args.command}'")
@@ -237,6 +230,25 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _bound_value(value: float) -> float | str:
     return "unbounded" if np.isinf(value) else float(value)
+
+
+def _comparison_fields(comparison, horizon: int, step: float) -> dict:
+    """The per-horizon ``[n, c_n, b_n, gap]`` rows and their verdict,
+    shared by ``compare`` and ``report``."""
+    return {
+        "horizon": horizon,
+        "step": float(step),
+        "budget": float(comparison.budget),
+        "enforced": comparison.enforced,
+        "within_budget": comparison.within_budget,
+        "max_gap": float(comparison.max_gap),
+        "rows": [[n, c, b, g] for n, c, b, g in comparison.rows],
+    }
+
+
+def _write_comparison_csv(path: str, rows) -> None:
+    _write_csv(path, ["n", "c_n", "b_n", "gap"],
+               [(n, repr(c), repr(b), repr(g)) for n, c, b, g in rows])
 
 
 # ----------------------------------------------------------------------
@@ -324,20 +336,12 @@ def _cmd_compare(args) -> int:
     payload = {
         "command": "compare",
         "function": args.f.spec_string(),
-        "horizon": args.horizon,
-        "step": float(args.step),
-        "budget": float(comparison.budget),
-        "enforced": comparison.enforced,
-        "within_budget": comparison.within_budget,
-        "max_gap": float(comparison.max_gap),
         "max_abs_gap": float(comparison.max_abs_gap),
-        "rows": [[n, c, b, g] for n, c, b, g in comparison.rows],
+        **_comparison_fields(comparison, args.horizon, args.step),
     }
     _emit(payload, args.json)
     if args.csv:
-        _write_csv(args.csv, ["n", "c_n", "b_n", "gap"],
-                   [(n, repr(c), repr(b), repr(g))
-                    for n, c, b, g in comparison.rows])
+        _write_comparison_csv(args.csv, comparison.rows)
     return 3 if comparison.enforced and not comparison.within_budget else 0
 
 
@@ -534,15 +538,7 @@ def run_report(spec: FunctionSpec, horizon: int = 20,
             "final": float(trace.final),
             "limit": None if trace.limit is None else float(trace.limit),
         },
-        "comparison": {
-            "horizon": horizon,
-            "step": float(step),
-            "budget": float(comparison.budget),
-            "enforced": comparison.enforced,
-            "within_budget": comparison.within_budget,
-            "max_gap": float(comparison.max_gap),
-            "rows": [[n, c, b, g] for n, c, b, g in comparison.rows],
-        },
+        "comparison": _comparison_fields(comparison, horizon, step),
         "shift_scan": {
             "trials": scan.trials,
             "seed": scan.seed,
@@ -567,9 +563,7 @@ def _cmd_report(args) -> int:
                                trials=args.trials, seed=args.seed)
     _emit(payload, args.json)
     if args.csv:
-        _write_csv(args.csv, ["n", "c_n", "b_n", "gap"],
-                   [(n, repr(c), repr(b), repr(g))
-                    for n, c, b, g in payload["comparison"]["rows"]])
+        _write_comparison_csv(args.csv, payload["comparison"]["rows"])
     return code
 
 

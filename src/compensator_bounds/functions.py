@@ -11,8 +11,11 @@ All solvers in this package are parameterized by an increasing function
   ratio *jumps up* at ``x = 1``, making it the stock counterexample to
   the shift inequality that everything else here relies on.
 
-A :class:`FunctionSpec` bundles the family and its parameter, evaluates
-``f``, ``f'`` and ``f^{-1}``, and round-trips through the little
+Each family is one record in ``_FAMILIES``: its parameter key and
+validity rule, ``f(0)``, whether it belongs to the shift class, and the
+closed forms of ``f`` (array and scalar), ``f'``, ``f''`` and
+``f^{-1}``.  A :class:`FunctionSpec` bundles a family with its parameter,
+evaluates those forms, and round-trips through the little
 ``family:key=value`` string syntax used on the command line.
 """
 
@@ -20,12 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .optimize import invert_increasing
 
 __all__ = [
     "Family",
@@ -38,10 +39,6 @@ __all__ = [
     "class_s_condition",
     "is_class_s_family",
 ]
-
-# Step used for finite-difference second derivatives when a family has
-# no closed form wired in.
-_FD_STEP = 1e-4
 
 # Relative slack when clamping an inverse target that float rounding has
 # pushed just below f(0).
@@ -57,6 +54,93 @@ class Family(enum.Enum):
     REMARK2 = "remark2"
 
 
+class _Forms(NamedTuple):
+    """Closed forms of one family member, its parameter bound in.
+
+    ``f`` and ``deriv`` take numpy arrays; ``f_scalar``, ``second`` and
+    ``inverse`` take plain floats.
+    """
+
+    f: Callable
+    f_scalar: Callable
+    deriv: Callable
+    second: Callable
+    inverse: Callable
+
+
+def _exp_forms(lam: float) -> _Forms:
+    return _Forms(
+        f=lambda x: np.exp(lam * x),
+        f_scalar=lambda x: math.exp(lam * x),
+        deriv=lambda x: lam * np.exp(lam * x),
+        second=lambda x: lam * lam * np.exp(lam * x),
+        # np.log, not math.log: they differ in the last bit for some y,
+        # which shows in the recursion output.
+        inverse=lambda y: np.log(y) / lam,
+    )
+
+
+def _pow_forms(m: float) -> _Forms:
+    return _Forms(
+        f=lambda x: x ** m,
+        f_scalar=lambda x: x ** m,
+        deriv=lambda x: m * x ** (m - 1.0),
+        # m = 1 is special-cased: 0 * x**-1 would divide by zero at 0.
+        second=lambda x: 0.0 if m == 1.0 else m * (m - 1.0) * x ** (m - 2.0),
+        inverse=lambda y: y ** (1.0 / m),
+    )
+
+
+def _quad_forms(_: None) -> _Forms:
+    return _Forms(
+        f=lambda x: x + 0.5 * x * x,
+        f_scalar=lambda x: x + 0.5 * x * x,
+        deriv=lambda x: 1.0 + x,
+        second=lambda x: 1.0,
+        # -1 + sqrt(1 + 2y), rewritten to avoid cancellation at small y.
+        inverse=lambda y: 2.0 * y / (1.0 + math.sqrt(1.0 + 2.0 * y)),
+    )
+
+
+def _remark2_forms(_: None) -> _Forms:
+    # At the splice x = 1 the left one-sided derivatives are used.
+    return _Forms(
+        f=lambda x: np.where(x <= 1.0, x, 0.5 * (1.0 + x * x)),
+        f_scalar=lambda x: x if x <= 1.0 else 0.5 * (1.0 + x * x),
+        deriv=lambda x: np.where(x <= 1.0, 1.0, x),
+        second=lambda x: 0.0 if x <= 1.0 else 1.0,
+        inverse=lambda y: y if y <= 1.0 else math.sqrt(2.0 * y - 1.0),
+    )
+
+
+class _Record(NamedTuple):
+    """Everything the package knows about one family.
+
+    ``key`` names the parameter (``None`` for parameter-free families),
+    ``valid`` accepts a parameter value and ``rule`` says in words what
+    it accepts; ``forms`` builds the closed forms for one parameter.
+    """
+
+    key: str | None
+    rule: str | None
+    valid: Callable[[float], bool] | None
+    f_zero: float
+    class_s: bool
+    forms: Callable[[float | None], _Forms]
+
+
+_FAMILIES = {
+    Family.EXPONENTIAL: _Record("lambda", "> 0", lambda p: p > 0.0,
+                                1.0, True, _exp_forms),
+    Family.POWER: _Record("m", ">= 1", lambda p: p >= 1.0,
+                          0.0, True, _pow_forms),
+    Family.QUAD: _Record(None, None, None, 0.0, True, _quad_forms),
+    # Outside the shift class: the curvature-to-slope ratio jumps up at
+    # the splice.
+    Family.REMARK2: _Record(None, None, None, 0.0, False, _remark2_forms),
+}
+
+
 def _domain_check(x) -> None:
     if np.any(np.asarray(x) < 0.0):
         raise ValueError("function argument must be >= 0")
@@ -66,24 +150,27 @@ def _domain_check(x) -> None:
 class FunctionSpec:
     """An increasing test function ``f`` on ``[0, inf)``.
 
-    ``param`` is the exponential rate for ``Family.EXPONENTIAL``, the
-    exponent for ``Family.POWER``, and ``None`` for the parameter-free
-    families.  Instances are immutable and hashable.
+    ``param`` is the exponential rate for ``exp``, the exponent for
+    ``pow``, and ``None`` for the parameter-free families.  Instances
+    are immutable and hashable; equality and hash depend on
+    ``(family, param)`` only.
     """
 
     family: Family
     param: float | None = None
+    _forms: _Forms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.family is Family.EXPONENTIAL:
-            if self.param is None or not self.param > 0.0:
-                raise ValueError(f"lambda must be > 0, got {self.param}")
-        elif self.family is Family.POWER:
-            if self.param is None or not self.param >= 1.0:
-                raise ValueError(f"m must be >= 1, got {self.param}")
-        elif self.param is not None:
+        rec = _FAMILIES[self.family]
+        if rec.key is None:
+            if self.param is not None:
+                raise ValueError(
+                    f"{self.family.value} takes no parameter, "
+                    f"got {self.param}")
+        elif self.param is None or not rec.valid(self.param):
             raise ValueError(
-                f"{self.family.value} takes no parameter, got {self.param}")
+                f"{rec.key} must be {rec.rule}, got {self.param}")
+        object.__setattr__(self, "_forms", rec.forms(self.param))
 
     # ------------------------------------------------------------------
     # evaluation
@@ -91,46 +178,26 @@ class FunctionSpec:
     def value(self, x):
         """``f(x)``; accepts scalars or numpy arrays, domain ``x >= 0``."""
         _domain_check(x)
-        if self.family is Family.EXPONENTIAL:
-            out = np.exp(self.param * np.asarray(x, dtype=float))
-        elif self.family is Family.POWER:
-            out = np.asarray(x, dtype=float) ** self.param
-        elif self.family is Family.QUAD:
-            xa = np.asarray(x, dtype=float)
-            out = xa + 0.5 * xa * xa
-        else:
-            xa = np.asarray(x, dtype=float)
-            out = np.where(xa <= 1.0, xa, 0.5 * (1.0 + xa * xa))
+        out = self._forms.f(np.asarray(x, dtype=float))
         return float(out) if np.ndim(x) == 0 else out
 
     def deriv(self, x):
         """``f'(x)``.  At the ``remark2`` splice point the left slope is
         used (the two one-sided slopes agree there anyway)."""
         _domain_check(x)
-        if self.family is Family.EXPONENTIAL:
-            out = self.param * np.exp(self.param * np.asarray(x, dtype=float))
-        elif self.family is Family.POWER:
-            xa = np.asarray(x, dtype=float)
-            out = self.param * xa ** (self.param - 1.0)
-        elif self.family is Family.QUAD:
-            out = 1.0 + np.asarray(x, dtype=float)
-        else:
-            xa = np.asarray(x, dtype=float)
-            out = np.where(xa <= 1.0, 1.0, xa)
+        out = self._forms.deriv(np.asarray(x, dtype=float))
         return float(out) if np.ndim(x) == 0 else out
 
     @property
     def f_zero(self) -> float:
         """``f(0)``: 1 for exponentials, 0 for the other families."""
-        return 1.0 if self.family is Family.EXPONENTIAL else 0.0
+        return _FAMILIES[self.family].f_zero
 
     def inverse(self, y: float) -> float:
-        """``f^{-1}(y)`` for ``y >= f(0)``.
+        """``f^{-1}(y)`` for ``y >= f(0)``, in closed form.
 
-        Closed form for the exponential and power families, monotone
-        bisection (to better than 1e-12 absolute) otherwise.  Targets a
-        hair below ``f(0)`` from float rounding are clamped; anything
-        further below raises a range error.
+        Targets a hair below ``f(0)`` from float rounding are clamped;
+        anything further below raises a range error.
         """
         y = float(y)
         f0 = self.f_zero
@@ -138,11 +205,7 @@ class FunctionSpec:
             if y >= f0 - _INVERSE_CLAMP * max(1.0, abs(f0)):
                 return 0.0
             raise ValueError(f"inverse target {y} below f(0) = {f0}")
-        if self.family is Family.EXPONENTIAL:
-            return float(np.log(y) / self.param)
-        if self.family is Family.POWER:
-            return float(y ** (1.0 / self.param))
-        return invert_increasing(self.value, y, lo=0.0, tol=1e-14)
+        return float(self._forms.inverse(y))
 
     # ------------------------------------------------------------------
     # the mini-language
@@ -150,17 +213,13 @@ class FunctionSpec:
     def spec_string(self) -> str:
         """Canonical ``family:key=value`` form; round-trips via
         :func:`parse_function_spec`."""
-        if self.family is Family.EXPONENTIAL:
-            return f"exp:lambda={self.param!r}"
-        if self.family is Family.POWER:
-            return f"pow:m={self.param!r}"
-        return self.family.value
+        key = _FAMILIES[self.family].key
+        if key is None:
+            return self.family.value
+        return f"{self.family.value}:{key}={self.param!r}"
 
     def __str__(self) -> str:
         return self.spec_string()
-
-
-_PARAM_KEY = {Family.EXPONENTIAL: "lambda", Family.POWER: "m"}
 
 
 def parse_function_spec(text: str) -> FunctionSpec:
@@ -174,7 +233,7 @@ def parse_function_spec(text: str) -> FunctionSpec:
     except ValueError:
         raise ValueError(f"unknown function family '{head}'") from None
 
-    key_needed = _PARAM_KEY.get(family)
+    key_needed = _FAMILIES[family].key
     if key_needed is None:
         if sep:
             raise ValueError(
@@ -203,28 +262,12 @@ def scalar_callable(spec: FunctionSpec):
     Skips domain checks and array dispatch; callers are responsible for
     keeping arguments in ``[0, inf)``.
     """
-    if spec.family is Family.EXPONENTIAL:
-        lam = spec.param
-        return lambda x: math.exp(lam * x)
-    if spec.family is Family.POWER:
-        m = spec.param
-        return lambda x: x ** m
-    if spec.family is Family.QUAD:
-        return lambda x: x + 0.5 * x * x
-    return lambda x: x if x <= 1.0 else 0.5 * (1.0 + x * x)
+    return spec._forms.f_scalar
 
 
 def vector_callable(spec: FunctionSpec):
     """Array evaluator of ``f`` without domain checks, for hot loops."""
-    if spec.family is Family.EXPONENTIAL:
-        lam = spec.param
-        return lambda x: np.exp(lam * x)
-    if spec.family is Family.POWER:
-        m = spec.param
-        return lambda x: x ** m
-    if spec.family is Family.QUAD:
-        return lambda x: x + 0.5 * x * x
-    return lambda x: np.where(x <= 1.0, x, 0.5 * (1.0 + x * x))
+    return spec._forms.f
 
 
 # ----------------------------------------------------------------------
@@ -232,24 +275,11 @@ def vector_callable(spec: FunctionSpec):
 
 
 def second_derivative(spec: FunctionSpec, x: float) -> float:
-    """``f''(x)``: closed form for exponential/power families, central
-    second difference (step 1e-4, one-sided near 0) otherwise."""
+    """``f''(x)`` in closed form.  At the ``remark2`` splice point the
+    left value (0) is used, as :meth:`FunctionSpec.deriv` does."""
     x = float(x)
     _domain_check(x)
-    if spec.family is Family.EXPONENTIAL:
-        lam = spec.param
-        return float(lam * lam * np.exp(lam * x))
-    if spec.family is Family.POWER:
-        m = spec.param
-        if m == 1.0:
-            return 0.0
-        return float(m * (m - 1.0) * x ** (m - 2.0))
-    h = _FD_STEP
-    f = spec.value
-    if x < h:
-        # Forward stencil: exact for the piecewise-quadratic families.
-        return (f(x) - 2.0 * f(x + h) + f(x + 2.0 * h)) / (h * h)
-    return (f(x - h) - 2.0 * f(x) + f(x + h)) / (h * h)
+    return float(spec._forms.second(x))
 
 
 class ClassSResult(NamedTuple):
@@ -291,4 +321,4 @@ def class_s_condition(spec: FunctionSpec, grid) -> ClassSResult:
 def is_class_s_family(spec: FunctionSpec) -> bool:
     """Whether the family is one for which the shift inequality is known
     to hold for every parameter value (all built-ins except ``remark2``)."""
-    return spec.family is not Family.REMARK2
+    return _FAMILIES[spec.family].class_s

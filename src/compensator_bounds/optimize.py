@@ -1,10 +1,9 @@
 """Deterministic scalar numeric primitives shared across the solvers.
 
-Bisection for monotone root finding and function inversion, plus a
-grid-scan + golden-section routine for one-dimensional maximization on a
-closed interval.  Identical inputs produce bit-identical outputs: no
-randomness, fixed iteration counts, and ties resolved toward the
-smallest abscissa.
+Bisection for monotone root finding, plus golden-section search for
+one-dimensional maximization on a closed interval.  Identical inputs
+produce bit-identical outputs: no randomness, fixed iteration counts,
+and ties resolved toward the smallest abscissa.
 """
 
 from __future__ import annotations
@@ -12,13 +11,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "bisect_root",
-    "invert_increasing",
     "golden_max",
-    "grid_golden_max",
 ]
 
 # Inverse golden ratio: contraction factor of the section search.
@@ -54,27 +49,6 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def invert_increasing(fn: Callable[[float], float], y: float,
-                      lo: float = 0.0, tol: float = 1e-14) -> float:
-    """Solve ``fn(x) = y`` for an increasing ``fn`` on ``[lo, inf)``.
-
-    The upper bracket is found by doubling the offset from ``lo``; the
-    root is then isolated by bisection.  ``y`` must satisfy
-    ``y >= fn(lo)``.
-    """
-    flo = fn(lo)
-    if y < flo:
-        raise ValueError(f"target {y} below fn({lo}) = {flo}")
-    if y == flo:
-        return lo
-    hi = lo + 1.0
-    while fn(hi) < y:
-        hi = lo + 2.0 * (hi - lo)
-        if not math.isfinite(hi):
-            raise ValueError(f"could not bracket an inverse for y = {y}")
-    return bisect_root(lambda x: fn(x) - y, lo, hi, tol)
 
 
 def golden_max(fn: Callable[[float], float], lo: float, hi: float,
@@ -113,38 +87,4 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float,
     for x, v in ((c, fc), (d, fd)):
         if v > best_v:
             best_x, best_v = x, v
-    return best_v, best_x
-
-
-def grid_golden_max(fn, lo: float, hi: float, n_points: int,
-                    iters: int = 60, scalar_fn=None) -> tuple[float, float]:
-    """Maximize ``fn`` on ``[lo, hi]``: coarse grid scan, then refinement.
-
-    ``fn`` must accept numpy arrays elementwise.  The scan keeps the
-    *first* (smallest-abscissa) grid maximizer; golden-section then
-    refines inside the bracketing pair of grid cells and only replaces
-    the incumbent on a strict improvement, so ties still resolve to the
-    smallest abscissa.  ``scalar_fn``, when given, is a cheaper
-    float-to-float version of ``fn`` used for the refinement probes.
-    Returns ``(value, argmax)``.
-    """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    xs = np.linspace(lo, hi, n_points)
-    vals = np.asarray(fn(xs), dtype=float)
-    peak = float(np.max(vals))
-    # Ties within float noise (flat objectives) snap to the smallest x.
-    noise = 1e-13 * max(1.0, abs(peak))
-    i = int(np.argmax(vals >= peak - noise))
-    best_v = float(vals[i])
-    best_x = float(xs[i])
-
-    b_lo = float(xs[max(i - 1, 0)])
-    b_hi = float(xs[min(i + 1, n_points - 1)])
-    if b_hi > b_lo:
-        probe = scalar_fn if scalar_fn is not None else (
-            lambda x: float(fn(x)))
-        ref_v, ref_x = golden_max(probe, b_lo, b_hi, iters)
-        if ref_v > best_v + noise:
-            best_v, best_x = ref_v, ref_x
     return best_v, best_x

@@ -70,6 +70,20 @@ class TestGridConfig:
         with pytest.raises(ValueError, match="step"):
             GridConfig(1.0, step=0.0)
 
+    @pytest.mark.parametrize("y_max, step", [(10.0, 0.3), (2.0, 0.3),
+                                             (5.0, 0.4)])
+    def test_step_must_divide_y_max(self, y_max, step):
+        # GridConfig(10, 0.3) used to space its nodes 0.30303 apart while
+        # interpolating with 0.3.
+        with pytest.raises(ValueError, match="does not divide"):
+            GridConfig(y_max, step)
+
+    def test_decimal_steps_that_divide_are_accepted(self):
+        for y_max, step in ((10.0, 0.1), (0.9, 0.3), (5.0, 1.0 / 3)):
+            grid = GridConfig(y_max, step)
+            np.testing.assert_allclose(np.diff(grid.points()), step,
+                                       rtol=1e-12)
+
     def test_budget_scales_with_step(self):
         assert grid_error_budget(1.0 / 512) == pytest.approx(2.0 / 512)
         assert grid_error_budget(1.0 / 128) == 4 * grid_error_budget(1.0 / 512)

@@ -176,8 +176,26 @@ class TestSolveBellman:
         _, second = run_cli(BELLMAN_SMALL, capsys)
         assert first == second
 
+    @pytest.mark.parametrize("grid", [["--horizon", "2", "--step", "0.3"],
+                                      ["--horizon", "2", "--y-max", "10",
+                                       "--step", "0.3"],
+                                      ["--horizon", "2", "--y-max", "2.51",
+                                       "--step", "1/64"]])
+    def test_step_not_dividing_y_max_is_usage_error(self, grid, capsys):
+        code = main(["solve-bellman", "--f", "exp:lambda=0.5"] + grid)
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "does not divide" in out.err
+
 
 class TestCompare:
+    def test_step_not_dividing_horizon_is_usage_error(self, capsys):
+        code = main(["compare", "--f", "quad", "--horizon", "2",
+                     "--step", "0.3"])
+        assert code == 2
+        assert "does not divide" in capsys.readouterr().err
+
     def test_exponential_within_budget(self, tmp_path, capsys):
         out_csv = tmp_path / "cmp.csv"
         code, out = run_cli(["compare", "--f", "exp:lambda=0.5",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compensator_bounds.functions import (
+    _FAMILIES,
     Family,
     FunctionSpec,
     class_s_condition,
@@ -132,6 +133,11 @@ class TestInverse:
     def test_tiny_float_undershoot_clamps_to_zero(self):
         assert EXP_HALF.inverse(1.0 - 1e-12) == 0.0
 
+    @pytest.mark.parametrize("spec", [QUAD, REMARK2], ids=str)
+    def test_tiny_target_keeps_relative_accuracy(self, spec):
+        # An absolute-tolerance bisection returned 9.983e-13 here.
+        assert spec.inverse(1e-12) == pytest.approx(1e-12, rel=1e-12, abs=0)
+
     @given(x=st.floats(min_value=0.0, max_value=20.0))
     @settings(max_examples=200, derandomize=True)
     def test_quad_round_trip_property(self, x):
@@ -151,6 +157,12 @@ class TestClassS:
     def test_powers_hold(self, spec):
         res = class_s_condition(spec, [0.0, 0.25, 1.0, 2.0, 4.0])
         assert res.holds
+
+    def test_quad_holds_on_a_fine_grid(self):
+        # Finite-difference curvature reported a false violation at
+        # 29.0003 on this grid.
+        res = class_s_condition(QUAD, np.linspace(29.0, 31.0, 20001))
+        assert res.holds and res.violation_at is None
 
     def test_remark2_fails_across_the_splice(self):
         res = class_s_condition(REMARK2, [0.5, 2.0])
@@ -181,6 +193,20 @@ class TestClassS:
         assert is_class_s_family(EXP_TWO)
         assert is_class_s_family(QUAD)
         assert not is_class_s_family(REMARK2)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_every_family_has_a_complete_record(family):
+    rec = _FAMILIES[family]
+    text = family.value if rec.key is None else f"{family.value}:{rec.key}=2"
+    spec = parse_function_spec(text)
+    assert all(callable(form) for form in rec.forms(spec.param))
+    assert spec.f_zero == spec.value(0.0)
+    assert is_class_s_family(spec) is rec.class_s
+    for x in (0.5, 1.5):
+        assert spec.inverse(spec.value(x)) == pytest.approx(x, rel=1e-14)
+        assert spec.deriv(x) > 0.0
+        assert math.isfinite(second_derivative(spec, x))
 
 
 class TestParse:
