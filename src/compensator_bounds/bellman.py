@@ -9,6 +9,16 @@ complementary probability.  The value tables computed here store the
 ``x = 0`` slice on a uniform ``y``-grid with linear interpolation;
 general ``x`` is reconstructed on demand from that slice.
 
+Every backup runs through one maximizer over arrays of states: a coarse
+scan of increments, keeping the first strict maximum, then a golden
+refinement between the winner's neighbouring candidates.  Whole-grid
+layers scan increments on the grid lattice, ``a = k * stride * step``,
+with ``stride = ceil((1 / step) / (opt_grid_points - 1))`` cells (every
+lattice point at the defaults), plus ``a = 1`` when the lattice misses
+it; there ``f(y + a)`` and ``V_{n-1}(y + a)`` are plain slices.  General
+states scan ``opt_grid_points`` increments spread evenly over
+``[0, 1 - x]``.
+
 Reads past the top of the grid clamp to the last value, so the layer for
 ``n`` steps to go is only trustworthy for ``y <= y_max - n``; build
 tables with ``y_max >= horizon`` (plus slack if general-``x`` queries at
@@ -92,96 +102,112 @@ def _uniform_interp(V: np.ndarray, step: float, q) -> np.ndarray:
     """Linear interpolation of layer values on the uniform grid, with
     reads past the top edge clamped to the last value."""
     pos = np.asarray(q, dtype=float) / step
-    idx = np.floor(pos).astype(np.intp)
+    # Truncation is floor for pos >= 0, and the clip sends every
+    # negative position to 0 either way.
+    idx = pos.astype(np.intp)
     np.clip(idx, 0, len(V) - 1, out=idx)
     w = pos - idx
-    idx1 = np.minimum(idx + 1, len(V) - 1)
-    return (1.0 - w) * V[idx] + w * V[idx1]
+    out = V.take(idx)
+    out *= 1.0 - w
+    w *= V.take(idx + 1, mode="clip")
+    out += w
+    return out
 
 
-def _shifted_read(V: np.ndarray, step: float, a: float) -> np.ndarray:
-    """``V`` interpolated at every grid point shifted by the scalar
-    ``a >= 0``; exploits the uniform grid (pure slicing, no gathers)."""
-    t = a / step
-    k = int(t)
-    w = t - k
-    n = len(V)
-    if k >= n - 1:
-        return np.full(n, V[-1])
-    v0 = np.empty(n)
-    v0[:n - k] = V[k:]
-    v0[n - k:] = V[-1]
-    v1 = np.empty(n)
-    m = k + 1
-    v1[:n - m] = V[m:]
-    v1[n - m:] = V[-1]
-    return (1.0 - w) * v0 + w * v1
+def _objective(f_vec, V_prev: np.ndarray, step: float, x, y, a):
+    """``(x+a) f(y+a) + (1-(x+a)) V_prev~(y+a)``, elementwise."""
+    q = y + a
+    reach = x + a
+    return reach * f_vec(q) + (1.0 - reach) * _uniform_interp(V_prev, step, q)
 
 
 # ----------------------------------------------------------------------
-# the one-layer backup
+# the one maximizer
 
 
-def _backup(f_vec, V_prev: np.ndarray, y: np.ndarray, step: float,
-            x: float, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize ``(x+a) f(y+a) + (1-(x+a)) V_prev~(y+a)`` over the
-    increment ``a in [0, 1-x]``, elementwise over the vector ``y``.
+def _backup(f_vec, V_prev: np.ndarray, step: float, x, y: np.ndarray,
+            a_cand: np.ndarray, coarse, cfg: SolverConfig
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize the backup objective over the increment, elementwise
+    over the states ``(x, y)`` (``x`` a scalar or an array like ``y``).
 
-    Coarse scan over ``cfg.opt_grid_points`` increments (first maximum
-    wins, so ties lean to the smallest ``a`` up to float noise), then a
-    data-parallel golden-section pass inside each point's bracketing
-    cells.  Returns ``(values, argmax increments)``.
+    ``a_cand`` holds the coarse increments in ascending order, either
+    one row shared by every state or one column per state; ``coarse``
+    yields the objective at each of them in turn.  The scan keeps the
+    first strict maximum, so ties go to the smallest increment.  A
+    data-parallel golden-section pass of ``cfg.refine_iters`` iterations
+    then searches between each state's neighbouring candidates.
+    Returns ``(values, argmax increments)``.
     """
-    a_hi = 1.0 - x
-    n_y = len(y)
-    if a_hi <= 0.0:
-        return np.asarray(f_vec(y), dtype=float), np.zeros(n_y)
-
-    k_pts = cfg.opt_grid_points
-    a_grid = np.linspace(0.0, a_hi, k_pts)
-    uniform_shift = (x == 0.0 and len(V_prev) == n_y)
-
-    best_v = np.full(n_y, -np.inf)
-    best_a = np.zeros(n_y)
-    best_i = np.zeros(n_y, dtype=np.intp)
-    for i, a in enumerate(a_grid):
-        q = y + a
-        reads = (_shifted_read(V_prev, step, a) if uniform_shift
-                 else _uniform_interp(V_prev, step, q))
-        obj = (x + a) * f_vec(q) + (1.0 - (x + a)) * reads
-        better = obj > best_v
+    n_states = len(y)
+    best_v = np.full(n_states, -np.inf)
+    best_i = np.zeros(n_states, dtype=np.intp)
+    better = np.empty(n_states, dtype=bool)
+    for i, obj in enumerate(coarse):
+        np.greater(obj, best_v, out=better)
         np.copyto(best_v, obj, where=better)
-        best_a[better] = a
-        best_i[better] = i
+        np.copyto(best_i, i, where=better)
 
-    if cfg.refine_iters > 0:
-        lo = a_grid[np.maximum(best_i - 1, 0)].copy()
-        hi = a_grid[np.minimum(best_i + 1, k_pts - 1)].copy()
-
-        def evaluate(a_vec):
-            q = y + a_vec
-            reads = _uniform_interp(V_prev, step, q)
-            return (x + a_vec) * f_vec(q) + (1.0 - (x + a_vec)) * reads
-
+    k_pts = len(a_cand)
+    cand = np.broadcast_to(a_cand.reshape(k_pts, -1), (k_pts, n_states))
+    cols = np.arange(n_states)
+    best_a = cand[best_i, cols]
+    lo = cand[np.maximum(best_i - 1, 0), cols]
+    hi = cand[np.minimum(best_i + 1, k_pts - 1), cols]
+    for _ in range(cfg.refine_iters):
         width = hi - lo
         c = hi - _INVPHI * width
         d = lo + _INVPHI * width
-        fc = evaluate(c)
-        fd = evaluate(d)
-        for _ in range(cfg.refine_iters):
-            for probe_v, probe_a in ((fc, c), (fd, d)):
-                better = probe_v > best_v
-                np.copyto(best_v, probe_v, where=better)
-                np.copyto(best_a, probe_a, where=better)
-            left = fc >= fd
-            hi = np.where(left, d, hi)
-            lo = np.where(left, lo, c)
-            width = hi - lo
-            c = hi - _INVPHI * width
-            d = lo + _INVPHI * width
-            fc = evaluate(c)
-            fd = evaluate(d)
+        fc = _objective(f_vec, V_prev, step, x, y, c)
+        fd = _objective(f_vec, V_prev, step, x, y, d)
+        for probe_v, probe_a in ((fc, c), (fd, d)):
+            np.greater(probe_v, best_v, out=better)
+            np.copyto(best_v, probe_v, where=better)
+            np.copyto(best_a, probe_a, where=better)
+        left = fc >= fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
     return best_v, best_a
+
+
+def _lattice_increments(step: float, cfg: SolverConfig
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse increments of whole-grid layers: their offsets in grid
+    cells, every ``stride``-th cell up to ``a = 1`` with the smallest
+    stride giving at most ``cfg.opt_grid_points`` of them, and their
+    values, with ``a = 1`` appended when no offset reaches it."""
+    cells = math.floor(1.0 / step * (1.0 + 1e-12))
+    stride = max(1, math.ceil(cells / (cfg.opt_grid_points - 1)))
+    offsets = np.arange(0, cells + 1, stride)
+    a_cand = np.minimum(offsets * step, 1.0)
+    if not math.isclose(a_cand[-1], 1.0, rel_tol=1e-12):
+        a_cand = np.append(a_cand, 1.0)
+    return offsets, a_cand
+
+
+def _lattice_scan(f_ext: np.ndarray, f_one, V_prev: np.ndarray,
+                  offsets: np.ndarray, a_cand: np.ndarray):
+    """The ``x = 0`` objective over the whole grid at each coarse
+    increment in turn, yielded in one reused buffer.
+
+    At ``a = c * step``, ``f(y + a)`` and ``V_prev(y + a)`` are slices:
+    of ``f_ext`` (``f`` on the grid extended past its top) and of
+    ``V_prev`` padded with its last value (the top-edge clamp).
+    ``f_one`` is ``f(y + 1)`` when ``a = 1`` is an extra candidate,
+    else ``None``.
+    """
+    n_pts = len(V_prev)
+    V_pad = np.concatenate((V_prev, np.full(offsets[-1], V_prev[-1])))
+    obj = np.empty(n_pts)
+    cont = np.empty(n_pts)
+    for c, a in zip(offsets.tolist(), a_cand.tolist()):
+        np.multiply(f_ext[c:c + n_pts], a, out=obj)
+        np.multiply(V_pad[c:c + n_pts], 1.0 - a, out=cont)
+        obj += cont
+        yield obj
+    if f_one is not None:
+        # a = 1 reaches the ceiling for sure: no continuation term.
+        yield f_one
 
 
 # ----------------------------------------------------------------------
@@ -230,15 +256,23 @@ def value_iteration(spec: FunctionSpec, horizon: int,
             f"y_max = {grid.y_max} does not cover horizon {horizon}")
 
     y = grid.points()
+    step = grid.step
     f_vec = vector_callable(spec)
     n_pts = grid.n_points
     V = np.empty((horizon + 1, n_pts))
     A = np.zeros((horizon + 1, n_pts))
     V[0] = f_vec(y)
+
+    offsets, a_cand = _lattice_increments(step, solver)
+    f_ext = np.concatenate(
+        (V[0], f_vec(grid.y_max + step * np.arange(1, offsets[-1] + 1))))
+    f_one = f_vec(y + 1.0) if len(a_cand) > len(offsets) else None
     # Any step with room to act reads past the top edge (y_max + a).
     clamp_used = horizon >= 1
     for n in range(1, horizon + 1):
-        V[n], A[n] = _backup(f_vec, V[n - 1], y, grid.step, 0.0, solver)
+        coarse = _lattice_scan(f_ext, f_one, V[n - 1], offsets, a_cand)
+        V[n], A[n] = _backup(f_vec, V[n - 1], step, 0.0, y, a_cand, coarse,
+                             solver)
     return ValueTable(spec, grid, y, V, A, clamp_used, solver)
 
 
@@ -272,20 +306,35 @@ def backup_objective(table: ValueTable, n: int, x: float, y: float,
     return reach * spec.value(y + a) + (1.0 - reach) * cont
 
 
+def _full_values(table: ValueTable, n: int, x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+    """``F_n`` at the states ``(x[i], y[i])``, in one batched backup
+    over ``opt_grid_points`` increments spread evenly on ``[0, 1 - x]``."""
+    f_vec = vector_callable(table.spec)
+    if n == 0:
+        return f_vec(y)
+    V_prev, step = table.V[n - 1], table.grid.step
+    a_cand = np.linspace(0.0, 1.0 - x, table.solver.opt_grid_points)
+    coarse = (_objective(f_vec, V_prev, step, x, y, a) for a in a_cand)
+    vals, _ = _backup(f_vec, V_prev, step, x, y, a_cand, coarse,
+                      table.solver)
+    ceiling = x >= 1.0
+    vals[ceiling] = f_vec(y[ceiling])
+    return vals
+
+
 def full_value(table: ValueTable, n: int, x: float, y: float) -> float:
     """``F_n(x, y)``: the optimal value from a general state,
     reconstructed from the stored ``x = 0`` layers.
 
-    Matches the stored layer exactly at ``x = 0`` grid points (same
-    backup code path); ``x = 1`` and ``n = 0`` collapse to ``f(y)``.
+    At ``x = 0`` grid points it agrees with the stored layer to about
+    1e-12 (the stored layers scan the grid lattice, this scans
+    ``[0, 1 - x]`` evenly); ``x = 1`` and ``n = 0`` collapse to
+    ``f(y)``.
     """
     _validate_state(table, n, x, y)
-    if n == 0 or x >= 1.0:
-        return table.spec.value(y)
-    f_vec = vector_callable(table.spec)
-    vals, _ = _backup(f_vec, table.V[n - 1], np.array([y]),
-                      table.grid.step, x, table.solver)
-    return float(vals[0])
+    return float(_full_values(table, n, np.array([float(x)]),
+                              np.array([float(y)]))[0])
 
 
 @dataclass
@@ -353,7 +402,7 @@ def verify_lemma1(table: ValueTable,
     """
     if x_samples is None:
         x_samples = np.linspace(0.0, 1.0, 9)
-    x_samples = sorted(float(v) for v in x_samples)
+    xs = np.array(sorted(float(v) for v in x_samples))
 
     y_checks = y_viols = 0
     worst_y = 0.0
@@ -370,21 +419,25 @@ def verify_lemma1(table: ValueTable,
     worst_cx = 0.0
     for n in range(1, table.horizon + 1):
         y_cap = table.grid.y_max - n - 1.0
-        for y in (v for v in y_samples if v <= y_cap):
-            vals = [full_value(table, n, x, y) for x in x_samples]
-            for v1, v2 in zip(vals, vals[1:]):
-                x_checks += 1
-                drop = v1 - v2
-                worst_x = min(worst_x, drop)
-                if drop < -monotone_tol:
-                    x_viols += 1
-            for i in range(len(x_samples) - 2):
-                # x_samples is uniform, so i, i+1, i+2 are equispaced.
-                cx_checks += 1
-                slack = vals[i] + vals[i + 2] - 2.0 * vals[i + 1]
-                worst_cx = min(worst_cx, slack)
-                if slack < -convex_tol:
-                    cx_viols += 1
+        ys = np.array([v for v in y_samples if v <= y_cap], dtype=float)
+        if not (len(ys) and len(xs)):
+            continue
+        # One row of x samples per y sample, all backed up in one call.
+        x_all, y_all = np.tile(xs, len(ys)), np.repeat(ys, len(xs))
+        for x, y in zip(x_all, y_all):
+            _validate_state(table, n, x, y)
+        vals = _full_values(table, n, x_all, y_all).reshape(len(ys), -1)
+        drops = vals[:, :-1] - vals[:, 1:]
+        x_checks += drops.size
+        x_viols += int(np.sum(drops < -monotone_tol))
+        # x_samples is uniform, so i, i+1, i+2 are equispaced.
+        slacks = vals[:, :-2] + vals[:, 2:] - 2.0 * vals[:, 1:-1]
+        cx_checks += slacks.size
+        cx_viols += int(np.sum(slacks < -convex_tol))
+        if drops.size:
+            worst_x = min(worst_x, float(np.min(drops)))
+        if slacks.size:
+            worst_cx = min(worst_cx, float(np.min(slacks)))
 
     return Lemma1Report(y_checks, y_viols, x_checks, x_viols,
                         cx_checks, cx_viols, worst_y, worst_x, worst_cx)

@@ -136,7 +136,8 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="grid top (default: the horizon)")
     p_bell.add_argument("--opt-grid", type=_positive_int,
                         default=DEFAULT_CONFIG.opt_grid_points,
-                        help="coarse points for the per-state maximization")
+                        help="cap on the coarse increments per state; "
+                        "whole-grid layers take them on the grid lattice")
     p_bell.add_argument("--refine", type=int,
                         default=DEFAULT_CONFIG.refine_iters,
                         help="golden-section refinement iterations")
@@ -484,6 +485,8 @@ def run_report(spec: FunctionSpec, horizon: int = 20,
     Returns the JSON-ready payload and the exit code (0 when every
     consistency check passed or the finding was expected, 3 otherwise).
     """
+    # Checked before any work, so a bad grid fails at once.
+    grid = GridConfig(float(horizon), step)
     failures: list[str] = []
     class_s = is_class_s_family(spec)
 
@@ -506,7 +509,7 @@ def run_report(spec: FunctionSpec, horizon: int = 20,
                     failures.append("recursion limit does not match the "
                                     "fixed-point bound")
 
-    table = value_iteration(spec, horizon, GridConfig(float(horizon), step))
+    table = value_iteration(spec, horizon, grid)
     comparison = compare_bounds(spec, horizon, table=table)
     if comparison.enforced and not comparison.within_budget:
         failures.append("exact values exceed the recursion bound beyond "

@@ -81,12 +81,20 @@ def _exp_forms(lam: float) -> _Forms:
 
 
 def _pow_forms(m: float) -> _Forms:
+    def second(x):
+        # x ** (m - 2) would divide by zero at 0 for m < 2: m = 1 is
+        # linear, and for 1 < m < 2 the curvature's limit at 0 is +inf.
+        if m == 1.0:
+            return 0.0
+        if x == 0.0 and m < 2.0:
+            return math.inf
+        return m * (m - 1.0) * x ** (m - 2.0)
+
     return _Forms(
         f=lambda x: x ** m,
         f_scalar=lambda x: x ** m,
         deriv=lambda x: m * x ** (m - 1.0),
-        # m = 1 is special-cased: 0 * x**-1 would divide by zero at 0.
-        second=lambda x: 0.0 if m == 1.0 else m * (m - 1.0) * x ** (m - 2.0),
+        second=second,
         inverse=lambda y: y ** (1.0 / m),
     )
 

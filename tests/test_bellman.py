@@ -7,6 +7,7 @@ import pytest
 from compensator_bounds.bellman import (
     BoundComparison,
     GridConfig,
+    Lemma1Report,
     backup_objective,
     compare_bounds,
     extremal_policy,
@@ -280,3 +281,86 @@ class TestGridRefinement:
         assert d_fine <= d_coarse
         # Observed differences sit orders of magnitude below the budget.
         assert d_coarse <= grid_error_budget(1.0 / 256) / 100
+
+
+def brute_force_layer(table, n, a_grid):
+    """``max_a`` of the x = 0 backup objective at every node, from
+    ``np.interp`` (which clamps past the top like the tables do) over
+    the increments ``a_grid``."""
+    f, y = table.spec.value, table.y
+    a = np.asarray(a_grid)[:, None]
+    q = y[None, :] + a
+    cont = np.interp(q, y, table.V[n - 1])
+    return np.max(a * f(q) + (1.0 - a) * cont, axis=0)
+
+
+class TestLatticeBackup:
+    @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
+    def test_layers_dominate_a_fine_increment_grid(self, spec):
+        tab = value_iteration(spec, 4, GridConfig(4.0, 1.0 / 64))
+        a_grid = np.linspace(0.0, 1.0, 2001)
+        for n in range(1, 5):
+            best = brute_force_layer(tab, n, a_grid)
+            assert np.all(tab.V[n] >= best - 1e-12)
+        # The oracle reads the table as backup_objective does.
+        for j, a in ((0, 0.3), (100, 0.77), (256, 1.0)):
+            y = float(tab.y[j])
+            assert brute_force_layer(tab, 3, [a])[j] == pytest.approx(
+                backup_objective(tab, 3, 0.0, y, a), rel=1e-14)
+
+    @pytest.mark.parametrize("solver", [None, LIGHT], ids=["default", "light"])
+    def test_exponential_scaling_invariant(self, solver):
+        # f(y + a) = e^{lambda y} f(a) makes every layer a multiple of
+        # f, wherever the top-edge clamp has not reached.
+        grid = GridConfig(12.0, 1.0 / 128)
+        kwargs = {} if solver is None else {"solver": solver}
+        tab = value_iteration(EXP_HALF, 10, grid, **kwargs)
+        for n in range(11):
+            ok = tab.y <= grid.y_max - n
+            expect = EXP_HALF.value(tab.y[ok]) * tab.V[n, 0]
+            np.testing.assert_allclose(tab.V[n, ok], expect, rtol=1e-12,
+                                       atol=0)
+
+    @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO, QUAD])
+    def test_unit_increment_off_the_lattice(self, spec):
+        # 1 is no multiple of 0.4, so a = 1 must be a candidate of its
+        # own: one step to go, jumping to the ceiling is optimal.
+        tab = value_iteration(spec, 1, GridConfig(2.0, 0.4))
+        best = brute_force_layer(tab, 1, np.linspace(0.0, 1.0, 2001))
+        np.testing.assert_allclose(tab.V[1], best, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(tab.V[1], spec.value(tab.y + 1.0),
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(tab.A[1], 1.0)
+
+    @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
+    def test_strided_lattice_within_budget(self, spec):
+        # 64 coarse points at step 1/512: every 9th lattice cell plus
+        # a = 1.
+        grid = GridConfig(6.0, 1.0 / 512)
+        full = value_iteration(spec, 6, grid)
+        strided = value_iteration(spec, 6, grid, SolverConfig(64, 40))
+        gap = np.max(np.abs(full.V - strided.V))
+        assert gap <= grid_error_budget(grid.step)
+
+    @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
+    def test_batched_report_equals_per_state_calls(self, spec):
+        tab = value_iteration(spec, 4, GridConfig(8.0, 1.0 / 64),
+                              solver=SolverConfig(64, 20))
+        y_samples = (0.0, 0.35, 0.8, 1.6, 2.5)
+        x_samples = np.linspace(0.0, 1.0, 9)
+        report = verify_lemma1(tab, y_samples, x_samples)
+
+        diffs = [d for n in range(5) for d in np.diff(tab.V[n])]
+        drops, slacks = [], []
+        for n in range(1, 5):
+            for y in (v for v in y_samples if v <= tab.grid.y_max - n - 1):
+                vals = [full_value(tab, n, float(x), y) for x in x_samples]
+                drops += [v1 - v2 for v1, v2 in zip(vals, vals[1:])]
+                slacks += [vals[i] + vals[i + 2] - 2.0 * vals[i + 1]
+                           for i in range(len(vals) - 2)]
+        assert report == Lemma1Report(
+            len(diffs), sum(d < -1e-9 for d in diffs),
+            len(drops), sum(d < -1e-9 for d in drops),
+            len(slacks), sum(s < -1e-6 for s in slacks),
+            min(0.0, min(diffs)), min(0.0, min(drops)),
+            min(0.0, min(slacks)))

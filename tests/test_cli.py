@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from compensator_bounds import cli
 from compensator_bounds.cli import main, parse_args
 from compensator_bounds.functions import Family, parse_function_spec
 
@@ -341,6 +342,18 @@ class TestReport:
         assert payload["shift_scan"]["violations"] >= 1
         assert payload["shift_scan"]["violations_expected"] is True
         assert payload["status"] == "all-pass"
+
+    def test_bad_grid_fails_before_the_recursion(self, monkeypatch, capsys):
+        def no_recursion(*args, **kwargs):
+            raise AssertionError("the recursion ran before the grid check")
+
+        monkeypatch.setattr(cli, "iterate", no_recursion)
+        code = main(["report", "--f", "exp:lambda=0.5", "--horizon", "3",
+                     "--step", "0.7"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "does not divide" in out.err
 
     def test_comparison_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "rows.csv"

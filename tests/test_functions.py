@@ -189,6 +189,14 @@ class TestClassS:
             assert second_derivative(spec, x) == pytest.approx(
                 expect, rel=1e-6, abs=1e-6)
 
+    @pytest.mark.parametrize("m, expect", [(1.0, 0.0), (1.5, math.inf),
+                                           (2.0, 2.0), (3.0, 0.0)])
+    def test_power_curvature_at_zero(self, m, expect):
+        # m (m-1) x^(m-2) as x -> 0+: +inf for 1 < m < 2, and no
+        # division by zero from 0.0 ** negative.
+        spec = parse_function_spec(f"pow:m={m}")
+        assert second_derivative(spec, 0.0) == expect
+
     def test_family_membership_helper(self):
         assert is_class_s_family(EXP_TWO)
         assert is_class_s_family(QUAD)
