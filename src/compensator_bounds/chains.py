@@ -1,16 +1,15 @@
 """Exact laws and simulation for the extremal chains.
 
-Two chains are covered.  The *doubling chain* starts at ``X = 0`` and,
-while unabsorbed, jumps to the ceiling ``X = 1`` with probability one
-half at every step; its compensator climbs by one half per step until
-absorption, so the terminal law is supported on half-integers with
-geometric weights.  The *table-driven chain* follows the maximizing
-increments of a computed value table: from ``(0, y)`` with ``n`` steps
-left it adds the increment ``a = policy.action(n, y)`` to the
-compensator and reaches the ceiling with probability ``a``.
-
-Both admit exact finite-support terminal laws (the unabsorbed state is
-deterministic), which makes the Monte-Carlo routines easy to validate.
+Both chains run on a schedule ``(a_t, y_t)``: from ``X = 0`` the chain
+jumps to the ceiling ``X = 1`` with probability ``a_t``, and otherwise
+stays at 0 with its compensator raised to ``y_{t+1} = y_t + a_t``.  The
+*doubling chain* is the constant schedule ``a_t = 1/2``; the
+*table-driven chain* takes ``a = policy.action(n, y)`` from a computed
+value table with ``n`` steps left.  The unabsorbed state is
+deterministic, so one builder gives the exact finite-support law of
+either chain, which validates the one sampler.  The sampler streams its
+uniforms in row chunks, bit-identical to a single draw, but returns the
+terminal state of every path: memory is O(paths + chunk).
 """
 
 from __future__ import annotations
@@ -25,18 +24,24 @@ from .functions import FunctionSpec, vector_callable
 __all__ = [
     "LawAtom",
     "ChainLaw",
+    "intro_schedule",
+    "policy_schedule",
+    "schedule_law",
     "intro_chain_law",
+    "extremal_chain_law",
     "exact_expectation",
     "intro_kernel",
     "doob_decompose",
     "SimulationResult",
+    "simulate_schedule",
     "simulate_intro",
-    "policy_schedule",
-    "extremal_chain_law",
     "simulate_extremal",
 ]
 
 _PROB_TOL = 1e-9
+
+# Uniforms drawn per chunk of paths (2 MB of float64).
+_CHUNK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,48 @@ class ChainLaw:
         return np.array([a.prob for a in self.atoms])
 
 
+# ----------------------------------------------------------------------
+# schedules and their exact laws
+
+
+def intro_schedule(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The doubling chain as a schedule: ``a[t] = 1/2``, ``y[t] = t/2``."""
+    return np.full(n_steps, 0.5), 0.5 * np.arange(n_steps + 1)
+
+
+def policy_schedule(policy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic increments and compensator path of the unabsorbed
+    state: ``a[t]`` applied with ``horizon - t`` steps left, ``y[t]``
+    the compensator after ``t`` steps."""
+    a_sched = np.empty(horizon)
+    y_sched = np.zeros(horizon + 1)
+    for t in range(horizon):
+        a_sched[t] = policy.action(horizon - t, y_sched[t])
+        y_sched[t + 1] = y_sched[t] + a_sched[t]
+    return a_sched, y_sched
+
+
+def schedule_law(a_sched, y_sched, merge_tol: float = 1e-12) -> ChainLaw:
+    """Exact terminal law on a schedule: one absorbed atom per step plus
+    the unabsorbed remainder.  Atoms closer than ``merge_tol`` in
+    compensator value are combined; zero-probability atoms are dropped."""
+    atoms: list[list[float]] = []
+    p_live = 1.0
+    for t, a in enumerate(a_sched):
+        p_absorb = p_live * a
+        if p_absorb > 0.0:
+            y = y_sched[t + 1]
+            if atoms and atoms[-1][0] == 1.0 and abs(atoms[-1][1] - y) <= merge_tol:
+                atoms[-1][2] += p_absorb
+            else:
+                atoms.append([1.0, y, p_absorb])
+        p_live *= 1.0 - a
+    if p_live > 0.0:
+        atoms.append([0.0, y_sched[len(a_sched)], p_live])
+    return ChainLaw(tuple(LawAtom(x, float(y), float(p))
+                          for x, y, p in atoms))
+
+
 def intro_chain_law(n_steps: int) -> ChainLaw:
     """Exact terminal law of the doubling chain after ``n_steps``.
 
@@ -87,12 +134,16 @@ def intro_chain_law(n_steps: int) -> ChainLaw:
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    if n_steps == 0:
-        return ChainLaw((LawAtom(0.0, 0.0, 1.0),))
-    atoms = [LawAtom(1.0, 0.5 * k, 2.0 ** -k)
-             for k in range(1, n_steps + 1)]
-    atoms.append(LawAtom(0.0, 0.5 * n_steps, 2.0 ** -n_steps))
-    return ChainLaw(tuple(atoms))
+    return schedule_law(*intro_schedule(n_steps))
+
+
+def extremal_chain_law(policy, horizon: int | None = None,
+                       merge_tol: float = 1e-12) -> ChainLaw:
+    """Exact terminal law of the chain driven by a value-table policy."""
+    horizon = policy.table.horizon if horizon is None else horizon
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    return schedule_law(*policy_schedule(policy, horizon), merge_tol)
 
 
 def exact_expectation(spec: FunctionSpec, law: ChainLaw) -> float:
@@ -104,11 +155,17 @@ def exact_expectation(spec: FunctionSpec, law: ChainLaw) -> float:
 # pathwise compensators
 
 
-def intro_kernel(step: int, x: float, y: float):
-    """One-step transition law of the doubling chain from value ``x``."""
+def _two_point(a: float, x: float):
+    """Transition law from value ``x`` when the ceiling is reached with
+    probability ``a``; the ceiling absorbs."""
     if x >= 1.0 - 1e-12:
         return ((1.0, 1.0),)
-    return ((1.0, 0.5), (0.0, 0.5))
+    return ((1.0, a), (0.0, 1.0 - a))
+
+
+def intro_kernel(step: int, x: float, y: float):
+    """One-step transition law of the doubling chain from value ``x``."""
+    return _two_point(0.5, x)
 
 
 def doob_decompose(x_path, kernel, y0: float = 0.0) -> np.ndarray:
@@ -166,10 +223,43 @@ class SimulationResult:
     t_hit: np.ndarray = field(repr=False)
 
 
-def _philox(seed: int) -> np.random.Generator:
+def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
+                      seed: int, audit_paths: int = 200) -> SimulationResult:
+    """Monte-Carlo draw of the chain on a schedule: path ``i`` uses row
+    ``i`` of one ``(n_paths, steps)`` draw, made in row chunks."""
+    n_steps = len(a_sched)
+    if n_steps < 1:
+        raise ValueError("the schedule needs at least one step")
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
     # Counter-based bit generator: a fixed seed pins the whole draw
-    # order, independent of platform threading.
-    return np.random.Generator(np.random.Philox(seed))
+    # order, independent of platform threading and of the chunk size.
+    rng = np.random.Generator(np.random.Philox(seed))
+    t_hit = np.empty(n_paths, dtype=np.int64)
+    rows = max(1, _CHUNK_FLOATS // n_steps)
+    for lo in range(0, n_paths, rows):
+        jumps = rng.random((min(rows, n_paths - lo), n_steps)) < a_sched
+        t_hit[lo:lo + len(jumps)] = np.where(
+            jumps.any(axis=1), jumps.argmax(axis=1) + 1, n_steps + 1)
+    y_final = y_sched[np.minimum(t_hit, n_steps)]
+    x_final = (t_hit <= n_steps).astype(float)
+
+    values = vector_callable(spec)(y_final)
+    mean_f = float(values.mean())
+    std_error = float(values.std(ddof=1) / math.sqrt(n_paths))
+
+    def kernel(step, x, y):
+        return _two_point(a_sched[step], x)
+
+    residual = 0.0
+    steps = np.arange(n_steps + 1)
+    for i in range(min(audit_paths, n_paths)):
+        x_path = (steps >= t_hit[i]).astype(float)
+        y_path = doob_decompose(x_path, kernel)
+        closed = y_sched[np.minimum(steps, t_hit[i])]
+        residual = max(residual, float(np.max(np.abs(y_path - closed))))
+    return SimulationResult(spec, n_steps, n_paths, seed, mean_f,
+                            std_error, residual, y_final, x_final, t_hit)
 
 
 def simulate_intro(spec: FunctionSpec, n_steps: int, n_paths: int,
@@ -177,121 +267,16 @@ def simulate_intro(spec: FunctionSpec, n_steps: int, n_paths: int,
     """Monte-Carlo draw of the doubling chain."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    rng = _philox(seed)
-    jumps = rng.random((n_paths, n_steps)) < 0.5
-    absorbed = jumps.any(axis=1)
-    # 1-based absorption step; n_steps + 1 encodes "still running".
-    t_hit = np.where(absorbed, jumps.argmax(axis=1) + 1, n_steps + 1)
-    y_final = 0.5 * np.minimum(t_hit, n_steps)
-    x_final = absorbed.astype(float)
-
-    f_vec = vector_callable(spec)
-    values = f_vec(y_final)
-    mean_f = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n_paths))
-
-    residual = 0.0
-    steps = np.arange(n_steps + 1)
-    for i in range(min(audit_paths, n_paths)):
-        x_path = (steps >= t_hit[i]).astype(float)
-        y_path = doob_decompose(x_path, intro_kernel)
-        closed = 0.5 * np.minimum(steps, t_hit[i])
-        residual = max(residual, float(np.max(np.abs(y_path - closed))))
-    return SimulationResult(spec, n_steps, n_paths, seed, mean_f,
-                            std_error, residual, y_final, x_final, t_hit)
-
-
-# ----------------------------------------------------------------------
-# table-driven chain
-
-
-def policy_schedule(policy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic increments and compensator path of the unabsorbed
-    state: ``a[t]`` applied with ``horizon - t`` steps left, ``y[t]``
-    the compensator after ``t`` steps."""
-    a_sched = np.empty(horizon)
-    y_sched = np.empty(horizon + 1)
-    y_sched[0] = 0.0
-    y = 0.0
-    for t in range(horizon):
-        a = float(policy.action(horizon - t, y))
-        a_sched[t] = a
-        y += a
-        y_sched[t + 1] = y
-    return a_sched, y_sched
-
-
-def extremal_chain_law(policy, horizon: int | None = None,
-                       merge_tol: float = 1e-12) -> ChainLaw:
-    """Exact terminal law of the chain driven by a value-table policy.
-
-    The unabsorbed state is deterministic, so the law consists of one
-    absorbed atom per step plus the final unabsorbed remainder.  Atoms
-    closer than ``merge_tol`` in compensator value are combined;
-    zero-probability atoms are dropped.
-    """
-    if horizon is None:
-        horizon = policy.table.horizon
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    a_sched, y_sched = policy_schedule(policy, horizon)
-
-    atoms: list[list[float]] = []
-    p_live = 1.0
-    for t in range(horizon):
-        p_absorb = p_live * a_sched[t]
-        if p_absorb > 0.0:
-            y = y_sched[t + 1]
-            if atoms and atoms[-1][0] == 1.0 and abs(atoms[-1][1] - y) <= merge_tol:
-                atoms[-1][2] += p_absorb
-            else:
-                atoms.append([1.0, y, p_absorb])
-        p_live *= 1.0 - a_sched[t]
-    if p_live > 0.0:
-        atoms.append([0.0, y_sched[horizon], p_live])
-    return ChainLaw(tuple(LawAtom(x, y, p) for x, y, p in atoms))
+    return simulate_schedule(spec, *intro_schedule(n_steps), n_paths, seed,
+                             audit_paths)
 
 
 def simulate_extremal(policy, spec: FunctionSpec, n_paths: int, seed: int,
                       horizon: int | None = None,
                       audit_paths: int = 200) -> SimulationResult:
     """Monte-Carlo draw of the table-driven chain."""
-    if horizon is None:
-        horizon = policy.table.horizon
+    horizon = policy.table.horizon if horizon is None else horizon
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    a_sched, y_sched = policy_schedule(policy, horizon)
-
-    rng = _philox(seed)
-    jumps = rng.random((n_paths, horizon)) < a_sched[None, :]
-    absorbed = jumps.any(axis=1)
-    t_hit = np.where(absorbed, jumps.argmax(axis=1) + 1, horizon + 1)
-    y_final = y_sched[np.minimum(t_hit, horizon)]
-    x_final = absorbed.astype(float)
-
-    f_vec = vector_callable(spec)
-    values = f_vec(y_final)
-    mean_f = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n_paths))
-
-    def schedule_kernel(step, x, y):
-        if x >= 1.0 - 1e-12:
-            return ((1.0, 1.0),)
-        a = a_sched[step]
-        if a <= 0.0:
-            return ((0.0, 1.0),)
-        return ((1.0, a), (0.0, 1.0 - a))
-
-    residual = 0.0
-    steps = np.arange(horizon + 1)
-    for i in range(min(audit_paths, n_paths)):
-        x_path = (steps >= t_hit[i]).astype(float)
-        y_path = doob_decompose(x_path, schedule_kernel)
-        closed = y_sched[np.minimum(steps, t_hit[i])]
-        residual = max(residual, float(np.max(np.abs(y_path - closed))))
-    return SimulationResult(spec, horizon, n_paths, seed, mean_f,
-                            std_error, residual, y_final, x_final, t_hit)
+    return simulate_schedule(spec, *policy_schedule(policy, horizon),
+                             n_paths, seed, audit_paths)

@@ -36,10 +36,10 @@ from .bellman import (
 from .chains import (
     exact_expectation,
     extremal_chain_law,
-    intro_chain_law,
+    intro_schedule,
     policy_schedule,
-    simulate_extremal,
-    simulate_intro,
+    schedule_law,
+    simulate_schedule,
 )
 from .functions import FunctionSpec, is_class_s_family, parse_function_spec
 from .recursion import (
@@ -377,99 +377,85 @@ def _load_policy(path: str, expected: FunctionSpec):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"could not read policy artifact '{path}': {exc}")
-    if data.get("format") != ARTIFACT_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != ARTIFACT_FORMAT:
         raise ValueError(f"'{path}' is not a value-table artifact "
-                         f"(format tag {data.get('format')!r})")
-    artifact_spec = parse_function_spec(data["function"])
+                         f"(format tag {ARTIFACT_FORMAT!r} expected)")
+    try:
+        function = data["function"]
+        y_max = float(data["grid"]["y_max"])
+        step = float(data["grid"]["step"])
+        horizon = data["horizon"]
+        actions = np.array(data["actions"], dtype=float)
+        values_at_zero = [float(v) for v in data["values_at_zero"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed value-table artifact '{path}': "
+                         f"{type(exc).__name__}: {exc}") from exc
+    artifact_spec = parse_function_spec(function)
     if artifact_spec != expected:
         raise ValueError(
-            f"policy artifact was built for {data['function']}, "
+            f"policy artifact was built for {function}, "
             f"got --f {expected.spec_string()}")
-    grid = GridConfig(data["grid"]["y_max"], data["grid"]["step"])
-    actions = np.array(data["actions"], dtype=float)
-    if actions.shape != (data["horizon"] + 1, grid.n_points):
-        raise ValueError(f"action table in '{path}' does not match its "
-                         f"declared horizon and grid")
-    values = np.zeros_like(actions)
-    table = ValueTable(artifact_spec, grid, grid.points(), values, actions,
+    grid = GridConfig(y_max, step)
+    if (not isinstance(horizon, int) or horizon < 1
+            or actions.shape != (horizon + 1, grid.n_points)
+            or len(values_at_zero) != horizon + 1):
+        raise ValueError(f"horizon, action table and values_at_zero in "
+                         f"'{path}' do not match each other and the grid")
+    if not np.all((actions >= 0.0) & (actions <= 1.0)):
+        raise ValueError(f"action table in '{path}' has entries that are "
+                         f"not finite numbers in [0, 1]")
+    table = ValueTable(artifact_spec, grid, grid.points(),
+                       np.zeros_like(actions), actions,
                        bool(data.get("clamp_used", True)))
-    return extremal_policy(table), [float(v) for v in data["values_at_zero"]]
+    return extremal_policy(table), values_at_zero
 
 
-def _dump_path_rows(result, y_of_step, dump_count: int) -> list[tuple]:
+def _dump_path_rows(result, y_sched, dump_count: int) -> list[tuple]:
     rows = []
-    n = result.n_steps
     for i in range(min(len(result.t_hit), dump_count)):
         t = int(result.t_hit[i])
-        for k in range(n + 1):
+        for k in range(result.n_steps + 1):
             x = 1.0 if k >= t else 0.0
-            y = y_of_step(min(k, t))
-            rows.append((i, k, repr(x), repr(float(y)),
-                         repr(float(x - y))))
+            y = float(y_sched[min(k, t)])
+            rows.append((i, k, repr(x), repr(y), repr(x - y)))
     return rows
 
 
 def _cmd_simulate(args) -> int:
     if args.chain == "intro":
-        sim = simulate_intro(args.f, args.n, args.paths, args.seed)
-        exact = exact_expectation(args.f, intro_chain_law(args.n))
-        payload = {
-            "command": "simulate",
-            "chain": "intro",
-            "function": args.f.spec_string(),
-            "n_steps": sim.n_steps,
-            "paths": sim.n_paths,
-            "seed": sim.seed,
-            "mean_f": sim.mean_f,
-            "std_error": sim.std_error,
-            "exact_f": float(exact),
-            "abs_error": abs(sim.mean_f - exact),
-            "within_4se": bool(abs(sim.mean_f - exact)
-                               <= 4.0 * sim.std_error),
-            "max_doob_residual": sim.max_doob_residual,
-        }
-        _emit(payload, args.json)
-        if args.csv:
-            rows = _dump_path_rows(sim, lambda k: 0.5 * k,
-                                   min(args.dump_paths, sim.n_paths))
-            _write_csv(args.csv, ["path_id", "k", "X", "Y", "M"], rows)
-        return 0
-
-    policy, values_at_zero = _load_policy(args.policy, args.f)
-    horizon = args.horizon or policy.table.horizon
-    if horizon > policy.table.horizon:
-        raise ValueError(f"--horizon {horizon} exceeds the artifact "
-                         f"horizon {policy.table.horizon}")
-    sim = simulate_extremal(policy, args.f, args.paths, args.seed,
-                            horizon=horizon)
-    law = extremal_chain_law(policy, horizon)
-    exact = exact_expectation(args.f, law)
-    # Increments along the only reachable trajectory, reported so the
-    # time-only dependence of the optimal increment can be inspected
-    # rather than assumed.
-    a_sched, y_sched = policy_schedule(policy, horizon)
+        a_sched, y_sched = intro_schedule(args.n)
+        fields = {"chain": "intro", "n_steps": args.n}
+    else:
+        policy, values_at_zero = _load_policy(args.policy, args.f)
+        horizon = args.horizon or policy.table.horizon
+        if horizon > policy.table.horizon:
+            raise ValueError(f"--horizon {horizon} exceeds the artifact "
+                             f"horizon {policy.table.horizon}")
+        a_sched, y_sched = policy_schedule(policy, horizon)
+        # Increments along the only reachable trajectory, so their
+        # time-only dependence can be inspected rather than assumed.
+        fields = {"chain": "extremal", "horizon": horizon,
+                  "table_value": values_at_zero[horizon],
+                  "increments": [float(a) for a in a_sched]}
+    sim = simulate_schedule(args.f, a_sched, y_sched, args.paths, args.seed)
+    exact = exact_expectation(args.f, schedule_law(a_sched, y_sched))
     payload = {
         "command": "simulate",
-        "chain": "extremal",
         "function": args.f.spec_string(),
-        "horizon": horizon,
+        **fields,
         "paths": sim.n_paths,
         "seed": sim.seed,
         "mean_f": sim.mean_f,
         "std_error": sim.std_error,
-        "exact_f": float(exact),
-        "table_value": values_at_zero[horizon],
+        "exact_f": exact,
         "abs_error": abs(sim.mean_f - exact),
-        "within_4se": bool(abs(sim.mean_f - exact)
-                           <= 4.0 * sim.std_error),
+        "within_4se": bool(abs(sim.mean_f - exact) <= 4.0 * sim.std_error),
         "max_doob_residual": sim.max_doob_residual,
-        "increments": [float(a) for a in a_sched],
     }
     _emit(payload, args.json)
     if args.csv:
-        rows = _dump_path_rows(sim, lambda k: float(y_sched[k]),
-                               min(args.dump_paths, sim.n_paths))
-        _write_csv(args.csv, ["path_id", "k", "X", "Y", "M"], rows)
+        _write_csv(args.csv, ["path_id", "k", "X", "Y", "M"],
+                   _dump_path_rows(sim, y_sched, args.dump_paths))
     return 0
 
 

@@ -43,6 +43,9 @@ __all__ = [
 # Tolerance for the slope cross-check at the fixed point.
 _CROSS_CHECK_TOL = 1e-6
 _CROSS_CHECK_GRID = 512
+# A recursion value (or fixed-point bracket) above this counts as divergence.
+_DIVERGENCE_THRESHOLD = 1e6
+_BISECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,17 +55,14 @@ class SolverConfig:
     opt_grid_points: int = 2048
     refine_iters: int = 60
     b_tolerance: float = 1e-9
-    divergence_threshold: float = 1e6
     max_iterations: int = 20000
-    bisection_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.opt_grid_points < 2:
             raise ValueError("opt_grid_points must be >= 2")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
-        for name in ("b_tolerance", "divergence_threshold", "max_iterations",
-                     "bisection_tolerance"):
+        for name in ("b_tolerance", "max_iterations"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -176,7 +176,7 @@ def iterate(spec: FunctionSpec,
 
     Stops with ``CONVERGED`` once successive values differ by less than
     ``cfg.b_tolerance``, with ``DIVERGED`` once a value exceeds
-    ``cfg.divergence_threshold``, and with ``MAX_ITERATIONS`` otherwise.
+    ``_DIVERGENCE_THRESHOLD`` (1e6), and with ``MAX_ITERATIONS`` otherwise.
     """
     stepper = _make_stepper(spec, cfg)
     b_seq = [spec.f_zero]
@@ -185,7 +185,7 @@ def iterate(spec: FunctionSpec,
         value, a_star = stepper(b_seq[-1])
         b_seq.append(value)
         a_seq.append(a_star)
-        if value > cfg.divergence_threshold:
+        if value > _DIVERGENCE_THRESHOLD:
             return RecursionTrace(spec, tuple(b_seq), tuple(a_seq),
                                   RecursionStatus.DIVERGED,
                                   diverged_at=step)
@@ -239,12 +239,11 @@ def _fixed_point_residual(spec: FunctionSpec, b: float) -> float:
     return spec.f_zero + spec.deriv(spec.inverse(b)) - b
 
 
-def fixed_point_bound(spec: FunctionSpec,
-                      cfg: SolverConfig = DEFAULT_CONFIG) -> FixedPointResult:
+def fixed_point_bound(spec: FunctionSpec) -> FixedPointResult:
     """Solve ``b = f(0) + f'(f^{-1}(b))`` by bracketing + bisection.
 
     The bracket doubles outward from ``f(0) + 1``; if the residual stays
-    positive all the way to ``cfg.divergence_threshold`` the bound is
+    positive all the way to ``_DIVERGENCE_THRESHOLD`` the bound is
     reported as unbounded.  At a finite root the one-step slope is
     cross-checked on a 512-point grid.
     """
@@ -255,7 +254,7 @@ def fixed_point_bound(spec: FunctionSpec,
     while res_hi > 0.0:
         lo = hi
         hi = f0 + 2.0 * (hi - f0)
-        if hi > cfg.divergence_threshold:
+        if hi > _DIVERGENCE_THRESHOLD:
             return FixedPointResult(math.inf)
         res_hi = _fixed_point_residual(spec, hi)
 
@@ -263,7 +262,7 @@ def fixed_point_bound(spec: FunctionSpec,
         root = hi
     else:
         root = bisect_root(lambda b: _fixed_point_residual(spec, b),
-                           lo, hi, cfg.bisection_tolerance)
+                           lo, hi, _BISECTION_TOL)
 
     grid = np.linspace(0.0, 1.0, _CROSS_CHECK_GRID)
     slope_max = float(np.max(mixture_objective_deriv(spec, grid, root)))

@@ -1,12 +1,14 @@
 """Tests for exact chain laws, pathwise compensators, and Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compensator_bounds import chains
 from compensator_bounds.bellman import (
     GridConfig,
     extremal_policy,
@@ -240,3 +242,54 @@ class TestExtremalChain:
             extremal_chain_law(policy, horizon=0)
         with pytest.raises(ValueError, match="n_paths"):
             simulate_extremal(policy, EXP_HALF, 1, seed=3)
+
+
+def same_result(a, b) -> None:
+    for name in ("n_steps", "n_paths", "seed", "mean_f", "std_error",
+                 "max_doob_residual"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("y_final", "x_final", "t_hit"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestStreamedDraw:
+    """The draw is streamed in row chunks of the one Philox stream."""
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_intro_chunks_match_one_draw(self, rows, monkeypatch):
+        n_steps, n_paths = 12, 4001
+        monkeypatch.setattr(chains, "_CHUNK_FLOATS", n_steps * n_paths)
+        whole = simulate_intro(EXP_ONE, n_steps, n_paths, seed=9)
+        monkeypatch.setattr(chains, "_CHUNK_FLOATS", n_steps * rows)
+        chunked = simulate_intro(EXP_ONE, n_steps, n_paths, seed=9)
+        same_result(chunked, whole)
+
+    def test_extremal_chunks_match_one_draw(self, exp_table_30, monkeypatch):
+        policy = extremal_policy(exp_table_30)
+        n_paths = 3001
+        monkeypatch.setattr(chains, "_CHUNK_FLOATS", 30 * n_paths)
+        whole = simulate_extremal(policy, EXP_HALF, n_paths, seed=11)
+        monkeypatch.setattr(chains, "_CHUNK_FLOATS", 30 * 7)
+        chunked = simulate_extremal(policy, EXP_HALF, n_paths, seed=11)
+        same_result(chunked, whole)
+
+    def test_draw_does_not_hold_the_whole_block(self):
+        n_steps, n_paths = 60, 50_000
+        tracemalloc.start()
+        try:
+            simulate_intro(EXP_ONE, n_steps, n_paths, seed=1, audit_paths=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One (paths, steps) float64 block would be 24 MB on its own.
+        assert peak < n_paths * n_steps * 8 / 4
+
+    def test_doubling_chain_is_the_half_schedule(self):
+        a_sched, y_sched = chains.intro_schedule(5)
+        np.testing.assert_array_equal(a_sched, [0.5] * 5)
+        np.testing.assert_array_equal(y_sched, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+        with pytest.raises(ValueError, match="at least one step"):
+            chains.simulate_schedule(EXP_ONE, *chains.intro_schedule(0),
+                                     100, seed=1)

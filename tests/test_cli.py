@@ -2,6 +2,7 @@
 schema conformance, CSV shape, and byte-identical reruns."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -275,6 +276,20 @@ class TestSimulate:
         _, other = run_cli(argv[:-1] + ["12"], capsys)
         assert other != first
 
+    def test_intro_output_is_pinned(self, tmp_path, capsys):
+        # sha256 of the stdout and CSV bytes, frozen from the sampler
+        # that drew one (paths, steps) block in a single call.
+        paths_csv = tmp_path / "paths.csv"
+        code, out = run_cli(["simulate", "--chain", "intro",
+                             "--f", "exp:lambda=1", "--n", "12",
+                             "--paths", "4000", "--seed", "9",
+                             "--csv", str(paths_csv)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "87ebeacd3972c8b4b82c31b8b796aa591ed871a8e28b0b45ab7e47abd29ac7e0")
+        assert hashlib.sha256(paths_csv.read_bytes()).hexdigest() == (
+            "a1ac922cf7987f132667ae0ea1fc3f0e9295c869e39799e57caf6c51d78bc33e")
+
     def test_extremal_chain_from_artifact(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"
         code, _ = run_cli(BELLMAN_SMALL + ["--json", str(policy)], capsys)
@@ -302,6 +317,79 @@ class TestSimulate:
                      "--f", "exp:lambda=0.5",
                      "--policy", str(tmp_path / "missing.json")])
         assert code == 2
+
+
+def hand_artifact(path: Path, **overrides) -> Path:
+    """A small valid value-table artifact (H=2, 5 grid points), with
+    keys replaced or, when set to ``None``, removed."""
+    artifact = {
+        "command": "solve-bellman",
+        "format": "compensator-bounds/value-table-v1",
+        "function": "exp:lambda=0.5",
+        "horizon": 2,
+        "grid": {"y_max": 2.0, "step": 0.5},
+        "solver": {"opt_grid_points": 2048, "refine_iters": 60},
+        "clamp_used": True,
+        "values_at_zero": [1.0, 1.5, 2.0],
+        "actions": [[0.0] * 5, [1.0] * 5, [0.5] * 5],
+    }
+    artifact.update(overrides)
+    artifact = {k: v for k, v in artifact.items() if v is not None}
+    path.write_text(json.dumps(artifact), encoding="utf-8")
+    return path
+
+
+class TestPolicyArtifact:
+    """Malformed ``--policy`` artifacts exit 2 before any path is drawn."""
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling ran on a malformed artifact")
+
+        monkeypatch.setattr(cli, "simulate_schedule", refuse)
+
+    def simulate(self, path, capsys):
+        code = main(["simulate", "--chain", "extremal",
+                     "--f", "exp:lambda=0.5", "--policy", str(path),
+                     "--paths", "100"])
+        out = capsys.readouterr()
+        assert out.out == ""
+        return code, out.err
+
+    def test_hand_artifact_is_accepted(self, tmp_path, capsys):
+        code, out = run_cli(["simulate", "--chain", "extremal",
+                             "--f", "exp:lambda=0.5", "--policy",
+                             str(hand_artifact(tmp_path / "a.json")),
+                             "--paths", "100"], capsys)
+        assert code == 0
+        assert json.loads(out)["increments"] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("key", ["grid", "horizon", "actions",
+                                     "function", "values_at_zero"])
+    def test_missing_key(self, key, tmp_path, capsys, no_sampling):
+        path = hand_artifact(tmp_path / "a.json", **{key: None})
+        code, err = self.simulate(path, capsys)
+        assert code == 2
+        assert "malformed" in err
+
+    @pytest.mark.parametrize("values", [[1.0, 1.5], []])
+    def test_short_values_at_zero(self, values, tmp_path, capsys,
+                                  no_sampling):
+        path = hand_artifact(tmp_path / "a.json", values_at_zero=values)
+        code, err = self.simulate(path, capsys)
+        assert code == 2
+        assert "values_at_zero" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, -0.25])
+    def test_action_outside_unit_interval(self, bad, tmp_path, capsys,
+                                          no_sampling):
+        actions = [[0.0] * 5, [1.0] * 5, [0.5] * 5]
+        actions[2][0] = bad
+        path = hand_artifact(tmp_path / "a.json", actions=actions)
+        code, err = self.simulate(path, capsys)
+        assert code == 2
+        assert "[0, 1]" in err
 
 
 class TestReport:
