@@ -11,13 +11,11 @@ general ``x`` is reconstructed on demand from that slice.
 
 Every backup runs through one maximizer over arrays of states: a coarse
 scan of increments, keeping the first strict maximum, then a golden
-refinement between the winner's neighbouring candidates.  Whole-grid
-layers scan increments on the grid lattice, ``a = k * stride * step``,
-with ``stride = ceil((1 / step) / (opt_grid_points - 1))`` cells (every
-lattice point at the defaults), plus ``a = 1`` when the lattice misses
-it; there ``f(y + a)`` and ``V_{n-1}(y + a)`` are plain slices.  General
-states scan ``opt_grid_points`` increments spread evenly over
-``[0, 1 - x]``.
+refinement between the winner's neighbouring candidates.  The coarse
+increments come from the grid alone: ``a_k = min(k * step, 1 - x)`` for
+``k = 0 .. ceil(1 / step)``, that is, the grid lattice plus ``a = 1``
+when ``step`` does not divide 1.  On whole-grid ``x = 0`` layers
+``f(y + a)`` and ``V_{n-1}(y + a)`` are then plain slices.
 
 Reads past the top of the grid clamp to the last value, so the layer for
 ``n`` steps to go is only trustworthy for ``y <= y_max - n``; build
@@ -64,6 +62,9 @@ class GridConfig:
     step: float = DEFAULT_STEP
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.y_max) and math.isfinite(self.step)):
+            raise ValueError(f"grid y_max {self.y_max!r} and step "
+                             f"{self.step!r} must be finite")
         if self.y_max <= 0.0:
             raise ValueError("y_max must be > 0")
         if self.step <= 0.0 or self.step > self.y_max:
@@ -170,15 +171,12 @@ def _backup(f_vec, V_prev: np.ndarray, step: float, x, y: np.ndarray,
     return best_v, best_a
 
 
-def _lattice_increments(step: float, cfg: SolverConfig
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse increments of whole-grid layers: their offsets in grid
-    cells, every ``stride``-th cell up to ``a = 1`` with the smallest
-    stride giving at most ``cfg.opt_grid_points`` of them, and their
-    values, with ``a = 1`` appended when no offset reaches it."""
+def _lattice_increments(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse increments at ``x = 0``: their offsets in grid cells,
+    every cell up to ``a = 1``, and their values, with ``a = 1``
+    appended when no offset reaches it."""
     cells = math.floor(1.0 / step * (1.0 + 1e-12))
-    stride = max(1, math.ceil(cells / (cfg.opt_grid_points - 1)))
-    offsets = np.arange(0, cells + 1, stride)
+    offsets = np.arange(cells + 1)
     a_cand = np.minimum(offsets * step, 1.0)
     if not math.isclose(a_cand[-1], 1.0, rel_tol=1e-12):
         a_cand = np.append(a_cand, 1.0)
@@ -263,7 +261,7 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     A = np.zeros((horizon + 1, n_pts))
     V[0] = f_vec(y)
 
-    offsets, a_cand = _lattice_increments(step, solver)
+    offsets, a_cand = _lattice_increments(step)
     f_ext = np.concatenate(
         (V[0], f_vec(grid.y_max + step * np.arange(1, offsets[-1] + 1))))
     f_one = f_vec(y + 1.0) if len(a_cand) > len(offsets) else None
@@ -309,12 +307,12 @@ def backup_objective(table: ValueTable, n: int, x: float, y: float,
 def _full_values(table: ValueTable, n: int, x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
     """``F_n`` at the states ``(x[i], y[i])``, in one batched backup
-    over ``opt_grid_points`` increments spread evenly on ``[0, 1 - x]``."""
+    over the ``x = 0`` increments capped at ``1 - x[i]``."""
     f_vec = vector_callable(table.spec)
     if n == 0:
         return f_vec(y)
     V_prev, step = table.V[n - 1], table.grid.step
-    a_cand = np.linspace(0.0, 1.0 - x, table.solver.opt_grid_points)
+    a_cand = np.minimum.outer(_lattice_increments(step)[1], 1.0 - x)
     coarse = (_objective(f_vec, V_prev, step, x, y, a) for a in a_cand)
     vals, _ = _backup(f_vec, V_prev, step, x, y, a_cand, coarse,
                       table.solver)
@@ -327,9 +325,9 @@ def full_value(table: ValueTable, n: int, x: float, y: float) -> float:
     """``F_n(x, y)``: the optimal value from a general state,
     reconstructed from the stored ``x = 0`` layers.
 
-    At ``x = 0`` grid points it agrees with the stored layer to about
-    1e-12 (the stored layers scan the grid lattice, this scans
-    ``[0, 1 - x]`` evenly); ``x = 1`` and ``n = 0`` collapse to
+    It scans the same increments as the stored layers, capped at
+    ``1 - x``, so at ``x = 0`` grid points of a dyadic grid it equals
+    the stored layer exactly; ``x = 1`` and ``n = 0`` collapse to
     ``f(y)``.
     """
     _validate_state(table, n, x, y)

@@ -9,7 +9,7 @@ value table with ``n`` steps left.  The unabsorbed state is
 deterministic, so one builder gives the exact finite-support law of
 either chain, which validates the one sampler.  The sampler streams its
 uniforms in row chunks, bit-identical to a single draw, but returns the
-terminal state of every path: memory is O(paths + chunk).
+absorption step of every path: memory is O(paths + chunk).
 """
 
 from __future__ import annotations
@@ -217,8 +217,6 @@ class SimulationResult:
     mean_f: float
     std_error: float
     max_doob_residual: float
-    y_final: np.ndarray = field(repr=False)
-    x_final: np.ndarray = field(repr=False)
     # 1-based absorption step per path; n_steps + 1 means never absorbed.
     t_hit: np.ndarray = field(repr=False)
 
@@ -241,10 +239,7 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
         jumps = rng.random((min(rows, n_paths - lo), n_steps)) < a_sched
         t_hit[lo:lo + len(jumps)] = np.where(
             jumps.any(axis=1), jumps.argmax(axis=1) + 1, n_steps + 1)
-    y_final = y_sched[np.minimum(t_hit, n_steps)]
-    x_final = (t_hit <= n_steps).astype(float)
-
-    values = vector_callable(spec)(y_final)
+    values = vector_callable(spec)(y_sched)[np.minimum(t_hit, n_steps)]
     mean_f = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_paths))
 
@@ -259,7 +254,7 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
         closed = y_sched[np.minimum(steps, t_hit[i])]
         residual = max(residual, float(np.max(np.abs(y_path - closed))))
     return SimulationResult(spec, n_steps, n_paths, seed, mean_f,
-                            std_error, residual, y_final, x_final, t_hit)
+                            std_error, residual, t_hit)
 
 
 def simulate_intro(spec: FunctionSpec, n_steps: int, n_paths: int,

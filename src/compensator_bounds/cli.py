@@ -134,10 +134,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="grid spacing, a float or fraction like 1/512")
     p_bell.add_argument("--y-max", type=float, default=None,
                         help="grid top (default: the horizon)")
-    p_bell.add_argument("--opt-grid", type=_positive_int,
-                        default=DEFAULT_CONFIG.opt_grid_points,
-                        help="cap on the coarse increments per state; "
-                        "whole-grid layers take them on the grid lattice")
     p_bell.add_argument("--refine", type=int,
                         default=DEFAULT_CONFIG.refine_iters,
                         help="golden-section refinement iterations")
@@ -158,8 +154,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_shift.add_argument("--trials", type=_positive_int, default=1000)
     p_shift.add_argument("--max-atoms", type=_positive_int, default=5)
     p_shift.add_argument("--value-cap", type=float, default=4.0)
-    p_shift.add_argument("--report", metavar="PATH",
-                         help="write the scan report JSON to this file")
 
     p_sim = sub.add_parser(
         "simulate", parents=[common],
@@ -212,14 +206,12 @@ def _dump_json(payload: dict) -> str:
                       separators=(",", ": ")) + "\n"
 
 
-def _emit(payload: dict, json_path: str | None,
-          extra_paths: tuple[str, ...] = ()) -> None:
+def _emit(payload: dict, json_path: str | None) -> None:
     text = _dump_json(payload)
     sys.stdout.write(text)
-    for path in (json_path, *extra_paths):
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+    if json_path is not None:
+        with open(json_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -297,16 +289,11 @@ def _cmd_solve_recursion(args) -> int:
     return 0
 
 
-def _solver_from_args(args) -> SolverConfig:
-    return SolverConfig(opt_grid_points=args.opt_grid,
-                        refine_iters=args.refine)
-
-
 def _cmd_solve_bellman(args) -> int:
     y_max = float(args.horizon) if args.y_max is None else args.y_max
     table = value_iteration(args.f, args.horizon,
                             GridConfig(y_max, args.step),
-                            solver=_solver_from_args(args))
+                            solver=SolverConfig(refine_iters=args.refine))
     payload = {
         "command": "solve-bellman",
         "format": ARTIFACT_FORMAT,
@@ -314,8 +301,7 @@ def _cmd_solve_bellman(args) -> int:
         "horizon": table.horizon,
         "grid": {"y_max": float(table.grid.y_max),
                  "step": float(table.grid.step)},
-        "solver": {"opt_grid_points": table.solver.opt_grid_points,
-                   "refine_iters": table.solver.refine_iters},
+        "solver": {"refine_iters": table.solver.refine_iters},
         "clamp_used": bool(table.clamp_used),
         "values_at_zero": table.growth_values(),
         "actions": [[float(a) for a in row] for row in table.A],
@@ -365,8 +351,7 @@ def _cmd_test_shift(args) -> int:
         },
         "injected_gap": float(report.injected_gap),
     }
-    extra = (args.report,) if args.report else ()
-    _emit(payload, args.json, extra)
+    _emit(payload, args.json)
     expected_clean = is_class_s_family(args.f)
     return 3 if expected_clean and report.violations > 0 else 0
 

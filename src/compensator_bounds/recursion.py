@@ -50,7 +50,12 @@ _BISECTION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by the recursion and Bellman solvers."""
+    """Numerical knobs of the recursion and Bellman solvers.
+
+    ``opt_grid_points`` is the recursion's coarse scan size; the Bellman
+    route takes its increments from the grid and reads only
+    ``refine_iters``.
+    """
 
     opt_grid_points: int = 2048
     refine_iters: int = 60
@@ -62,6 +67,9 @@ class SolverConfig:
             raise ValueError("opt_grid_points must be >= 2")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
+        if not math.isfinite(self.b_tolerance):
+            raise ValueError(f"b_tolerance {self.b_tolerance!r} must be "
+                             f"finite")
         for name in ("b_tolerance", "max_iterations"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

@@ -15,6 +15,7 @@ unit shift) is always evaluated as trial zero of a scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,9 @@ def property_scan(spec: FunctionSpec, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     if max_atoms < 2:
         raise ValueError("max_atoms must be >= 2")
-    if value_cap <= 0.0:
-        raise ValueError("value_cap must be > 0")
+    if not (math.isfinite(value_cap) and value_cap > 0.0):
+        raise ValueError(f"value_cap must be finite and > 0, got "
+                         f"{value_cap!r}")
 
     violations = 0
     min_gap = float("inf")

@@ -1,6 +1,8 @@
 """Tests for the finite-horizon value iteration and its agreement with
 the scalar recursion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,11 @@ from compensator_bounds.bellman import (
     value_iteration,
     verify_lemma1,
 )
-from compensator_bounds.functions import Family, FunctionSpec
+from compensator_bounds.functions import (
+    Family,
+    FunctionSpec,
+    parse_function_spec,
+)
 from compensator_bounds.recursion import (
     SolverConfig,
     optimal_step,
@@ -27,9 +33,10 @@ EXP_HALF = FunctionSpec(Family.EXPONENTIAL, 0.5)
 POW_TWO = FunctionSpec(Family.POWER, 2.0)
 QUAD = FunctionSpec(Family.QUAD)
 
-# The y = 0 column agrees with the default solver to ~2e-8, far below
-# every tolerance asserted here; the coarse a-grid can be light because
-# the one-step objective is unimodal in the increment.
+# Bellman tables take their increments from the grid, so for them LIGHT
+# only shortens the golden refinement: the y = 0 column agrees with the
+# default solver to ~2e-15.  The recursion's coarse a-grid can be light
+# because the one-step objective is unimodal in the increment.
 LIGHT = SolverConfig(opt_grid_points=256, refine_iters=40)
 
 
@@ -70,6 +77,14 @@ class TestGridConfig:
             GridConfig(1.0, step=2.0)
         with pytest.raises(ValueError, match="step"):
             GridConfig(1.0, step=0.0)
+
+    @pytest.mark.parametrize("y_max, step", [(math.inf, 1.0 / 64),
+                                             (math.nan, 1.0 / 64),
+                                             (4.0, math.nan)])
+    def test_non_finite_grid_rejected(self, y_max, step):
+        # y_max = inf used to raise OverflowError from n_points.
+        with pytest.raises(ValueError, match="finite"):
+            GridConfig(y_max, step)
 
     @pytest.mark.parametrize("y_max, step", [(10.0, 0.3), (2.0, 0.3),
                                              (5.0, 0.4)])
@@ -151,6 +166,17 @@ class TestFullValue:
             for j in (0, 37, 512, 4096):
                 got = full_value(tab, n, 0.0, float(tab.y[j]))
                 assert got == pytest.approx(tab.V[n, j], abs=1e-12)
+
+    @pytest.mark.parametrize("text", ["exp:lambda=0.5", "pow:m=2", "quad",
+                                      "remark2"])
+    def test_equals_stored_layers_on_a_dyadic_grid(self, text):
+        # Same increments as the whole-grid layers, and every y + a is
+        # a grid node, so the two backups do the same arithmetic.
+        tab = value_iteration(parse_function_spec(text), 6,
+                              GridConfig(8.0, 1.0 / 64))
+        for n in range(7):
+            for j in [*range(0, tab.grid.n_points, 16), 510, 511, 512]:
+                assert full_value(tab, n, 0.0, float(tab.y[j])) == tab.V[n, j]
 
     def test_ceiling_and_horizon_edges(self, exp_table_30):
         tab = exp_table_30
@@ -333,14 +359,14 @@ class TestLatticeBackup:
         np.testing.assert_array_equal(tab.A[1], 1.0)
 
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
-    def test_strided_lattice_within_budget(self, spec):
-        # 64 coarse points at step 1/512: every 9th lattice cell plus
-        # a = 1.
+    def test_table_ignores_opt_grid_points(self, spec):
+        # The grid alone picks the coarse increments.
         grid = GridConfig(6.0, 1.0 / 512)
-        full = value_iteration(spec, 6, grid)
-        strided = value_iteration(spec, 6, grid, SolverConfig(64, 40))
-        gap = np.max(np.abs(full.V - strided.V))
-        assert gap <= grid_error_budget(grid.step)
+        tables = [value_iteration(spec, 6, grid, SolverConfig(k, 60))
+                  for k in (2, 16, 2048)]
+        for tab in tables[1:]:
+            np.testing.assert_array_equal(tab.V, tables[0].V)
+            np.testing.assert_array_equal(tab.A, tables[0].A)
 
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
     def test_batched_report_equals_per_state_calls(self, spec):

@@ -172,11 +172,18 @@ class TestSimulateIntro:
 
     def test_sample_support(self):
         sim = simulate_intro(EXP_HALF, 12, 4000, seed=9)
-        assert np.all(np.isin(sim.x_final, [0.0, 1.0]))
-        doubled = 2.0 * sim.y_final
+        # Absorbed at step 1 .. 12, or never (13).
+        assert sim.t_hit.dtype.kind == "i"
+        assert sim.t_hit.min() >= 1
+        assert sim.t_hit.max() <= 13
+        _, y_sched = chains.intro_schedule(12)
+        y_final = y_sched[np.minimum(sim.t_hit, 12)]
+        doubled = 2.0 * y_final
         np.testing.assert_array_equal(doubled, np.round(doubled))
-        assert sim.y_final.min() >= 0.5
-        assert sim.y_final.max() <= 6.0
+        assert y_final.min() >= 0.5
+        assert y_final.max() <= 6.0
+        assert sim.mean_f == pytest.approx(EXP_HALF.value(y_final).mean(),
+                                           rel=1e-14)
 
     def test_seed_determinism(self):
         a = simulate_intro(EXP_ONE, 30, 2000, seed=42, audit_paths=0)
@@ -248,10 +255,8 @@ def same_result(a, b) -> None:
     for name in ("n_steps", "n_paths", "seed", "mean_f", "std_error",
                  "max_doob_residual"):
         assert getattr(a, name) == getattr(b, name), name
-    for name in ("y_final", "x_final", "t_hit"):
-        got, want = getattr(a, name), getattr(b, name)
-        assert got.dtype == want.dtype, name
-        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert a.t_hit.dtype == b.t_hit.dtype
+    np.testing.assert_array_equal(a.t_hit, b.t_hit)
 
 
 class TestStreamedDraw:

@@ -80,6 +80,36 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert "--csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve-bellman", "--f", "quad", "--horizon", "2", "--opt-grid", "8"],
+        ["test-shift", "--f", "quad", "--report", "scan.json"],
+    ], ids=["opt-grid", "report"])
+    def test_removed_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["test-shift", "--f", "quad", "--trials", "5", "--value-cap", "nan"],
+        ["test-shift", "--f", "quad", "--trials", "5", "--value-cap", "inf"],
+        ["solve-bellman", "--f", "exp:lambda=0.5", "--horizon", "2",
+         "--y-max", "inf"],
+        ["solve-bellman", "--f", "exp:lambda=0.5", "--horizon", "2",
+         "--y-max", "nan"],
+        ["solve-recursion", "--f", "exp:lambda=1", "--tol", "inf"],
+        ["solve-recursion", "--f", "exp:lambda=1", "--tol", "nan"],
+    ], ids=["value-cap-nan", "value-cap-inf", "y-max-inf", "y-max-nan",
+            "tol-inf", "tol-nan"])
+    def test_non_finite_numbers_are_usage_errors(self, argv, capsys):
+        # --tol inf used to stop after one step and report the divergent
+        # critical recursion as converged.
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "finite" in out.err
+
     def test_simulate_flag_dependencies(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["simulate", "--chain", "intro", "--f", "quad"])
@@ -150,7 +180,7 @@ class TestSolveRecursion:
 
 
 BELLMAN_SMALL = ["solve-bellman", "--f", "exp:lambda=0.5", "--horizon", "4",
-                 "--step", "1/64", "--opt-grid", "128", "--refine", "30"]
+                 "--step", "1/64", "--refine", "30"]
 
 
 class TestSolveBellman:
@@ -237,7 +267,7 @@ class TestTestShift:
         report = tmp_path / "scan.json"
         code, out = run_cli(["test-shift", "--f", "remark2",
                              "--trials", "300", "--seed", "7",
-                             "--report", str(report)], capsys)
+                             "--json", str(report)], capsys)
         assert code == 0
         payload = json.loads(out)
         check("test-shift", payload)
@@ -328,7 +358,7 @@ def hand_artifact(path: Path, **overrides) -> Path:
         "function": "exp:lambda=0.5",
         "horizon": 2,
         "grid": {"y_max": 2.0, "step": 0.5},
-        "solver": {"opt_grid_points": 2048, "refine_iters": 60},
+        "solver": {"refine_iters": 60},
         "clamp_used": True,
         "values_at_zero": [1.0, 1.5, 2.0],
         "actions": [[0.0] * 5, [1.0] * 5, [0.5] * 5],

@@ -170,6 +170,15 @@ class TestOptimalStep:
         assert a_star == 0.0
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # With tol = inf the critical recursion stopped after one step
+        # and reported itself converged.
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(b_tolerance=tol)
+
+
 class TestIterate:
     def test_exponential_converges(self):
         trace = iterate(EXP_HALF, SolverConfig(b_tolerance=1e-7,

@@ -175,3 +175,9 @@ class TestPropertyScan:
             property_scan(QUAD, 10, seed=1, max_atoms=1)
         with pytest.raises(ValueError, match="value_cap"):
             property_scan(QUAD, 10, seed=1, value_cap=0.0)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf])
+    def test_rejects_non_finite_value_cap(self, cap):
+        # Both used to reach the uniform draw: OverflowError for inf.
+        with pytest.raises(ValueError, match="finite"):
+            property_scan(QUAD, 10, seed=1, value_cap=cap)
