@@ -11,8 +11,9 @@ general ``x`` is reconstructed on demand from that slice.
 
 Every backup runs through one maximizer over arrays of states: a coarse
 scan of increments, keeping the first strict maximum, then a golden
-refinement between the winner's neighbouring candidates.  The coarse
-increments come from the grid alone: ``a_k = min(k * step, 1 - x)`` for
+refinement between the winner's neighbouring candidates that evaluates
+the objective once per contraction.  The coarse increments come from
+the grid alone: ``a_k = min(k * step, 1 - x)`` for
 ``k = 0 .. ceil(1 / step)``, that is, the grid lattice plus ``a = 1``
 when ``step`` does not divide 1.  On whole-grid ``x = 0`` layers
 ``f(y + a)`` and ``V_{n-1}(y + a)`` are then plain slices.
@@ -99,48 +100,107 @@ def grid_error_budget(step: float) -> float:
 # interpolated reads
 
 
-def _uniform_interp(V: np.ndarray, step: float, q) -> np.ndarray:
+def _interp_into(V: np.ndarray, step: float, q: np.ndarray,
+                 out: np.ndarray, w: np.ndarray, tmp: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
     """Linear interpolation of layer values on the uniform grid, with
-    reads past the top edge clamped to the last value."""
-    pos = np.asarray(q, dtype=float) / step
-    # Truncation is floor for pos >= 0, and the clip sends every
-    # negative position to 0 either way.
-    idx = pos.astype(np.intp)
-    np.clip(idx, 0, len(V) - 1, out=idx)
-    w = pos - idx
-    out = V.take(idx)
-    out *= 1.0 - w
-    w *= V.take(idx + 1, mode="clip")
-    out += w
+    reads past the top edge clamped to the last value, written into
+    ``out``.  ``w``, ``tmp`` (float) and ``idx`` (intp) are scratch
+    arrays shaped like ``q``."""
+    np.divide(q, step, out=w)
+    # The cell index, clamped to the grid while still a float; w becomes
+    # the weight of the cell's right end.  take() with mode="clip" skips
+    # the buffering its default mode does for out=.
+    np.floor(w, out=tmp)
+    np.minimum(tmp, len(V) - 1, out=tmp)
+    np.maximum(tmp, 0.0, out=tmp)
+    w -= tmp
+    idx[...] = tmp
+    np.take(V, idx, out=out, mode="clip")
+    np.subtract(1.0, w, out=tmp)
+    out *= tmp
+    idx += 1
+    np.take(V, idx, out=tmp, mode="clip")
+    tmp *= w
+    out += tmp
     return out
 
 
-def _objective(f_vec, V_prev: np.ndarray, step: float, x, y, a):
-    """``(x+a) f(y+a) + (1-(x+a)) V_prev~(y+a)``, elementwise."""
-    q = y + a
-    reach = x + a
-    return reach * f_vec(q) + (1.0 - reach) * _uniform_interp(V_prev, step, q)
+def _uniform_interp(V: np.ndarray, step: float, q) -> np.ndarray:
+    """:func:`_interp_into` with fresh buffers."""
+    q = np.asarray(q, dtype=float)
+    return _interp_into(V, step, q, np.empty_like(q), np.empty_like(q),
+                        np.empty_like(q), np.empty(q.shape, dtype=np.intp))
+
+
+class _Objective:
+    """``(x+a) f(y+a) + (1-(x+a)) V_prev~(y+a)`` at the states
+    ``(x[i], y[i])`` (``x`` an array like ``y`` or one shared scalar),
+    for one increment ``a[i]`` per state.
+
+    Its scratch arrays are allocated once, so a call allocates nothing
+    but the array ``f`` returns.
+    """
+
+    def __init__(self, f_vec, V_prev: np.ndarray, step: float, x,
+                 y: np.ndarray) -> None:
+        self.f_vec, self.V_prev, self.step = f_vec, V_prev, step
+        self.x, self.y = np.broadcast_to(x, y.shape), y
+        self._q, self._reach, self._w, self._tmp = (
+            np.empty(len(y)) for _ in range(4))
+        self._idx = np.empty(len(y), dtype=np.intp)
+
+    def __call__(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the objective at the increments ``a`` into ``out``, for
+        the first ``len(a)`` states."""
+        m = len(a)
+        q = np.add(self.y[:m], a, out=self._q[:m])
+        f_q = self.f_vec(q)
+        _interp_into(self.V_prev, self.step, q, out, self._w[:m],
+                     self._tmp[:m], self._idx[:m])
+        reach = np.add(self.x[:m], a, out=self._reach[:m])
+        f_q *= reach
+        np.subtract(1.0, reach, out=reach)
+        out *= reach
+        out += f_q
+        return out
 
 
 # ----------------------------------------------------------------------
 # the one maximizer
 
 
-def _backup(f_vec, V_prev: np.ndarray, step: float, x, y: np.ndarray,
-            a_cand: np.ndarray, coarse, cfg: SolverConfig
-            ) -> tuple[np.ndarray, np.ndarray]:
+def _blend(out: np.ndarray, m: np.ndarray, u: np.ndarray,
+           not_m: np.ndarray, v: np.ndarray, tmp: np.ndarray) -> None:
+    """``out = m*u + not_m*v``: for a 0/1 mask ``m``, ``not_m = 1 - m``
+    and finite ``u``, ``v`` it picks ``u`` or ``v`` exactly, without the
+    branch a masked copy takes per element.  ``out`` may be ``u`` or
+    ``v``; ``tmp`` is scratch."""
+    np.multiply(m, u, out=tmp)
+    np.multiply(not_m, v, out=out)
+    out += tmp
+
+
+def _backup(objective: _Objective, a_cand: np.ndarray, coarse,
+            cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the backup objective over the increment, elementwise
-    over the states ``(x, y)`` (``x`` a scalar or an array like ``y``).
+    over the objective's states.
 
     ``a_cand`` holds the coarse increments in ascending order, either
     one row shared by every state or one column per state; ``coarse``
     yields the objective at each of them in turn.  The scan keeps the
     first strict maximum, so ties go to the smallest increment.  A
-    data-parallel golden-section pass of ``cfg.refine_iters`` iterations
-    then searches between each state's neighbouring candidates.
+    data-parallel golden-section search then contracts the bracket
+    between each state's neighbouring candidates ``cfg.refine_iters``
+    times.  The first bracket costs two objective evaluations; every
+    later one keeps the surviving interior probe and its value and costs
+    one, so a backup makes ``refine_iters + 1`` evaluations (none when
+    ``refine_iters`` is 0).  Probes write into buffers allocated here
+    once, and the bracket, survivor and best-so-far updates are 0/1
+    blends, since their masks flip at random from state to state.
     Returns ``(values, argmax increments)``.
     """
-    n_states = len(y)
+    n_states = len(objective.y)
     best_v = np.full(n_states, -np.inf)
     best_i = np.zeros(n_states, dtype=np.intp)
     better = np.empty(n_states, dtype=bool)
@@ -155,19 +215,51 @@ def _backup(f_vec, V_prev: np.ndarray, step: float, x, y: np.ndarray,
     best_a = cand[best_i, cols]
     lo = cand[np.maximum(best_i - 1, 0), cols]
     hi = cand[np.minimum(best_i + 1, k_pts - 1), cols]
-    for _ in range(cfg.refine_iters):
-        width = hi - lo
-        c = hi - _INVPHI * width
-        d = lo + _INVPHI * width
-        fc = _objective(f_vec, V_prev, step, x, y, c)
-        fd = _objective(f_vec, V_prev, step, x, y, d)
-        for probe_v, probe_a in ((fc, c), (fd, d)):
-            np.greater(probe_v, best_v, out=better)
-            np.copyto(best_v, probe_v, where=better)
-            np.copyto(best_a, probe_a, where=better)
-        left = fc >= fd
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
+    if cfg.refine_iters == 0:
+        return best_v, best_a
+
+    m, not_m, tmp, p, f_p, spare, f_spare = (
+        np.empty(n_states) for _ in range(7))
+
+    def keep(v, a):
+        # Strict >: the earlier probe keeps a tie.  The masks reuse the
+        # buffers of left and right, which are done with by then.
+        np.greater(v, best_v, out=m)
+        np.maximum(best_v, v, out=best_v)
+        np.subtract(1.0, m, out=not_m)
+        _blend(best_a, m, a, not_m, best_a, tmp)
+
+    # The probes c < d of [lo, hi] and their values.
+    width = hi - lo
+    c = hi - _INVPHI * width
+    d = lo + _INVPHI * width
+    f_c = objective(c, np.empty(n_states))
+    f_d = objective(d, np.empty(n_states))
+    keep(f_c, c)
+    keep(f_d, d)
+    # The last contraction would only narrow a bracket no probe reads.
+    for _ in range(cfg.refine_iters - 1):
+        # left = 1 keeps [lo, d]: c survives as the new d and the new
+        # probe p is the new c.  left = 0 keeps [c, hi]: d survives as
+        # the new c and p is the new d.
+        left, right = m, not_m
+        np.greater_equal(f_c, f_d, out=left)
+        np.subtract(1.0, left, out=right)
+        _blend(hi, left, d, right, hi, tmp)
+        _blend(lo, left, lo, right, c, tmp)
+        np.subtract(hi, lo, out=p)
+        p *= _INVPHI
+        np.subtract(hi, p, out=f_p)
+        p += lo
+        _blend(p, left, f_p, right, p, tmp)
+        objective(p, f_p)
+        _blend(spare, left, c, right, p, tmp)
+        _blend(c, left, p, right, d, tmp)
+        d, spare = spare, d
+        _blend(f_spare, left, f_c, right, f_p, tmp)
+        _blend(f_c, left, f_p, right, f_d, tmp)
+        f_d, f_spare = f_spare, f_d
+        keep(f_p, p)
     return best_v, best_a
 
 
@@ -269,8 +361,8 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     clamp_used = horizon >= 1
     for n in range(1, horizon + 1):
         coarse = _lattice_scan(f_ext, f_one, V[n - 1], offsets, a_cand)
-        V[n], A[n] = _backup(f_vec, V[n - 1], step, 0.0, y, a_cand, coarse,
-                             solver)
+        objective = _Objective(f_vec, V[n - 1], step, 0.0, y)
+        V[n], A[n] = _backup(objective, a_cand, coarse, solver)
     return ValueTable(spec, grid, y, V, A, clamp_used, solver)
 
 
@@ -307,17 +399,41 @@ def backup_objective(table: ValueTable, n: int, x: float, y: float,
 def _full_values(table: ValueTable, n: int, x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
     """``F_n`` at the states ``(x[i], y[i])``, in one batched backup
-    over the ``x = 0`` increments capped at ``1 - x[i]``."""
+    over the ``x = 0`` increments capped at ``1 - x[i]``.
+
+    A state's scan stops at its first capped increment: the ones after
+    it repeat its value and never win the strict scan.  States at the
+    ceiling ``x = 1`` take ``f(y)`` without a backup.
+    """
     f_vec = vector_callable(table.spec)
     if n == 0:
         return f_vec(y)
-    V_prev, step = table.V[n - 1], table.grid.step
-    a_cand = np.minimum.outer(_lattice_increments(step)[1], 1.0 - x)
-    coarse = (_objective(f_vec, V_prev, step, x, y, a) for a in a_cand)
-    vals, _ = _backup(f_vec, V_prev, step, x, y, a_cand, coarse,
-                      table.solver)
+    vals = np.empty(len(y))
     ceiling = x >= 1.0
     vals[ceiling] = f_vec(y[ceiling])
+    rows = np.flatnonzero(~ceiling)
+    if not len(rows):
+        return vals
+    # Ascending x, so the states still scanning at row k are a prefix.
+    rows = rows[np.argsort(x[rows], kind="stable")]
+    cap = 1.0 - x[rows]
+    lattice = _lattice_increments(table.grid.step)[1]
+    last = np.minimum(np.searchsorted(lattice, cap), len(lattice) - 1)
+    a_cand = np.minimum.outer(lattice[:last[0] + 1], cap)
+    # How many states scan row k: last is nonincreasing along rows.
+    scanning = len(rows) - np.searchsorted(last[::-1], np.arange(len(a_cand)))
+    objective = _Objective(f_vec, table.V[n - 1], table.grid.step, x[rows],
+                           y[rows])
+    obj = np.empty(len(rows))
+
+    def coarse():
+        # The rest of obj keeps each finished state's last value, which
+        # its best so far already matches.
+        for a, m in zip(a_cand, scanning.tolist()):
+            objective(a[:m], obj[:m])
+            yield obj
+
+    vals[rows], _ = _backup(objective, a_cand, coarse(), table.solver)
     return vals
 
 
@@ -365,7 +481,7 @@ def extremal_policy(table: ValueTable) -> ExtremalPolicy:
 class Lemma1Report:
     """Violation counts for the structural properties of the value
     function: nondecreasing in ``y``, nonincreasing in ``x``, and
-    midpoint-convex in ``x``."""
+    convex in ``x``."""
 
     y_monotone_checks: int
     y_monotone_violations: int
@@ -401,6 +517,8 @@ def verify_lemma1(table: ValueTable,
     if x_samples is None:
         x_samples = np.linspace(0.0, 1.0, 9)
     xs = np.array(sorted(float(v) for v in x_samples))
+    gaps = np.diff(xs)
+    h0, h1 = gaps[:-1], gaps[1:]
 
     y_checks = y_viols = 0
     worst_y = 0.0
@@ -428,8 +546,11 @@ def verify_lemma1(table: ValueTable,
         drops = vals[:, :-1] - vals[:, 1:]
         x_checks += drops.size
         x_viols += int(np.sum(drops < -monotone_tol))
-        # x_samples is uniform, so i, i+1, i+2 are equispaced.
-        slacks = vals[:, :-2] + vals[:, 2:] - 2.0 * vals[:, 1:-1]
+        # Spacing-weighted second difference: F_0 + F_2 - 2 F_1 on
+        # equispaced samples (bit for bit when the spacing is a power of
+        # two), and still a convexity test when they are not.
+        slacks = ((h1 * vals[:, :-2] + h0 * vals[:, 2:]
+                   - (h0 + h1) * vals[:, 1:-1]) / ((h0 + h1) / 2.0))
         cx_checks += slacks.size
         cx_viols += int(np.sum(slacks < -convex_tol))
         if drops.size:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from compensator_bounds import bellman
 from compensator_bounds.bellman import (
     BoundComparison,
     GridConfig,
@@ -23,6 +24,7 @@ from compensator_bounds.functions import (
     FunctionSpec,
     parse_function_spec,
 )
+from compensator_bounds.optimize import golden_max
 from compensator_bounds.recursion import (
     SolverConfig,
     optimal_step,
@@ -183,6 +185,14 @@ class TestFullValue:
         assert full_value(tab, 5, 1.0, 2.0) == EXP_HALF.value(2.0)
         assert full_value(tab, 0, 0.3, 1.5) == EXP_HALF.value(1.5)
 
+    def test_ceiling_skips_the_backup(self, exp_table_30, monkeypatch):
+        def no_backup(*args):
+            raise AssertionError("backup at the ceiling")
+
+        monkeypatch.setattr(bellman, "_backup", no_backup)
+        for n, y in ((1, 0.0), (5, 2.0), (30, 0.0)):
+            assert full_value(exp_table_30, n, 1.0, y) == EXP_HALF.value(y)
+
     def test_decreasing_in_x(self, exp_table_30):
         tab = exp_table_30
         vals = [full_value(tab, 6, x, 0.5) for x in np.linspace(0.0, 1.0, 7)]
@@ -252,6 +262,18 @@ class TestVerifyLemma1:
         assert report.y_monotone_checks > 1000
         assert report.x_monotone_checks > 100
         assert report.x_convex_checks > 100
+
+    @pytest.mark.parametrize("x_samples, checks", [([0.0, 0.01, 1.0], 20),
+                                                   ([0.0, 0.1, 0.2, 0.9, 1.0],
+                                                    60)])
+    def test_uneven_x_samples(self, x_samples, checks):
+        # F_0 + F_2 - 2 F_1 called these 20 of 20 and 20 of 60 convexity
+        # violations: it tests convexity only on equispaced samples.
+        tab = value_iteration(EXP_HALF, 4, GridConfig(8.0, 1.0 / 64))
+        report = verify_lemma1(tab, x_samples=x_samples)
+        assert report.x_convex_checks == checks
+        assert report.x_convex_violations == 0
+        assert report.ok
 
     def test_worst_slacks_are_tiny(self, lemma_tables):
         report = verify_lemma1(lemma_tables["exp"])
@@ -390,3 +412,55 @@ class TestLatticeBackup:
             len(slacks), sum(s < -1e-6 for s in slacks),
             min(0.0, min(diffs)), min(0.0, min(drops)),
             min(0.0, min(slacks)))
+
+
+class TestGoldenRefinement:
+    @pytest.mark.parametrize("iters", [0, 1, 2, 60])
+    @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
+    def test_matches_scalar_golden_max(self, spec, iters):
+        # Oracle: the first strict maximum of the scalar objective over
+        # the capped lattice, then optimize.golden_max on the bracket of
+        # its neighbours.  golden_max also probes the bracket left by its
+        # last contraction, so iters - 1 of them visit the same brackets.
+        tab = value_iteration(spec, 4, GridConfig(8.0, 1.0 / 64),
+                              SolverConfig(refine_iters=iters))
+        step = tab.grid.step
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            x, y = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 4.0))
+            cand = [min(k * step, 1.0 - x) for k in range(64 + 1)]
+            vals = [backup_objective(tab, n, x, y, a) for a in cand]
+            i = vals.index(max(vals))
+            got = full_value(tab, n, x, y)
+            assert got >= vals[i]
+            expect = vals[i]
+            if iters:
+                lo, hi = cand[max(i - 1, 0)], cand[min(i + 1, 64)]
+                v, _ = golden_max(lambda a: backup_objective(tab, n, x, y, a),
+                                  lo, hi, iters - 1)
+                expect = max(expect, v)
+            assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("iters", [0, 1, 2, 60])
+    def test_one_evaluation_per_contraction(self, monkeypatch, iters):
+        calls = []
+        real = bellman.vector_callable
+
+        def counting(spec):
+            f = real(spec)
+
+            def counted(q):
+                calls.append(1)
+                return f(q)
+            return counted
+
+        monkeypatch.setattr(bellman, "vector_callable", counting)
+        grid = GridConfig(4.0, 1.0 / 64)
+        solver = SolverConfig(refine_iters=iters)
+        value_iteration(EXP_HALF, 0, grid, solver)
+        setup = len(calls)
+        calls.clear()
+        value_iteration(EXP_HALF, 4, grid, solver)
+        # The coarse scan reads f from the setup's slices.
+        assert len(calls) - setup == 4 * (iters + 1 if iters else 0)
