@@ -336,7 +336,10 @@ class ValueTable:
 def value_iteration(spec: FunctionSpec, horizon: int,
                     grid: GridConfig | None = None,
                     solver: SolverConfig = DEFAULT_CONFIG) -> ValueTable:
-    """Backward induction from ``V_0 = f`` up to the given horizon."""
+    """Backward induction from ``V_0 = f`` up to the given horizon.
+
+    Raises ``ValueError`` when ``f`` is not finite on ``[0, y_max + 1]``.
+    """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if grid is None:
@@ -344,6 +347,12 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     if grid.y_max < horizon:
         raise ValueError(
             f"y_max = {grid.y_max} does not cover horizon {horizon}")
+    # Backups read f on [0, y_max + 1], where the increasing f peaks at
+    # the top; one overflow there spreads inf and NaN through the table.
+    with np.errstate(over="ignore"):
+        if not math.isfinite(spec.value(grid.y_max + 1.0)):
+            raise ValueError(f"{spec.spec_string()} overflows float64 "
+                             f"on [0, y_max + 1] = [0, {grid.y_max + 1.0}]")
 
     y = grid.points()
     step = grid.step
@@ -401,9 +410,9 @@ def _full_values(table: ValueTable, n: int, x: np.ndarray,
     """``F_n`` at the states ``(x[i], y[i])``, in one batched backup
     over the ``x = 0`` increments capped at ``1 - x[i]``.
 
-    A state's scan stops at its first capped increment: the ones after
-    it repeat its value and never win the strict scan.  States at the
-    ceiling ``x = 1`` take ``f(y)`` without a backup.
+    Past a state's cap the capped increments repeat its value, so they
+    never win the strict scan.  States at the ceiling ``x = 1`` take
+    ``f(y)`` without a backup.
     """
     f_vec = vector_callable(table.spec)
     if n == 0:
@@ -411,29 +420,16 @@ def _full_values(table: ValueTable, n: int, x: np.ndarray,
     vals = np.empty(len(y))
     ceiling = x >= 1.0
     vals[ceiling] = f_vec(y[ceiling])
-    rows = np.flatnonzero(~ceiling)
-    if not len(rows):
+    rows = ~ceiling
+    if not rows.any():
         return vals
-    # Ascending x, so the states still scanning at row k are a prefix.
-    rows = rows[np.argsort(x[rows], kind="stable")]
-    cap = 1.0 - x[rows]
-    lattice = _lattice_increments(table.grid.step)[1]
-    last = np.minimum(np.searchsorted(lattice, cap), len(lattice) - 1)
-    a_cand = np.minimum.outer(lattice[:last[0] + 1], cap)
-    # How many states scan row k: last is nonincreasing along rows.
-    scanning = len(rows) - np.searchsorted(last[::-1], np.arange(len(a_cand)))
+    a_cand = np.minimum.outer(_lattice_increments(table.grid.step)[1],
+                              1.0 - x[rows])
     objective = _Objective(f_vec, table.V[n - 1], table.grid.step, x[rows],
                            y[rows])
-    obj = np.empty(len(rows))
-
-    def coarse():
-        # The rest of obj keeps each finished state's last value, which
-        # its best so far already matches.
-        for a, m in zip(a_cand, scanning.tolist()):
-            objective(a[:m], obj[:m])
-            yield obj
-
-    vals[rows], _ = _backup(objective, a_cand, coarse(), table.solver)
+    obj = np.empty(a_cand.shape[1])
+    coarse = (objective(a, obj) for a in a_cand)
+    vals[rows], _ = _backup(objective, a_cand, coarse, table.solver)
     return vals
 
 
@@ -476,6 +472,9 @@ def extremal_policy(table: ValueTable) -> ExtremalPolicy:
 # ----------------------------------------------------------------------
 # structure checks
 
+_MONOTONE_TOL = 1e-9
+_CONVEX_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Lemma1Report:
@@ -505,14 +504,14 @@ class Lemma1Report:
 
 def verify_lemma1(table: ValueTable,
                   y_samples=(0.0, 0.35, 0.8, 1.6, 2.5),
-                  x_samples=None,
-                  monotone_tol: float = 1e-9,
-                  convex_tol: float = 1e-6) -> Lemma1Report:
+                  x_samples=None) -> Lemma1Report:
     """Sample the structural properties of the computed values.
 
     ``y``-monotonicity is checked on the whole grid for every layer;
     the ``x`` checks run on sampled states restricted to the region the
-    grid actually resolves (``y + 1 <= y_max - n + 1``).
+    grid actually resolves (``y + 1 <= y_max - n + 1``).  A difference
+    counts as a violation below ``-_MONOTONE_TOL`` (1e-9) for the
+    monotonicity checks and below ``-_CONVEX_TOL`` (1e-6) for convexity.
     """
     if x_samples is None:
         x_samples = np.linspace(0.0, 1.0, 9)
@@ -525,7 +524,7 @@ def verify_lemma1(table: ValueTable,
     for n in range(table.horizon + 1):
         diffs = np.diff(table.V[n])
         y_checks += len(diffs)
-        y_viols += int(np.sum(diffs < -monotone_tol))
+        y_viols += int(np.sum(diffs < -_MONOTONE_TOL))
         if len(diffs):
             worst_y = min(worst_y, float(np.min(diffs)))
 
@@ -545,14 +544,14 @@ def verify_lemma1(table: ValueTable,
         vals = _full_values(table, n, x_all, y_all).reshape(len(ys), -1)
         drops = vals[:, :-1] - vals[:, 1:]
         x_checks += drops.size
-        x_viols += int(np.sum(drops < -monotone_tol))
+        x_viols += int(np.sum(drops < -_MONOTONE_TOL))
         # Spacing-weighted second difference: F_0 + F_2 - 2 F_1 on
         # equispaced samples (bit for bit when the spacing is a power of
         # two), and still a convexity test when they are not.
         slacks = ((h1 * vals[:, :-2] + h0 * vals[:, 2:]
                    - (h0 + h1) * vals[:, 1:-1]) / ((h0 + h1) / 2.0))
         cx_checks += slacks.size
-        cx_viols += int(np.sum(slacks < -convex_tol))
+        cx_viols += int(np.sum(slacks < -_CONVEX_TOL))
         if drops.size:
             worst_x = min(worst_x, float(np.min(drops)))
         if slacks.size:

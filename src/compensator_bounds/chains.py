@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
+_MERGE_TOL = 1e-12
 
 # Uniforms drawn per chunk of paths (2 MB of float64).
 _CHUNK_FLOATS = 1 << 18
@@ -105,17 +106,19 @@ def policy_schedule(policy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return a_sched, y_sched
 
 
-def schedule_law(a_sched, y_sched, merge_tol: float = 1e-12) -> ChainLaw:
+def schedule_law(a_sched, y_sched) -> ChainLaw:
     """Exact terminal law on a schedule: one absorbed atom per step plus
-    the unabsorbed remainder.  Atoms closer than ``merge_tol`` in
-    compensator value are combined; zero-probability atoms are dropped."""
+    the unabsorbed remainder.  Consecutive absorbed atoms closer than
+    ``_MERGE_TOL`` (1e-12) in compensator value are combined;
+    zero-probability atoms are dropped."""
     atoms: list[list[float]] = []
     p_live = 1.0
     for t, a in enumerate(a_sched):
         p_absorb = p_live * a
         if p_absorb > 0.0:
             y = y_sched[t + 1]
-            if atoms and atoms[-1][0] == 1.0 and abs(atoms[-1][1] - y) <= merge_tol:
+            if (atoms and atoms[-1][0] == 1.0
+                    and abs(atoms[-1][1] - y) <= _MERGE_TOL):
                 atoms[-1][2] += p_absorb
             else:
                 atoms.append([1.0, y, p_absorb])
@@ -137,13 +140,12 @@ def intro_chain_law(n_steps: int) -> ChainLaw:
     return schedule_law(*intro_schedule(n_steps))
 
 
-def extremal_chain_law(policy, horizon: int | None = None,
-                       merge_tol: float = 1e-12) -> ChainLaw:
+def extremal_chain_law(policy, horizon: int | None = None) -> ChainLaw:
     """Exact terminal law of the chain driven by a value-table policy."""
     horizon = policy.table.horizon if horizon is None else horizon
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return schedule_law(*policy_schedule(policy, horizon), merge_tol)
+    return schedule_law(*policy_schedule(policy, horizon))
 
 
 def exact_expectation(spec: FunctionSpec, law: ChainLaw) -> float:

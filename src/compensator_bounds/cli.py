@@ -95,8 +95,12 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="seed for every random draw (default 0)")
     common.add_argument("--json", metavar="PATH",
                         help="also write the JSON document to this file")
-    common.add_argument("--csv", metavar="PATH",
-                        help="write the tabular trace to this file")
+    common.add_argument("--f", type=_function_arg, required=True,
+                        metavar="SPEC", help="function spec, e.g. "
+                        "exp:lambda=0.5, pow:m=2, quad, remark2")
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--csv", metavar="PATH",
+                         help="write the tabular trace to this file")
 
     parser = argparse.ArgumentParser(
         prog="compensator-bounds",
@@ -106,29 +110,22 @@ def parse_args(argv=None) -> argparse.Namespace:
                     "simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = sub.add_parser(
+    sub.add_parser(
         "bound", parents=[common],
         help="fixed-point bound on the limiting growth, with cross-check")
-    p_bound.add_argument("--f", type=_function_arg, required=True,
-                         metavar="SPEC", help="function spec, e.g. "
-                         "exp:lambda=0.5, pow:m=2, quad, remark2")
 
     p_rec = sub.add_parser(
-        "solve-recursion", parents=[common],
+        "solve-recursion", parents=[common, tabular],
         help="iterate the one-step recursion from f(0)")
-    p_rec.add_argument("--f", type=_function_arg, required=True,
-                       metavar="SPEC")
     p_rec.add_argument("--tol", type=float, default=DEFAULT_CONFIG.b_tolerance,
                        help="convergence tolerance on successive values")
     p_rec.add_argument("--max-iter", type=_positive_int,
                        default=DEFAULT_CONFIG.max_iterations)
 
     p_bell = sub.add_parser(
-        "solve-bellman", parents=[common],
+        "solve-bellman", parents=[common, tabular],
         help="value iteration on the y-grid; the JSON artifact carries "
              "the maximizing increments and can drive 'simulate'")
-    p_bell.add_argument("--f", type=_function_arg, required=True,
-                        metavar="SPEC")
     p_bell.add_argument("--horizon", type=_positive_int, required=True)
     p_bell.add_argument("--step", type=_step_arg, default="1/512",
                         help="grid spacing, a float or fraction like 1/512")
@@ -139,30 +136,24 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="golden-section refinement iterations")
 
     p_cmp = sub.add_parser(
-        "compare", parents=[common],
+        "compare", parents=[common, tabular],
         help="exact values against the recursion, step by step")
-    p_cmp.add_argument("--f", type=_function_arg, required=True,
-                       metavar="SPEC")
     p_cmp.add_argument("--horizon", type=_positive_int, required=True)
     p_cmp.add_argument("--step", type=_step_arg, default="1/512")
 
     p_shift = sub.add_parser(
         "test-shift", parents=[common],
         help="randomized scan for shift-inequality violations")
-    p_shift.add_argument("--f", type=_function_arg, required=True,
-                         metavar="SPEC")
     p_shift.add_argument("--trials", type=_positive_int, default=1000)
     p_shift.add_argument("--max-atoms", type=_positive_int, default=5)
     p_shift.add_argument("--value-cap", type=float, default=4.0)
 
     p_sim = sub.add_parser(
-        "simulate", parents=[common],
+        "simulate", parents=[common, tabular],
         help="Monte-Carlo chains; --csv dumps paths as "
              "path_id,k,X,Y,M rows")
     p_sim.add_argument("--chain", choices=("intro", "extremal"),
                        required=True)
-    p_sim.add_argument("--f", type=_function_arg, required=True,
-                       metavar="SPEC")
     p_sim.add_argument("--n", type=_positive_int, default=None,
                        help="steps of the doubling chain (intro only)")
     p_sim.add_argument("--paths", type=_positive_int, default=10_000)
@@ -176,19 +167,15 @@ def parse_args(argv=None) -> argparse.Namespace:
                        help="number of paths written to --csv")
 
     p_rep = sub.add_parser(
-        "report", parents=[common],
+        "report", parents=[common, tabular],
         help="combined battery: bound, recursion, comparison, shift "
              "scan, chain cross-check")
-    p_rep.add_argument("--f", type=_function_arg, required=True,
-                       metavar="SPEC")
     p_rep.add_argument("--horizon", type=_positive_int, default=20)
     p_rep.add_argument("--step", type=_step_arg, default="1/512")
     p_rep.add_argument("--trials", type=_positive_int, default=1000)
 
     args = parser.parse_args(argv)
 
-    if args.csv is not None and args.command in ("bound", "test-shift"):
-        parser.error(f"--csv is not supported for '{args.command}'")
     if args.command == "simulate":
         if args.chain == "intro" and args.n is None:
             parser.error("--n is required for --chain intro")

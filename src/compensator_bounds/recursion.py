@@ -250,20 +250,20 @@ def _fixed_point_residual(spec: FunctionSpec, b: float) -> float:
 def fixed_point_bound(spec: FunctionSpec) -> FixedPointResult:
     """Solve ``b = f(0) + f'(f^{-1}(b))`` by bracketing + bisection.
 
-    The bracket doubles outward from ``f(0) + 1``; if the residual stays
-    positive all the way to ``_DIVERGENCE_THRESHOLD`` the bound is
-    reported as unbounded.  At a finite root the one-step slope is
-    cross-checked on a 512-point grid.
+    The bracket doubles outward from ``f(0) + 1``; if the residual is
+    still positive at the first bracket end past
+    ``_DIVERGENCE_THRESHOLD`` the bound is reported as unbounded.  At a
+    finite root the one-step slope is cross-checked on a 512-point grid.
     """
     f0 = spec.f_zero
     lo = f0
     hi = f0 + 1.0
     res_hi = _fixed_point_residual(spec, hi)
     while res_hi > 0.0:
-        lo = hi
-        hi = f0 + 2.0 * (hi - f0)
         if hi > _DIVERGENCE_THRESHOLD:
             return FixedPointResult(math.inf)
+        lo = hi
+        hi = f0 + 2.0 * (hi - f0)
         res_hi = _fixed_point_residual(spec, hi)
 
     if res_hi == 0.0:

@@ -1,6 +1,7 @@
 """Tests for the finite-horizon value iteration and its agreement with
 the scalar recursion."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -160,6 +161,37 @@ class TestValueIteration:
         with pytest.raises(ValueError, match="cover"):
             value_iteration(EXP_HALF, 10, GridConfig(5.0, 1.0 / 64))
 
+    def test_overflowing_f_rejected(self):
+        # Backups read f up to y_max + 1 = 21, and exp(40 * 21) is inf,
+        # which the blends would turn into NaN as well.
+        with pytest.raises(ValueError, match="overflows"):
+            value_iteration(FunctionSpec(Family.EXPONENTIAL, 40.0), 20,
+                            GridConfig(20.0, 1.0 / 64))
+
+    def test_finite_f_at_the_top_builds(self):
+        # exp(33.5 * 21) is still finite, so the table is too.
+        tab = value_iteration(FunctionSpec(Family.EXPONENTIAL, 33.5), 20,
+                              GridConfig(20.0, 1.0 / 64))
+        assert np.all(np.isfinite(tab.V))
+        assert np.all(np.isfinite(tab.A))
+
+
+def _seeded_states(count=60, horizon=6, y_top=4.0):
+    """``(n, x, y)`` states: every sixth at x = 0, at x = 1 and at a
+    multiple of 1/8, the rest at uniform x."""
+    rng = np.random.default_rng(2024)
+    states = []
+    for i in range(count):
+        n = int(rng.integers(0, horizon + 1))
+        if i % 6 < 2:
+            x = float(i % 6)
+        elif i % 6 == 2:
+            x = int(rng.integers(0, 9)) / 8
+        else:
+            x = float(rng.uniform(0.0, 1.0))
+        states.append((n, x, float(rng.uniform(0.0, y_top))))
+    return states
+
 
 class TestFullValue:
     def test_matches_stored_layers_at_x_zero(self, exp_table_30):
@@ -179,6 +211,25 @@ class TestFullValue:
         for n in range(7):
             for j in [*range(0, tab.grid.n_points, 16), 510, 511, 512]:
                 assert full_value(tab, n, 0.0, float(tab.y[j])) == tab.V[n, j]
+
+    @pytest.mark.parametrize("text, digest", [
+        ("exp:lambda=0.5",
+         "f5b15028467139ecb9e6f646b0babb4123545c18a5730d68f692ea0be004b5d8"),
+        ("pow:m=2",
+         "62c1de1bddf27e27ae7e6772fe02e50609de1f5f7888bae651b0b9078fb4a11a"),
+        ("quad",
+         "9af9d4055cfc81b6e2a4315b27a53793422fdc30e543b78bed1df2bb431090ec"),
+        ("remark2",
+         "c6c6dd3ff95a32a0dd7f92a23bbcceffaa00070ffb3fbe2c0f7f0499e3b1d8a4"),
+    ])
+    def test_values_are_pinned(self, text, digest):
+        # sha256 of the float64 values: a restructured backup must not
+        # move a bit of them.
+        tab = value_iteration(parse_function_spec(text), 6,
+                              GridConfig(8.0, 1.0 / 64))
+        vals = np.array([full_value(tab, n, x, y)
+                         for n, x, y in _seeded_states()])
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
 
     def test_ceiling_and_horizon_edges(self, exp_table_30):
         tab = exp_table_30
@@ -274,6 +325,16 @@ class TestVerifyLemma1:
         assert report.x_convex_checks == checks
         assert report.x_convex_violations == 0
         assert report.ok
+
+    def test_bench_table_report_is_pinned(self, lemma_tables):
+        # The benchmark's Lemma 1 table (exp:lambda=0.5, H = 20,
+        # GridConfig(23, 1/128), SolverConfig(256, 40)), field by field.
+        assert verify_lemma1(lemma_tables["exp"]) == Lemma1Report(
+            y_monotone_checks=61824, y_monotone_violations=0,
+            x_monotone_checks=792, x_monotone_violations=0,
+            x_convex_checks=693, x_convex_violations=0,
+            worst_y_monotone=0.0, worst_x_monotone=0.0,
+            worst_x_convex=-1.7763568394002505e-15)
 
     def test_worst_slacks_are_tiny(self, lemma_tables):
         report = verify_lemma1(lemma_tables["exp"])

@@ -75,10 +75,11 @@ class TestParseArgs:
         assert "grid step" in capsys.readouterr().err
 
     def test_csv_rejected_where_meaningless(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["bound", "--f", "quad", "--csv", "x.csv"])
-        assert exc.value.code == 2
-        assert "--csv" in capsys.readouterr().err
+        for command in ("bound", "test-shift"):
+            with pytest.raises(SystemExit) as exc:
+                parse_args([command, "--f", "quad", "--csv", "x.csv"])
+            assert exc.value.code == 2
+            assert "--csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["solve-bellman", "--f", "quad", "--horizon", "2", "--opt-grid", "8"],
@@ -219,6 +220,19 @@ class TestSolveBellman:
         assert code == 2
         assert out.out == ""
         assert "does not divide" in out.err
+
+    @pytest.mark.parametrize("command", ["solve-bellman", "compare"])
+    def test_overflowing_table_is_usage_error(self, command, tmp_path,
+                                              capsys):
+        # exp(40 * 21) overflows; the table would hold inf and NaN.
+        out_json = tmp_path / "out.json"
+        code = main([command, "--f", "exp:lambda=40", "--horizon", "20",
+                     "--step", "1/64", "--json", str(out_json)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "overflows" in out.err
+        assert not out_json.exists()
 
 
 class TestCompare:

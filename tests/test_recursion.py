@@ -266,6 +266,17 @@ class TestFixedPointBound:
         assert res.value == pytest.approx(m ** m, abs=1e-6)
         assert res.cross_check_ok
 
+    @pytest.mark.parametrize("spec, root", [
+        (FunctionSpec(Family.POWER, 7.0), 7.0 ** 7),
+        (FunctionSpec(Family.EXPONENTIAL, 0.999999), 1.0 / (1.0 - 0.999999)),
+    ], ids=["pow:m=7", "exp:lambda=0.999999"])
+    def test_root_past_the_last_doubling_below_threshold(self, spec, root):
+        # Both roots lie in (f(0) + 2**19, 1e6]: past the last bracket
+        # end below the divergence threshold, where the search gave up.
+        res = fixed_point_bound(spec)
+        assert res.value == pytest.approx(root, rel=1e-9)
+        assert res.cross_check_ok
+
     def test_quad(self):
         res = fixed_point_bound(QUAD)
         assert res.value == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-8)
