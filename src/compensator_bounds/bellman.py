@@ -449,24 +449,29 @@ def full_value(table: ValueTable, n: int, x: float, y: float) -> float:
 
 @dataclass
 class ExtremalPolicy:
-    """Maximizing increments as a function of (steps remaining, y)."""
+    """Maximizing increments ``A[n]`` on the grid, as a function of
+    (steps remaining, y)."""
 
-    table: ValueTable
+    A: np.ndarray
+    grid: GridConfig
+
+    @property
+    def horizon(self) -> int:
+        return self.A.shape[0] - 1
 
     def action(self, n: int, y: float) -> float:
-        if not 1 <= n <= self.table.horizon:
-            raise ValueError(
-                f"n = {n} outside [1, {self.table.horizon}]")
-        if not 0.0 <= y <= self.table.grid.y_max:
+        if not 1 <= n <= self.horizon:
+            raise ValueError(f"n = {n} outside [1, {self.horizon}]")
+        if not 0.0 <= y <= self.grid.y_max:
             raise ValueError(f"y = {y} outside the grid")
-        a = float(_uniform_interp(self.table.A[n], self.table.grid.step,
+        a = float(_uniform_interp(self.A[n], self.grid.step,
                                   np.array([y]))[0])
         return min(max(a, 0.0), 1.0)
 
 
 def extremal_policy(table: ValueTable) -> ExtremalPolicy:
     """Interpolated lookup of the table's maximizing increments."""
-    return ExtremalPolicy(table)
+    return ExtremalPolicy(table.A, table.grid)
 
 
 # ----------------------------------------------------------------------

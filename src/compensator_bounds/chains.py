@@ -142,7 +142,7 @@ def intro_chain_law(n_steps: int) -> ChainLaw:
 
 def extremal_chain_law(policy, horizon: int | None = None) -> ChainLaw:
     """Exact terminal law of the chain driven by a value-table policy."""
-    horizon = policy.table.horizon if horizon is None else horizon
+    horizon = policy.horizon if horizon is None else horizon
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     return schedule_law(*policy_schedule(policy, horizon))
@@ -272,7 +272,7 @@ def simulate_extremal(policy, spec: FunctionSpec, n_paths: int, seed: int,
                       horizon: int | None = None,
                       audit_paths: int = 200) -> SimulationResult:
     """Monte-Carlo draw of the table-driven chain."""
-    horizon = policy.table.horizon if horizon is None else horizon
+    horizon = policy.horizon if horizon is None else horizon
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     return simulate_schedule(spec, *policy_schedule(policy, horizon),

@@ -13,6 +13,7 @@ import pytest
 from compensator_bounds import cli
 from compensator_bounds.cli import main, parse_args
 from compensator_bounds.functions import Family, parse_function_spec
+from compensator_bounds.shift import property_scan
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -38,7 +39,7 @@ class TestParseArgs:
         assert args.command == "bound"
         assert args.f.family is Family.EXPONENTIAL
         assert args.f.param == 0.5
-        assert args.seed == 0
+        assert not hasattr(args, "seed")
 
     def test_recursion_with_csv_sink(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -84,7 +85,12 @@ class TestParseArgs:
     @pytest.mark.parametrize("argv", [
         ["solve-bellman", "--f", "quad", "--horizon", "2", "--opt-grid", "8"],
         ["test-shift", "--f", "quad", "--report", "scan.json"],
-    ], ids=["opt-grid", "report"])
+        ["bound", "--f", "quad", "--seed", "1"],
+        ["solve-recursion", "--f", "quad", "--seed", "1"],
+        ["solve-bellman", "--f", "quad", "--horizon", "2", "--seed", "1"],
+        ["compare", "--f", "quad", "--horizon", "2", "--seed", "1"],
+    ], ids=["opt-grid", "report", "bound-seed", "solve-recursion-seed",
+            "solve-bellman-seed", "compare-seed"])
     def test_removed_flags(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
@@ -288,6 +294,25 @@ class TestTestShift:
         assert payload["violations"] >= 1
         assert payload["injected_gap"] == pytest.approx(-0.125, abs=1e-12)
         assert report.read_text(encoding="utf-8") == out
+
+    def test_scan_flags_reach_the_scan(self, capsys):
+        code, out = run_cli(["test-shift", "--f", "pow:m=2",
+                             "--max-atoms", "2", "--value-cap", "1.5",
+                             "--trials", "200", "--seed", "3"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        report = property_scan(parse_function_spec("pow:m=2"), 200, 3,
+                               max_atoms=2, value_cap=1.5)
+        assert payload["trials"] == report.trials
+        assert payload["seed"] == report.seed
+        assert payload["violations"] == report.violations
+        assert payload["min_gap"] == report.min_gap
+        assert payload["argmin"]["trial"] == report.argmin_trial
+        assert payload["argmin"]["shift"] == report.argmin_shift
+        assert payload["argmin"]["atoms"] == [
+            [v, p] for v, p in report.argmin_rv.atoms]
+        assert payload["injected_gap"] == report.injected_gap
+        assert len(payload["argmin"]["atoms"]) <= 2
 
 
 class TestSimulate:
@@ -497,3 +522,31 @@ class TestReport:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "c_n", "b_n", "gap"]
         assert len(rows) == 7
+
+    REPORT_POW7 = ["report", "--f", "pow:m=7", "--horizon", "6",
+                   "--step", "1/64", "--trials", "50"]
+
+    def test_chain_check_scales_with_the_values(self, capsys):
+        # A miss of 0.11 on a table value near 239 is 4.8e-4 relative,
+        # well inside the grid budget 2 * step = 0.031 scaled by the value.
+        code, out = run_cli(self.REPORT_POW7, capsys)
+        assert code == 0
+        chain = json.loads(out)["chain_check"]
+        assert chain["table_value"] > 200.0
+        assert chain["abs_diff"] > 2.0 / 64
+        assert chain["within_budget"] is True
+
+    def test_chain_miss_beyond_scaled_budget_breaches(self, monkeypatch,
+                                                      capsys):
+        exact = cli.exact_expectation
+        # Three scaled budgets off: 3 * (2 * step) relative to the value.
+        monkeypatch.setattr(cli, "exact_expectation",
+                            lambda spec, law: exact(spec, law) * (1 + 6 / 64))
+        code, out = run_cli(self.REPORT_POW7, capsys)
+        assert code == 3
+        payload = json.loads(out)
+        check("report", payload)
+        assert payload["chain_check"]["within_budget"] is False
+        assert payload["failures"] == [
+            "extremal chain expectation does not reproduce the table value"]
+        assert payload["status"] == "breach"
