@@ -35,7 +35,6 @@ from .functions import FunctionSpec, is_class_s_family, vector_callable
 from .recursion import DEFAULT_CONFIG, SolverConfig, recursion_sequence
 
 __all__ = [
-    "DEFAULT_STEP",
     "GridConfig",
     "ValueTable",
     "Lemma1Report",
@@ -50,8 +49,6 @@ __all__ = [
     "compare_bounds",
 ]
 
-DEFAULT_STEP = 1.0 / 512.0
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -60,7 +57,7 @@ class GridConfig:
     """Uniform ``y``-grid: ``[0, y_max]`` in steps of ``step``."""
 
     y_max: float
-    step: float = DEFAULT_STEP
+    step: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.y_max) and math.isfinite(self.step)):
@@ -151,14 +148,12 @@ class _Objective:
         self._idx = np.empty(len(y), dtype=np.intp)
 
     def __call__(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the objective at the increments ``a`` into ``out``, for
-        the first ``len(a)`` states."""
-        m = len(a)
-        q = np.add(self.y[:m], a, out=self._q[:m])
+        """Write the objective at the increments ``a`` into ``out``."""
+        q = np.add(self.y, a, out=self._q)
         f_q = self.f_vec(q)
-        _interp_into(self.V_prev, self.step, q, out, self._w[:m],
-                     self._tmp[:m], self._idx[:m])
-        reach = np.add(self.x[:m], a, out=self._reach[:m])
+        _interp_into(self.V_prev, self.step, q, out, self._w, self._tmp,
+                     self._idx)
+        reach = np.add(self.x, a, out=self._reach)
         f_q *= reach
         np.subtract(1.0, reach, out=reach)
         out *= reach
@@ -328,13 +323,9 @@ class ValueTable:
     def value_at_zero(self, n: int) -> float:
         return float(self.V[n, 0])
 
-    def growth_values(self) -> list[float]:
-        """``V_n(0)`` for ``n = 0 .. horizon``."""
-        return [float(v) for v in self.V[:, 0]]
-
 
 def value_iteration(spec: FunctionSpec, horizon: int,
-                    grid: GridConfig | None = None,
+                    grid: GridConfig,
                     solver: SolverConfig = DEFAULT_CONFIG) -> ValueTable:
     """Backward induction from ``V_0 = f`` up to the given horizon.
 
@@ -342,8 +333,6 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if grid is None:
-        grid = GridConfig(y_max=float(max(horizon, 1)))
     if grid.y_max < horizon:
         raise ValueError(
             f"y_max = {grid.y_max} does not cover horizon {horizon}")
@@ -586,26 +575,19 @@ class BoundComparison:
         return max(abs(g) for _, _, _, g in self.rows)
 
 
-def compare_bounds(spec: FunctionSpec, horizon: int,
-                   grid: GridConfig | None = None,
-                   solver: SolverConfig = DEFAULT_CONFIG,
-                   table: ValueTable | None = None) -> BoundComparison:
-    """Tabulate ``c_n`` (value iteration) against ``b_n`` (recursion).
+def compare_bounds(table: ValueTable) -> BoundComparison:
+    """Tabulate the table's ``c_n`` against ``b_n`` from the recursion
+    for the table's spec, horizon and solver.
 
     ``c_n <= b_n + budget`` must hold for shift-class functions; the
     comparison is still tabulated, but not enforced, outside that class.
-    A prebuilt ``table`` for the same spec/horizon may be passed to
-    avoid recomputation.
     """
-    if table is None:
-        table = value_iteration(spec, horizon, grid, solver)
-    elif table.horizon < horizon:
-        raise ValueError("supplied table does not cover the horizon")
-    b_seq, _ = recursion_sequence(spec, horizon, solver)
+    spec = table.spec
+    b_seq, _ = recursion_sequence(spec, table.horizon, table.solver)
     budget = grid_error_budget(table.grid.step)
     rows = []
     max_gap = -math.inf
-    for n in range(horizon + 1):
+    for n in range(table.horizon + 1):
         c_n = table.value_at_zero(n)
         b_n = b_seq[n]
         gap = c_n - b_n

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
-_MERGE_TOL = 1e-12
 
 # Uniforms drawn per chunk of paths (2 MB of float64).
 _CHUNK_FLOATS = 1 << 18
@@ -107,26 +106,19 @@ def policy_schedule(policy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def schedule_law(a_sched, y_sched) -> ChainLaw:
-    """Exact terminal law on a schedule: one absorbed atom per step plus
-    the unabsorbed remainder.  Consecutive absorbed atoms closer than
-    ``_MERGE_TOL`` (1e-12) in compensator value are combined;
-    zero-probability atoms are dropped."""
-    atoms: list[list[float]] = []
+    """Exact terminal law on a schedule: one absorbed atom per step with
+    a positive absorption probability, plus the unabsorbed remainder
+    when it has one."""
+    atoms: list[LawAtom] = []
     p_live = 1.0
     for t, a in enumerate(a_sched):
         p_absorb = p_live * a
         if p_absorb > 0.0:
-            y = y_sched[t + 1]
-            if (atoms and atoms[-1][0] == 1.0
-                    and abs(atoms[-1][1] - y) <= _MERGE_TOL):
-                atoms[-1][2] += p_absorb
-            else:
-                atoms.append([1.0, y, p_absorb])
+            atoms.append(LawAtom(1.0, float(y_sched[t + 1]), float(p_absorb)))
         p_live *= 1.0 - a
     if p_live > 0.0:
-        atoms.append([0.0, y_sched[len(a_sched)], p_live])
-    return ChainLaw(tuple(LawAtom(x, float(y), float(p))
-                          for x, y, p in atoms))
+        atoms.append(LawAtom(0.0, float(y_sched[len(a_sched)]), float(p_live)))
+    return ChainLaw(tuple(atoms))
 
 
 def intro_chain_law(n_steps: int) -> ChainLaw:

@@ -177,10 +177,17 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
 
     if args.command == "simulate":
-        if args.chain == "intro" and args.n is None:
-            parser.error("--n is required for --chain intro")
-        if args.chain == "extremal" and args.policy is None:
-            parser.error("--policy is required for --chain extremal")
+        if args.chain == "intro":
+            if args.n is None:
+                parser.error("--n is required for --chain intro")
+            if args.policy is not None or args.horizon is not None:
+                parser.error("--policy and --horizon apply to "
+                             "--chain extremal only")
+        else:
+            if args.policy is None:
+                parser.error("--policy is required for --chain extremal")
+            if args.n is not None:
+                parser.error("--n applies to --chain intro only")
     return args
 
 
@@ -290,7 +297,7 @@ def _cmd_solve_bellman(args) -> int:
                  "step": float(table.grid.step)},
         "solver": {"refine_iters": table.solver.refine_iters},
         "clamp_used": bool(table.clamp_used),
-        "values_at_zero": table.growth_values(),
+        "values_at_zero": table.V[:, 0].tolist(),
         "actions": table.A.tolist(),
     }
     _emit(payload, args.json)
@@ -305,8 +312,8 @@ def _cmd_solve_bellman(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    comparison = compare_bounds(args.f, args.horizon,
-                                GridConfig(float(args.horizon), args.step))
+    comparison = compare_bounds(value_iteration(
+        args.f, args.horizon, GridConfig(float(args.horizon), args.step)))
     payload = {
         "command": "compare",
         "function": args.f.spec_string(),
@@ -354,11 +361,15 @@ def _load_policy(path: str, expected: FunctionSpec):
                          f"(format tag {ARTIFACT_FORMAT!r} expected)")
     try:
         function = data["function"]
+        if not isinstance(function, str):
+            raise TypeError(f"function {function!r} is not a spec string")
         y_max = float(data["grid"]["y_max"])
         step = float(data["grid"]["step"])
         horizon = data["horizon"]
         actions = np.array(data["actions"], dtype=float)
         values_at_zero = [float(v) for v in data["values_at_zero"]]
+        if not np.all(np.isfinite(values_at_zero)):
+            raise ValueError("values_at_zero has non-finite entries")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed value-table artifact '{path}': "
                          f"{type(exc).__name__}: {exc}") from exc
@@ -465,7 +476,7 @@ def run_report(spec: FunctionSpec, horizon: int = 20,
                                     "fixed-point bound")
 
     table = value_iteration(spec, horizon, grid)
-    comparison = compare_bounds(spec, horizon, table=table)
+    comparison = compare_bounds(table)
     if comparison.enforced and not comparison.within_budget:
         failures.append("exact values exceed the recursion bound beyond "
                         "the grid budget")

@@ -175,6 +175,8 @@ class FunctionSpec:
                 raise ValueError(
                     f"{self.family.value} takes no parameter, "
                     f"got {self.param}")
+        elif self.param is not None and not math.isfinite(self.param):
+            raise ValueError(f"{rec.key} must be finite, got {self.param}")
         elif self.param is None or not rec.valid(self.param):
             raise ValueError(
                 f"{rec.key} must be {rec.rule}, got {self.param}")

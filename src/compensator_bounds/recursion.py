@@ -266,11 +266,8 @@ def fixed_point_bound(spec: FunctionSpec) -> FixedPointResult:
         hi = f0 + 2.0 * (hi - f0)
         res_hi = _fixed_point_residual(spec, hi)
 
-    if res_hi == 0.0:
-        root = hi
-    else:
-        root = bisect_root(lambda b: _fixed_point_residual(spec, b),
-                           lo, hi, _BISECTION_TOL)
+    root = bisect_root(lambda b: _fixed_point_residual(spec, b),
+                       lo, hi, _BISECTION_TOL)
 
     grid = np.linspace(0.0, 1.0, _CROSS_CHECK_GRID)
     slope_max = float(np.max(mixture_objective_deriv(spec, grid, root)))

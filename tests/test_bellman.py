@@ -75,7 +75,7 @@ class TestGridConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="y_max"):
-            GridConfig(0.0)
+            GridConfig(0.0, 1.0 / 64)
         with pytest.raises(ValueError, match="step"):
             GridConfig(1.0, step=2.0)
         with pytest.raises(ValueError, match="step"):
@@ -127,7 +127,7 @@ class TestValueIteration:
         np.testing.assert_allclose(tab.A[1], 1.0, rtol=0, atol=1e-9)
 
     def test_growth_values_start_at_f_of_one(self, exp_table_30):
-        vals = exp_table_30.growth_values()
+        vals = [exp_table_30.value_at_zero(n) for n in (0, 1)]
         assert vals[0] == EXP_HALF.value(0.0)
         assert vals[1] == pytest.approx(EXP_HALF.value(1.0), abs=1e-13)
 
@@ -157,7 +157,7 @@ class TestValueIteration:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="horizon"):
-            value_iteration(EXP_HALF, -1)
+            value_iteration(EXP_HALF, -1, GridConfig(1.0, 1.0 / 64))
         with pytest.raises(ValueError, match="cover"):
             value_iteration(EXP_HALF, 10, GridConfig(5.0, 1.0 / 64))
 
@@ -345,7 +345,7 @@ class TestVerifyLemma1:
 
 class TestCompareBounds:
     def test_exponential_routes_agree(self, exp_table_30):
-        cmp = compare_bounds(EXP_HALF, 30, solver=LIGHT, table=exp_table_30)
+        cmp = compare_bounds(exp_table_30)
         assert isinstance(cmp, BoundComparison)
         assert cmp.enforced
         assert cmp.within_budget
@@ -356,8 +356,8 @@ class TestCompareBounds:
         assert cmp.max_abs_gap <= 1e-4
 
     def test_power_bound_dominates_exact_value(self):
-        cmp = compare_bounds(POW_TWO, 30, GridConfig(30.0, 1.0 / 512),
-                             solver=LIGHT)
+        cmp = compare_bounds(value_iteration(
+            POW_TWO, 30, GridConfig(30.0, 1.0 / 512), solver=LIGHT))
         assert cmp.enforced and cmp.within_budget
         assert cmp.max_gap <= cmp.budget
         # Strict slack far from the start: the recursion is conservative
@@ -365,16 +365,26 @@ class TestCompareBounds:
         assert min(g for _, _, _, g in cmp.rows) < -0.5
 
     def test_budget_follows_step(self, exp_table_30):
-        cmp = compare_bounds(EXP_HALF, 30, solver=LIGHT, table=exp_table_30)
+        cmp = compare_bounds(exp_table_30)
         assert cmp.budget == grid_error_budget(1.0 / 512)
 
-    def test_short_table_rejected(self, exp_table_30):
-        with pytest.raises(ValueError, match="cover"):
-            compare_bounds(EXP_HALF, 40, solver=LIGHT, table=exp_table_30)
+    def test_rows_come_from_the_table_and_its_solver(self):
+        solver = SolverConfig(refine_iters=0)
+        tab = value_iteration(POW_TWO, 6, GridConfig(6.0, 1.0 / 64), solver)
+        rows = compare_bounds(tab).rows
+        b_seq, _ = recursion_sequence(POW_TWO, 6, solver)
+        assert [r[0] for r in rows] == list(range(7))
+        assert [r[1] for r in rows] == [tab.value_at_zero(n)
+                                        for n in range(7)]
+        assert [r[2] for r in rows] == list(b_seq)
+        # The default solver refines the recursion's maximizer, so the
+        # rows above really follow the table's solver.
+        assert list(recursion_sequence(POW_TWO, 6)[0]) != list(b_seq)
 
     def test_remark2_not_enforced(self):
-        cmp = compare_bounds(FunctionSpec(Family.REMARK2), 5,
-                             GridConfig(6.0, 1.0 / 128), solver=LIGHT)
+        cmp = compare_bounds(value_iteration(
+            FunctionSpec(Family.REMARK2), 5, GridConfig(6.0, 1.0 / 128),
+            solver=LIGHT))
         assert not cmp.enforced
 
 

@@ -23,6 +23,7 @@ from compensator_bounds.chains import (
     extremal_chain_law,
     intro_chain_law,
     intro_kernel,
+    schedule_law,
     simulate_extremal,
     simulate_intro,
 )
@@ -68,6 +69,17 @@ class TestChainLaw:
         np.testing.assert_array_equal(law.y_values,
                                       [0.5, 1.0, 1.5, 2.0, 2.0])
         assert law.probabilities.sum() == 1.0
+
+    def test_tiny_increment_keeps_its_atom(self):
+        # Every step with a positive increment absorbs into its own atom,
+        # even 1e-13 above the previous one.
+        a = np.array([0.5, 1e-13, 0.5])
+        y = np.concatenate(([0.0], np.cumsum(a)))
+        law = schedule_law(a, y)
+        assert [atom.x for atom in law.atoms] == [1.0, 1.0, 1.0, 0.0]
+        np.testing.assert_array_equal(law.y_values, y[[1, 2, 3, 3]])
+        assert law.probabilities[1] == 0.5 * 1e-13
+        assert law.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestIntroLaw:

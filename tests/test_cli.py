@@ -55,6 +55,14 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert "lambda must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["exp:lambda=inf", "pow:m=inf",
+                                      "pow:m=1e400"])
+    def test_non_finite_parameter_is_usage_error(self, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["bound", "--f", text])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["bound", "--f", "quad", "--frobnicate"])
@@ -126,6 +134,18 @@ class TestParseArgs:
             parse_args(["simulate", "--chain", "extremal", "--f", "quad"])
         assert exc.value.code == 2
         assert "--policy" in capsys.readouterr().err
+        # The other chain's flags used to be ignored without a word.
+        for extra, flag in [
+                (["--chain", "extremal", "--policy", "t.json", "--n", "5"],
+                 "--n"),
+                (["--chain", "intro", "--n", "5", "--horizon", "3"],
+                 "--horizon"),
+                (["--chain", "intro", "--n", "5", "--policy", "missing.json"],
+                 "--policy")]:
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["simulate", "--f", "quad", *extra])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
 
 class TestBound:
@@ -459,6 +479,19 @@ class TestPolicyArtifact:
         code, err = self.simulate(path, capsys)
         assert code == 2
         assert "[0, 1]" in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"function": 5},
+        {"values_at_zero": [1.0, 1.5, float("nan")]},
+        {"values_at_zero": [1.0, float("inf"), 2.0]}])
+    def test_malformed_entries(self, overrides, tmp_path, capsys,
+                               no_sampling):
+        # A numeric function tag used to die with an AttributeError
+        # (exit 1), and a NaN table value was printed as table_value.
+        path = hand_artifact(tmp_path / "a.json", **overrides)
+        code, err = self.simulate(path, capsys)
+        assert code == 2
+        assert "malformed" in err
 
 
 class TestReport:

@@ -250,6 +250,15 @@ class TestParse:
         with pytest.raises(ValueError, match="m must be >= 1"):
             parse_function_spec("pow:m=0.5")
 
+    @pytest.mark.parametrize("family, key", [
+        (Family.EXPONENTIAL, "lambda"), (Family.POWER, "m")])
+    @pytest.mark.parametrize("param", [math.inf, math.nan])
+    def test_non_finite_parameters(self, family, key, param):
+        # inf passed the range rules (inf > 0, inf >= 1) and gave NaN
+        # gaps and infinite means downstream.
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            FunctionSpec(family, param)
+
     def test_parameter_on_bare_family(self):
         with pytest.raises(ValueError, match="no parameter"):
             parse_function_spec("quad:a=1")
