@@ -304,8 +304,8 @@ class ValueTable:
     """Stacked ``x = 0`` value layers ``V[n]`` and their maximizing
     increments ``A[n]`` on the grid ``y`` (``A[0]`` is all zeros).
 
-    ``clamp_used`` records that some reads during the build ran past the
-    top of the grid; layer ``n`` is accurate for ``y <= y_max - n``.
+    Layer ``n`` is accurate for ``y <= y_max - n`` only: reads past the
+    top of the grid clamp to the last node.
     """
 
     spec: FunctionSpec
@@ -313,7 +313,6 @@ class ValueTable:
     y: np.ndarray
     V: np.ndarray
     A: np.ndarray
-    clamp_used: bool
     solver: SolverConfig = field(default=DEFAULT_CONFIG)
 
     @property
@@ -355,13 +354,11 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     f_ext = np.concatenate(
         (V[0], f_vec(grid.y_max + step * np.arange(1, offsets[-1] + 1))))
     f_one = f_vec(y + 1.0) if len(a_cand) > len(offsets) else None
-    # Any step with room to act reads past the top edge (y_max + a).
-    clamp_used = horizon >= 1
     for n in range(1, horizon + 1):
         coarse = _lattice_scan(f_ext, f_one, V[n - 1], offsets, a_cand)
         objective = _Objective(f_vec, V[n - 1], step, 0.0, y)
         V[n], A[n] = _backup(objective, a_cand, coarse, solver)
-    return ValueTable(spec, grid, y, V, A, clamp_used, solver)
+    return ValueTable(spec, grid, y, V, A, solver)
 
 
 # ----------------------------------------------------------------------
@@ -468,6 +465,10 @@ def extremal_policy(table: ValueTable) -> ExtremalPolicy:
 
 _MONOTONE_TOL = 1e-9
 _CONVEX_TOL = 1e-6
+# The sampled states of the x checks: equispaced x, so the convexity
+# test is a plain second difference.
+_LEMMA_Y = np.array([0.0, 0.35, 0.8, 1.6, 2.5])
+_LEMMA_X = np.linspace(0.0, 1.0, 9)
 
 
 @dataclass(frozen=True)
@@ -496,23 +497,16 @@ class Lemma1Report:
         return self.total_violations == 0
 
 
-def verify_lemma1(table: ValueTable,
-                  y_samples=(0.0, 0.35, 0.8, 1.6, 2.5),
-                  x_samples=None) -> Lemma1Report:
+def verify_lemma1(table: ValueTable) -> Lemma1Report:
     """Sample the structural properties of the computed values.
 
     ``y``-monotonicity is checked on the whole grid for every layer;
-    the ``x`` checks run on sampled states restricted to the region the
-    grid actually resolves (``y + 1 <= y_max - n + 1``).  A difference
+    the ``x`` checks run at ``x = 0, 1/8, .., 1`` and
+    ``y = 0, 0.35, 0.8, 1.6, 2.5``, restricted to the region the grid
+    actually resolves (``y + 1 <= y_max - n + 1``).  A difference
     counts as a violation below ``-_MONOTONE_TOL`` (1e-9) for the
     monotonicity checks and below ``-_CONVEX_TOL`` (1e-6) for convexity.
     """
-    if x_samples is None:
-        x_samples = np.linspace(0.0, 1.0, 9)
-    xs = np.array(sorted(float(v) for v in x_samples))
-    gaps = np.diff(xs)
-    h0, h1 = gaps[:-1], gaps[1:]
-
     y_checks = y_viols = 0
     worst_y = 0.0
     for n in range(table.horizon + 1):
@@ -528,28 +522,21 @@ def verify_lemma1(table: ValueTable,
     worst_cx = 0.0
     for n in range(1, table.horizon + 1):
         y_cap = table.grid.y_max - n - 1.0
-        ys = np.array([v for v in y_samples if v <= y_cap], dtype=float)
-        if not (len(ys) and len(xs)):
+        ys = _LEMMA_Y[_LEMMA_Y <= y_cap]
+        if not len(ys):
             continue
         # One row of x samples per y sample, all backed up in one call.
-        x_all, y_all = np.tile(xs, len(ys)), np.repeat(ys, len(xs))
-        for x, y in zip(x_all, y_all):
-            _validate_state(table, n, x, y)
+        x_all = np.tile(_LEMMA_X, len(ys))
+        y_all = np.repeat(ys, len(_LEMMA_X))
         vals = _full_values(table, n, x_all, y_all).reshape(len(ys), -1)
         drops = vals[:, :-1] - vals[:, 1:]
         x_checks += drops.size
         x_viols += int(np.sum(drops < -_MONOTONE_TOL))
-        # Spacing-weighted second difference: F_0 + F_2 - 2 F_1 on
-        # equispaced samples (bit for bit when the spacing is a power of
-        # two), and still a convexity test when they are not.
-        slacks = ((h1 * vals[:, :-2] + h0 * vals[:, 2:]
-                   - (h0 + h1) * vals[:, 1:-1]) / ((h0 + h1) / 2.0))
+        slacks = vals[:, :-2] + vals[:, 2:] - 2.0 * vals[:, 1:-1]
         cx_checks += slacks.size
         cx_viols += int(np.sum(slacks < -_CONVEX_TOL))
-        if drops.size:
-            worst_x = min(worst_x, float(np.min(drops)))
-        if slacks.size:
-            worst_cx = min(worst_cx, float(np.min(slacks)))
+        worst_x = min(worst_x, float(np.min(drops)))
+        worst_cx = min(worst_cx, float(np.min(slacks)))
 
     return Lemma1Report(y_checks, y_viols, x_checks, x_viols,
                         cx_checks, cx_viols, worst_y, worst_x, worst_cx)

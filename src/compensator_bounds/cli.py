@@ -53,6 +53,8 @@ from .shift import property_scan
 __all__ = ["main", "parse_args", "run_report"]
 
 ARTIFACT_FORMAT = "compensator-bounds/value-table-v1"
+# Paths written to ``simulate --csv``.
+_DUMP_PATHS = 100
 
 
 # ----------------------------------------------------------------------
@@ -129,11 +131,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_bell.add_argument("--horizon", type=_positive_int, required=True)
     p_bell.add_argument("--step", type=_step_arg, default="1/512",
                         help="grid spacing, a float or fraction like 1/512")
-    p_bell.add_argument("--y-max", type=float, default=None,
-                        help="grid top (default: the horizon)")
-    p_bell.add_argument("--refine", type=int,
-                        default=DEFAULT_CONFIG.refine_iters,
-                        help="golden-section refinement iterations")
 
     p_cmp = sub.add_parser(
         "compare", parents=[common, tabular],
@@ -145,8 +142,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         "test-shift", parents=[common, seeded],
         help="randomized scan for shift-inequality violations")
     p_shift.add_argument("--trials", type=_positive_int, default=1000)
-    p_shift.add_argument("--max-atoms", type=_positive_int, default=5)
-    p_shift.add_argument("--value-cap", type=float, default=4.0)
 
     p_sim = sub.add_parser(
         "simulate", parents=[common, seeded, tabular],
@@ -163,8 +158,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_sim.add_argument("--horizon", type=_positive_int, default=None,
                        help="steps of the table-driven chain; defaults to "
                             "the artifact horizon (extremal only)")
-    p_sim.add_argument("--dump-paths", type=_positive_int, default=100,
-                       help="number of paths written to --csv")
 
     p_rep = sub.add_parser(
         "report", parents=[common, seeded, tabular],
@@ -284,10 +277,8 @@ def _cmd_solve_recursion(args) -> int:
 
 
 def _cmd_solve_bellman(args) -> int:
-    y_max = float(args.horizon) if args.y_max is None else args.y_max
     table = value_iteration(args.f, args.horizon,
-                            GridConfig(y_max, args.step),
-                            solver=SolverConfig(refine_iters=args.refine))
+                            GridConfig(float(args.horizon), args.step))
     payload = {
         "command": "solve-bellman",
         "format": ARTIFACT_FORMAT,
@@ -296,7 +287,6 @@ def _cmd_solve_bellman(args) -> int:
         "grid": {"y_max": float(table.grid.y_max),
                  "step": float(table.grid.step)},
         "solver": {"refine_iters": table.solver.refine_iters},
-        "clamp_used": bool(table.clamp_used),
         "values_at_zero": table.V[:, 0].tolist(),
         "actions": table.A.tolist(),
     }
@@ -327,9 +317,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_test_shift(args) -> int:
-    report = property_scan(args.f, args.trials, args.seed,
-                           max_atoms=args.max_atoms,
-                           value_cap=args.value_cap)
+    report = property_scan(args.f, args.trials, args.seed)
     payload = {
         "command": "test-shift",
         "function": args.f.spec_string(),
@@ -379,7 +367,8 @@ def _load_policy(path: str, expected: FunctionSpec):
             f"policy artifact was built for {function}, "
             f"got --f {expected.spec_string()}")
     grid = GridConfig(y_max, step)
-    if (not isinstance(horizon, int) or horizon < 1
+    # Layer n is trusted for y <= y_max - n only, as in value_iteration.
+    if (not isinstance(horizon, int) or not 1 <= horizon <= y_max
             or actions.shape != (horizon + 1, grid.n_points)
             or len(values_at_zero) != horizon + 1):
         raise ValueError(f"horizon, action table and values_at_zero in "
@@ -390,9 +379,9 @@ def _load_policy(path: str, expected: FunctionSpec):
     return ExtremalPolicy(actions, grid), values_at_zero
 
 
-def _dump_path_rows(result, y_sched, dump_count: int) -> list[tuple]:
+def _dump_path_rows(result, y_sched) -> list[tuple]:
     rows = []
-    for i in range(min(len(result.t_hit), dump_count)):
+    for i in range(min(len(result.t_hit), _DUMP_PATHS)):
         t = int(result.t_hit[i])
         for k in range(result.n_steps + 1):
             x = 1.0 if k >= t else 0.0
@@ -435,7 +424,7 @@ def _cmd_simulate(args) -> int:
     _emit(payload, args.json)
     if args.csv:
         _write_csv(args.csv, ["path_id", "k", "X", "Y", "M"],
-                   _dump_path_rows(sim, y_sched, args.dump_paths))
+                   _dump_path_rows(sim, y_sched))
     return 0
 
 

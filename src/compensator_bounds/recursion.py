@@ -8,10 +8,8 @@ One step of the recursion maximizes, over a first-step increment
 where ``b`` is the previous bound.  Starting from ``b_0 = f(0)`` this
 produces a nondecreasing sequence ``b_n``; its limit, when finite,
 equals the root ``B`` of ``B = f(0) + f'(f^{-1}(B))``, which
-:func:`fixed_point_bound` solves for directly.  :func:`divergence_scan`
-offers a heuristic certificate for the unbounded case: if the mixture's
-``a``-slope stays uniformly positive near ``a = 0`` along a ladder of
-``b`` values, no finite fixed point is plausible.
+:func:`fixed_point_bound` solves for directly; when no root lies below
+1e6 the bound is reported as unbounded.
 """
 
 from __future__ import annotations
@@ -30,14 +28,12 @@ __all__ = [
     "RecursionStatus",
     "RecursionTrace",
     "FixedPointResult",
-    "DivergenceScan",
     "mixture_objective",
     "mixture_objective_deriv",
     "optimal_step",
     "iterate",
     "recursion_sequence",
     "fixed_point_bound",
-    "divergence_scan",
 ]
 
 # Tolerance for the slope cross-check at the fixed point.
@@ -272,34 +268,3 @@ def fixed_point_bound(spec: FunctionSpec) -> FixedPointResult:
     grid = np.linspace(0.0, 1.0, _CROSS_CHECK_GRID)
     slope_max = float(np.max(mixture_objective_deriv(spec, grid, root)))
     return FixedPointResult(root, slope_max, slope_max <= _CROSS_CHECK_TOL)
-
-
-@dataclass(frozen=True)
-class DivergenceScan:
-    """Heuristic divergence witness: minimum one-step slope near
-    ``a = 0`` for each ladder value.  ``indicated`` does not *prove*
-    divergence; it only reports that the slope stayed uniformly
-    positive on the scanned region."""
-
-    epsilon: float
-    entries: tuple[tuple[float, float], ...]
-    min_slope: float
-    indicated: bool
-
-
-def divergence_scan(spec: FunctionSpec, epsilon: float,
-                    b_ladder) -> DivergenceScan:
-    """Scan ``min_{a in [0, epsilon]}`` of the one-step slope along
-    ``b_ladder`` (65-point grid per ladder value)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    ladder = [float(b) for b in b_ladder]
-    if not ladder:
-        raise ValueError("b_ladder must be nonempty")
-    grid = np.linspace(0.0, epsilon, 65)
-    entries = []
-    for b in ladder:
-        slope_min = float(np.min(mixture_objective_deriv(spec, grid, b)))
-        entries.append((b, slope_min))
-    overall = min(s for _, s in entries)
-    return DivergenceScan(epsilon, tuple(entries), overall, overall > 0.0)

@@ -15,7 +15,6 @@ unit shift) is always evaluated as trial zero of a scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,9 @@ __all__ = [
 VIOLATION_THRESHOLD = -1e-9
 
 _PROB_TOL = 1e-12
+# Random trials draw 2 .. _MAX_ATOMS atoms with values on [0, _VALUE_CAP].
+_MAX_ATOMS = 5
+_VALUE_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -120,14 +122,13 @@ class ScanReport:
     injected_gap: float
 
 
-def _random_instance(seed: int, trial: int, max_atoms: int,
-                     value_cap: float) -> tuple[float, DiscreteRV]:
+def _random_instance(seed: int, trial: int) -> tuple[float, DiscreteRV]:
     """Instance for one trial, derived only from ``(seed, trial)`` so the
     scan is order-independent and safely parallelizable."""
     rng = np.random.default_rng((seed, trial))
-    n_atoms = int(rng.integers(2, max_atoms + 1))
+    n_atoms = int(rng.integers(2, _MAX_ATOMS + 1))
     while True:
-        values = rng.uniform(0.0, value_cap, size=n_atoms)
+        values = rng.uniform(0.0, _VALUE_CAP, size=n_atoms)
         if len(set(values.tolist())) == n_atoms:
             break
     weights = rng.uniform(0.0, 1.0, size=n_atoms)
@@ -142,23 +143,16 @@ def _random_instance(seed: int, trial: int, max_atoms: int,
     return shift, DiscreteRV(atoms)
 
 
-def property_scan(spec: FunctionSpec, trials: int, seed: int,
-                  max_atoms: int = 5, value_cap: float = 4.0) -> ScanReport:
+def property_scan(spec: FunctionSpec, trials: int, seed: int) -> ScanReport:
     """Evaluate :func:`shift_gap` on ``trials`` seeded instances.
 
     Trial zero is always the fixed counterexample instance; trials
-    ``1 .. trials-1`` are random with atom count uniform on
-    ``[2, max_atoms]``, values uniform on ``[0, value_cap]``,
-    probabilities from a normalized uniform draw, and shift uniform on
-    ``[0, 2]``.  Deterministic given ``seed``.
+    ``1 .. trials-1`` are random with atom count uniform on ``[2, 5]``,
+    values uniform on ``[0, 4]``, probabilities from a normalized uniform
+    draw, and shift uniform on ``[0, 2]``.  Deterministic given ``seed``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if max_atoms < 2:
-        raise ValueError("max_atoms must be >= 2")
-    if not (math.isfinite(value_cap) and value_cap > 0.0):
-        raise ValueError(f"value_cap must be finite and > 0, got "
-                         f"{value_cap!r}")
 
     violations = 0
     min_gap = float("inf")
@@ -169,7 +163,7 @@ def property_scan(spec: FunctionSpec, trials: int, seed: int,
         if trial == 0:
             shift, rv = COUNTEREXAMPLE_SHIFT, COUNTEREXAMPLE_RV
         else:
-            shift, rv = _random_instance(seed, trial, max_atoms, value_cap)
+            shift, rv = _random_instance(seed, trial)
         gap = shift_gap(spec, shift, rv)
         if trial == 0:
             injected_gap = gap

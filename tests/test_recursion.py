@@ -18,7 +18,6 @@ from compensator_bounds.functions import Family, FunctionSpec
 from compensator_bounds.recursion import (
     RecursionStatus,
     SolverConfig,
-    divergence_scan,
     fixed_point_bound,
     iterate,
     mixture_objective,
@@ -290,27 +289,6 @@ class TestFixedPointBound:
         assert res.value == pytest.approx(1.0, abs=1e-8)
         assert not res.cross_check_ok
         assert res.cross_check_max == pytest.approx(1.0 / 6.0, abs=1e-3)
-
-
-class TestDivergenceScan:
-    def test_supercritical_indicated(self):
-        scan = divergence_scan(EXP_TWO, 0.01, [1.0, 10.0, 100.0, 1e4])
-        assert scan.indicated
-        assert scan.min_slope >= 1.0
-
-    def test_subcritical_not_indicated(self):
-        scan = divergence_scan(EXP_HALF, 0.01, [1.0, 1.5, 2.0])
-        assert not scan.indicated
-
-    def test_power_not_indicated(self):
-        scan = divergence_scan(POW_TWO, 0.5, [1.0, 10.0])
-        assert not scan.indicated
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            divergence_scan(EXP_TWO, 1.5, [1.0])
-        with pytest.raises(ValueError, match="nonempty"):
-            divergence_scan(EXP_TWO, 0.1, [])
 
 
 class TestCriticalExponentialHasNoFixedPoint:
