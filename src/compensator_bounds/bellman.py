@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functions import FunctionSpec, is_class_s_family, vector_callable
+from .optimize import _INVPHI
 from .recursion import DEFAULT_CONFIG, SolverConfig, recursion_sequence
 
 __all__ = [
@@ -48,8 +49,6 @@ __all__ = [
     "verify_lemma1",
     "compare_bounds",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)

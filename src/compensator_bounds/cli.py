@@ -432,9 +432,8 @@ def _cmd_simulate(args) -> int:
 # combined report
 
 
-def run_report(spec: FunctionSpec, horizon: int = 20,
-               step: float = 1.0 / 512, trials: int = 1000,
-               seed: int = 0) -> tuple[dict, int]:
+def run_report(spec: FunctionSpec, horizon: int, step: float, trials: int,
+               seed: int) -> tuple[dict, int]:
     """Run the whole battery for one function and collect the verdicts.
 
     Returns the JSON-ready payload and the exit code (0 when every

@@ -1,9 +1,10 @@
 """Deterministic scalar numeric primitives shared across the solvers.
 
 Bisection for monotone root finding, plus golden-section search for
-one-dimensional maximization on a closed interval.  Identical inputs
-produce bit-identical outputs: no randomness, fixed iteration counts,
-and ties resolved toward the smallest abscissa.
+one-dimensional maximization inside a bracket whose ends the caller has
+already scanned.  Identical inputs produce bit-identical outputs: no
+randomness, fixed iteration counts, and ties resolved toward the probe
+made first.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ __all__ = [
     "golden_max",
 ]
 
-# Inverse golden ratio: contraction factor of the section search.
+# Inverse golden ratio: contraction factor of both golden searches.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -53,38 +54,31 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
 
 def golden_max(fn: Callable[[float], float], lo: float, hi: float,
                iters: int = 60) -> tuple[float, float]:
-    """Golden-section search for a maximum of ``fn`` on ``[lo, hi]``.
+    """Golden-section search for a maximum of ``fn`` inside ``[lo, hi]``.
 
-    Runs a fixed number of contractions (early exit once the bracket is
-    at float resolution) and returns ``(value, argmax)`` over every point
-    probed, including the original endpoints.
+    Probes ``c < d``, then makes up to ``iters`` contractions of one new
+    probe each, so ``fn`` runs at most ``iters + 2`` times; it stops
+    early at float resolution of the starting bracket.  The ends are
+    never probed, since callers have scanned them.  Each probe is
+    compared once, with strict ``>``, so the earlier one keeps a tie.
+    Returns ``(value, argmax)``.
     """
-    best_x, best_v = lo, fn(lo)
-    v_hi = fn(hi)
-    if v_hi > best_v:
-        best_x, best_v = hi, v_hi
-
-    width = hi - lo
-    c = hi - _INVPHI * width
-    d = lo + _INVPHI * width
-    fc = fn(c)
-    fd = fn(d)
+    stop = 1e-14 * max(1.0, abs(lo), abs(hi))
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    best_v, best_x = (fd, d) if fd > fc else (fc, c)
     for _ in range(iters):
-        if fc > best_v:
-            best_x, best_v = c, fc
-        if fd > best_v:
-            best_x, best_v = d, fd
         if fc >= fd:
             hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = fn(c)
+            c = x = hi - _INVPHI * (hi - lo)
+            fc = v = fn(c)
         else:
             lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = fn(d)
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-            break
-    for x, v in ((c, fc), (d, fd)):
+            d = x = lo + _INVPHI * (hi - lo)
+            fd = v = fn(d)
         if v > best_v:
-            best_x, best_v = x, v
+            best_v, best_x = v, x
+        if hi - lo <= stop:
+            break
     return best_v, best_x

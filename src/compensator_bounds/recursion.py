@@ -49,8 +49,8 @@ class SolverConfig:
     """Numerical knobs of the recursion and Bellman solvers.
 
     ``opt_grid_points`` is the recursion's coarse scan size; the Bellman
-    route takes its increments from the grid and reads only
-    ``refine_iters``.
+    route takes its increments from the grid.  On both routes a golden
+    refinement makes at most ``refine_iters + 1`` objective evaluations.
     """
 
     opt_grid_points: int = 2048
@@ -118,12 +118,11 @@ def _make_stepper(spec: FunctionSpec, cfg: SolverConfig):
         i = int(np.argmax(vals >= peak - noise))
         best_v = float(vals[i])
         best_x = float(a_grid[i])
-        lo = float(a_grid[i - 1]) if i > 0 else 0.0
-        hi = float(a_grid[i + 1]) if i < n - 1 else 1.0
-        if hi > lo and refine_iters > 0:
+        if refine_iters > 0:
             ref_v, ref_x = golden_max(
                 lambda a: a * f_scal(a) + (1.0 - a) * f_scal(a + offset),
-                lo, hi, refine_iters)
+                float(a_grid[max(i - 1, 0)]),
+                float(a_grid[min(i + 1, n - 1)]), refine_iters - 1)
             if ref_v > best_v + noise:
                 best_v, best_x = ref_v, ref_x
         if best_v < b:
@@ -139,8 +138,9 @@ def optimal_step(spec: FunctionSpec, b: float,
                  cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Maximize the one-step objective over ``a in [0, 1]``.
 
-    Grid scan (``cfg.opt_grid_points``) plus golden-section refinement,
-    ties toward the smallest ``a``.  Returns ``(value, argmax)`` with
+    Grid scan (``cfg.opt_grid_points``) plus golden-section refinement;
+    values within 1e-13 relative of the peak tie, toward the smallest
+    ``a``.  Returns ``(value, argmax)`` with
     ``value >= b`` guaranteed (the objective equals ``b`` at ``a = 0``).
     """
     return _make_stepper(spec, cfg)(b)
@@ -174,6 +174,24 @@ class RecursionTrace:
         return self.b[-1]
 
 
+def _step_loop(spec: FunctionSpec, cfg: SolverConfig, n_steps: int,
+               status=lambda b_seq: None):
+    """``b_0 = f(0)`` and up to ``n_steps`` steps, ending after the first
+    step for which ``status(b_0 .. b_k)`` is not None.  Returns
+    ``(b, a_star, that status or MAX_ITERATIONS)``."""
+    stepper = _make_stepper(spec, cfg)
+    b_seq = [spec.f_zero]
+    a_seq: list[float] = []
+    for _ in range(n_steps):
+        value, a_star = stepper(b_seq[-1])
+        b_seq.append(value)
+        a_seq.append(a_star)
+        end = status(b_seq)
+        if end is not None:
+            return b_seq, a_seq, end
+    return b_seq, a_seq, RecursionStatus.MAX_ITERATIONS
+
+
 def iterate(spec: FunctionSpec,
             cfg: SolverConfig = DEFAULT_CONFIG) -> RecursionTrace:
     """Run ``b_{n+1} = optimal_step(b_n)`` from ``b_0 = f(0)``.
@@ -182,22 +200,18 @@ def iterate(spec: FunctionSpec,
     ``cfg.b_tolerance``, with ``DIVERGED`` once a value exceeds
     ``_DIVERGENCE_THRESHOLD`` (1e6), and with ``MAX_ITERATIONS`` otherwise.
     """
-    stepper = _make_stepper(spec, cfg)
-    b_seq = [spec.f_zero]
-    a_seq: list[float] = []
-    for step in range(1, cfg.max_iterations + 1):
-        value, a_star = stepper(b_seq[-1])
-        b_seq.append(value)
-        a_seq.append(a_star)
-        if value > _DIVERGENCE_THRESHOLD:
-            return RecursionTrace(spec, tuple(b_seq), tuple(a_seq),
-                                  RecursionStatus.DIVERGED,
-                                  diverged_at=step)
-        if abs(value - b_seq[-2]) < cfg.b_tolerance:
-            return RecursionTrace(spec, tuple(b_seq), tuple(a_seq),
-                                  RecursionStatus.CONVERGED, limit=value)
-    return RecursionTrace(spec, tuple(b_seq), tuple(a_seq),
-                          RecursionStatus.MAX_ITERATIONS)
+    def status(b_seq):
+        if b_seq[-1] > _DIVERGENCE_THRESHOLD:
+            return RecursionStatus.DIVERGED
+        if abs(b_seq[-1] - b_seq[-2]) < cfg.b_tolerance:
+            return RecursionStatus.CONVERGED
+        return None
+
+    b_seq, a_seq, end = _step_loop(spec, cfg, cfg.max_iterations, status)
+    return RecursionTrace(
+        spec, tuple(b_seq), tuple(a_seq), end,
+        limit=b_seq[-1] if end is RecursionStatus.CONVERGED else None,
+        diverged_at=len(a_seq) if end is RecursionStatus.DIVERGED else None)
 
 
 def recursion_sequence(spec: FunctionSpec, n_steps: int,
@@ -210,14 +224,7 @@ def recursion_sequence(spec: FunctionSpec, n_steps: int,
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    stepper = _make_stepper(spec, cfg)
-    b_seq = [spec.f_zero]
-    a_seq: list[float] = []
-    for _ in range(n_steps):
-        value, a_star = stepper(b_seq[-1])
-        b_seq.append(value)
-        a_seq.append(a_star)
-    return b_seq, a_seq
+    return _step_loop(spec, cfg, n_steps)[:2]
 
 
 @dataclass(frozen=True)

@@ -475,27 +475,41 @@ class TestGoldenRefinement:
     def test_matches_scalar_golden_max(self, spec, iters):
         # Oracle: the first strict maximum of the scalar objective over
         # the capped lattice, then optimize.golden_max on the bracket of
-        # its neighbours.  golden_max also probes the bracket left by its
-        # last contraction, so iters - 1 of them visit the same brackets.
+        # its neighbours.  Both probe c and d and then one point per
+        # contraction, so golden_max with iters - 1 contractions makes
+        # the backup's iters + 1 evaluations.  The value is checked at
+        # general states; the argmax at x = 0 grid nodes, where the
+        # table stores it.
         tab = value_iteration(spec, 4, GridConfig(8.0, 1.0 / 64),
                               SolverConfig(refine_iters=iters))
         step = tab.grid.step
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(1, 5))
-            x, y = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 4.0))
+
+        def oracle(n, x, y):
             cand = [min(k * step, 1.0 - x) for k in range(64 + 1)]
             vals = [backup_objective(tab, n, x, y, a) for a in cand]
             i = vals.index(max(vals))
-            got = full_value(tab, n, x, y)
-            assert got >= vals[i]
-            expect = vals[i]
+            value, arg = vals[i], cand[i]
             if iters:
                 lo, hi = cand[max(i - 1, 0)], cand[min(i + 1, 64)]
-                v, _ = golden_max(lambda a: backup_objective(tab, n, x, y, a),
+                v, a = golden_max(lambda a: backup_objective(tab, n, x, y, a),
                                   lo, hi, iters - 1)
-                expect = max(expect, v)
+                if v > value:
+                    value, arg = v, a
+            return vals[i], value, arg
+
+        rng = np.random.default_rng(7)
+        nodes = np.random.default_rng(8)
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            x, y = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 4.0))
+            coarse, expect, _ = oracle(n, x, y)
+            got = full_value(tab, n, x, y)
+            assert got >= coarse
             assert got == pytest.approx(expect, rel=1e-12, abs=0)
+            j = int(nodes.integers(0, 4 * 64 + 1))
+            _, expect, expect_a = oracle(n, 0.0, j * step)
+            assert tab.V[n][j] == pytest.approx(expect, rel=1e-12, abs=0)
+            assert tab.A[n][j] == expect_a
 
     @pytest.mark.parametrize("iters", [0, 1, 2, 60])
     def test_one_evaluation_per_contraction(self, monkeypatch, iters):

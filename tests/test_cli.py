@@ -412,6 +412,36 @@ class TestSimulate:
         assert code == 2
 
 
+class TestPinnedRecursionOutputs:
+    # sha256 of the stdout of the bound and recursion commands, frozen
+    # from the golden search that also probed its bracket ends and swept
+    # its last pair again.
+    @pytest.mark.parametrize("argv,digest", [
+        (["bound", "--f", "exp:lambda=0.5"],
+         "2bb1bf3b7c1098b170dc7d8e6408c667c1a6d1d37a89404f7ae39ca14dfe4d22"),
+        (["bound", "--f", "exp:lambda=1"],
+         "37ba3f2707132c5d83fd5d7b9871d1ba4393ffa0503b520bcde5f99cb58a2976"),
+        (["bound", "--f", "pow:m=2"],
+         "30ea417a98ad87df24eb3ac0e28159a642880e3f9ca6250af74a4baeadb3e016"),
+        (["bound", "--f", "pow:m=3"],
+         "23490b1b486324ce7579c3043af9092966ed851545d9aafa96bcc02925443289"),
+        (["bound", "--f", "quad"],
+         "b9313d3c551c32f471642031e29d0dacf8c8a6ac2f0804925b7242781ef2537c"),
+        (["bound", "--f", "remark2"],
+         "513c18708f23e8cf3a89dfe5b0d331ed1ad027cf3acdb08abb0af0155620a0ac"),
+        (["solve-recursion", "--f", "remark2"],
+         "5af298f78ff823c4efff04f95f57f54e8ec36fe4ee7a9ac43d6a49212b8af66c"),
+        (["solve-recursion", "--f", "pow:m=1"],
+         "1a08c214010e19d0defa00dfcfab52b68b9372fb626b0aea966cb29441847a28"),
+        (["solve-recursion", "--f", "quad", "--tol", "1e-6"],
+         "bc1b5b5877e1942ba297f7ae98d799d90fa9c4e6f171e5c9a153a0d4f8046921"),
+    ])
+    def test_recursion_outputs_are_pinned(self, argv, digest, capsys):
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def hand_artifact(path: Path, **overrides) -> Path:
     """A small valid value-table artifact (H=2, 5 grid points), with
     keys replaced or, when set to ``None``, removed."""

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from compensator_bounds import recursion
 from compensator_bounds.functions import Family, FunctionSpec
 from compensator_bounds.recursion import (
     RecursionStatus,
@@ -167,6 +168,33 @@ class TestOptimalStep:
         value, a_star = optimal_step(POW_ONE, 1.0)
         assert value == 1.0
         assert a_star == 0.0
+
+    @pytest.mark.parametrize("iters", [0, 1, 5, None])
+    def test_refinement_makes_at_most_refine_iters_plus_one_evaluations(
+            self, monkeypatch, iters):
+        # Only the golden refinement calls the scalar f, twice per
+        # objective evaluation; the coarse scan is vectorized.
+        calls = []
+        real = recursion.scalar_callable
+
+        def counting(spec):
+            f = real(spec)
+
+            def counted(x):
+                calls.append(x)
+                return f(x)
+            return counted
+
+        monkeypatch.setattr(recursion, "scalar_callable", counting)
+        cfg = SolverConfig() if iters is None else SolverConfig(
+            refine_iters=iters)
+        optimal_step(EXP_ONE, 3.0, cfg)
+        evals = len(calls) // 2
+        if iters is None:
+            # The default stops once the bracket reaches float resolution.
+            assert 0 < evals <= cfg.refine_iters + 1
+        else:
+            assert evals == (iters + 1 if iters else 0)
 
 
 class TestSolverConfig:
