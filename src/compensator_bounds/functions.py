@@ -13,8 +13,9 @@ All solvers in this package are parameterized by an increasing function
 
 Each family is one record in ``_FAMILIES``: its parameter key and
 validity rule, ``f(0)``, whether it belongs to the shift class, and the
-closed forms of ``f`` (array and scalar), ``f'``, ``f''`` and
-``f^{-1}``.  A :class:`FunctionSpec` bundles a family with its parameter,
+closed forms of ``f`` (array and scalar), ``f'``, ``f''``, ``f^{-1}``
+and, where the math gives one, the maximizer of the recursion's one-step
+objective.  A :class:`FunctionSpec` bundles a family with its parameter,
 evaluates those forms, and round-trips through the little
 ``family:key=value`` string syntax used on the command line.
 """
@@ -35,6 +36,7 @@ __all__ = [
     "parse_function_spec",
     "scalar_callable",
     "vector_callable",
+    "step_argmax",
     "second_derivative",
     "class_s_condition",
     "is_class_s_family",
@@ -121,12 +123,58 @@ def _remark2_forms(_: None) -> _Forms:
     )
 
 
+# Closed-form maximizers argmax(b, o) of the recursion's one-step
+# objective a f(a) + (1 - a) f(a + o), with o = f^{-1}(b), over a in
+# [0, 1] with its endpoints.
+
+
+def _clip_unit(a: float) -> float:
+    return min(max(a, 0.0), 1.0)
+
+
+def _exp_argmax(lam: float):
+    def argmax(b, o):
+        # The slope in a has the sign of lam (a (1 - b) + b) + 1 - b,
+        # which is positive throughout at b = 1 and falls in a beyond.
+        if b <= 1.0:
+            return 1.0
+        return _clip_unit((1.0 - (1.0 - lam) * b) / (lam * (b - 1.0)))
+
+    return argmax
+
+
+def _pow2_argmax(b, o):
+    # The slope in a is o (2 - o) + a (2 - 4 o): the objective is convex
+    # and increasing unless 4 o > 2.
+    if 4.0 * o - 2.0 <= 0.0:
+        return 1.0
+    return _clip_unit(o * (2.0 - o) / (4.0 * o - 2.0))
+
+
+def _pow3_argmax(b, o):
+    # The slope in a is A a^2 + B a + C.  While it is >= 0 at a = 1 it is
+    # >= 0 on all of [0, 1] (every coefficient is >= 0 when A >= 0, and
+    # otherwise the slope is concave with C >= 0), so a* = 1.  Past
+    # that A < 0 and o > 0.58, where the rationalized positive root
+    # below has no cancellation.
+    qa, qb, qc = 3.0 - 9.0 * o, 6.0 * o * (1.0 - o), o * o * (3.0 - o)
+    if qa + qb + qc >= 0.0:
+        return 1.0
+    return _clip_unit(2.0 * qc / (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)))
+
+
+_POW_ARGMAX = {2.0: _pow2_argmax, 3.0: _pow3_argmax}
+
+
 class _Record(NamedTuple):
     """Everything the package knows about one family.
 
     ``key`` names the parameter (``None`` for parameter-free families),
     ``valid`` accepts a parameter value and ``rule`` says in words what
     it accepts; ``forms`` builds the closed forms for one parameter.
+    ``argmax``, where set, builds for one parameter the closed-form
+    maximizer ``argmax(b, o)`` of the recursion's one-step objective, or
+    ``None`` when that parameter has none.
     """
 
     key: str | None
@@ -135,13 +183,14 @@ class _Record(NamedTuple):
     f_zero: float
     class_s: bool
     forms: Callable[[float | None], _Forms]
+    argmax: Callable[[float | None], Callable | None] | None = None
 
 
 _FAMILIES = {
     Family.EXPONENTIAL: _Record("lambda", "> 0", lambda p: p > 0.0,
-                                1.0, True, _exp_forms),
+                                1.0, True, _exp_forms, _exp_argmax),
     Family.POWER: _Record("m", ">= 1", lambda p: p >= 1.0,
-                          0.0, True, _pow_forms),
+                          0.0, True, _pow_forms, _POW_ARGMAX.get),
     Family.QUAD: _Record(None, None, None, 0.0, True, _quad_forms),
     # Outside the shift class: the curvature-to-slope ratio jumps up at
     # the splice.
@@ -278,6 +327,15 @@ def scalar_callable(spec: FunctionSpec):
 def vector_callable(spec: FunctionSpec):
     """Array evaluator of ``f`` without domain checks, for hot loops."""
     return spec._forms.f
+
+
+def step_argmax(spec: FunctionSpec):
+    """The closed-form maximizer ``argmax(b, o)`` of the recursion's
+    one-step objective, with ``o = f^{-1}(b)``; ``None`` for families
+    without one (``quad``, ``remark2`` and ``pow`` unless ``m`` is 2 or
+    3)."""
+    build = _FAMILIES[spec.family].argmax
+    return None if build is None else build(spec.param)
 
 
 # ----------------------------------------------------------------------

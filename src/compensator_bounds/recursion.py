@@ -20,7 +20,12 @@ from enum import Enum
 
 import numpy as np
 
-from .functions import FunctionSpec, scalar_callable, vector_callable
+from .functions import (
+    FunctionSpec,
+    scalar_callable,
+    step_argmax,
+    vector_callable,
+)
 from .optimize import bisect_root, golden_max
 
 __all__ = [
@@ -51,6 +56,9 @@ class SolverConfig:
     ``opt_grid_points`` is the recursion's coarse scan size; the Bellman
     route takes its increments from the grid.  On both routes a golden
     refinement makes at most ``refine_iters + 1`` objective evaluations.
+    Recursion steps of families with a closed-form maximizer (``exp``,
+    and ``pow`` with ``m`` 2 or 3) ignore both ``opt_grid_points`` and
+    ``refine_iters``.
     """
 
     opt_grid_points: int = 2048
@@ -93,12 +101,14 @@ def mixture_objective_deriv(spec: FunctionSpec, a, b: float):
             - spec.value(shifted) + (1.0 - a) * spec.deriv(shifted))
 
 
-def _make_stepper(spec: FunctionSpec, cfg: SolverConfig):
-    """A reusable single-step maximizer.
+def _grid_stepper(spec: FunctionSpec, cfg: SolverConfig):
+    """A reusable single-step maximizer by grid scan plus golden search.
 
     Precomputes every grid quantity that does not depend on the incoming
     bound ``b`` (the first mixture term in particular), which matters
-    when the recursion runs for hundreds of thousands of steps.
+    when the recursion runs for hundreds of thousands of steps.  A scan
+    that overflows (``inf``, or ``0 * inf = nan`` at ``a = 1``) gives the
+    value ``inf``.
     """
     n = cfg.opt_grid_points
     a_grid = np.linspace(0.0, 1.0, n)
@@ -112,6 +122,8 @@ def _make_stepper(spec: FunctionSpec, cfg: SolverConfig):
         offset = spec.inverse(b)
         vals = first_term + weight * f_vec(a_grid + offset)
         peak = float(np.max(vals))
+        if not math.isfinite(peak):
+            return math.inf, math.nan
         # Ties (exact or within float noise, as on flat objectives) go
         # to the smallest increment.
         noise = 1e-13 * max(1.0, abs(peak))
@@ -134,14 +146,44 @@ def _make_stepper(spec: FunctionSpec, cfg: SolverConfig):
     return step
 
 
+def _make_stepper(spec: FunctionSpec, cfg: SolverConfig):
+    """A reusable single-step maximizer ``b -> (value, argmax)``.
+
+    Families with a closed-form maximizer (``exp``, and ``pow`` with
+    ``m`` 2 or 3) evaluate the objective once, at that maximizer, and
+    ignore ``cfg``; the others use :func:`_grid_stepper`.  A value that
+    overflows comes back as ``inf``.
+    """
+    argmax = step_argmax(spec)
+    if argmax is None:
+        return _grid_stepper(spec, cfg)
+    f = scalar_callable(spec)
+
+    def step(b: float) -> tuple[float, float]:
+        offset = spec.inverse(b)
+        a = argmax(b, offset)
+        try:
+            value = a * f(a) + (1.0 - a) * f(a + offset)
+        except OverflowError:
+            return math.inf, a
+        if value < b:
+            # As on the grid: only inverse round-off can dip below b.
+            return b, 0.0
+        return value, a
+
+    return step
+
+
 def optimal_step(spec: FunctionSpec, b: float,
                  cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Maximize the one-step objective over ``a in [0, 1]``.
 
-    Grid scan (``cfg.opt_grid_points``) plus golden-section refinement;
-    values within 1e-13 relative of the peak tie, toward the smallest
-    ``a``.  Returns ``(value, argmax)`` with
-    ``value >= b`` guaranteed (the objective equals ``b`` at ``a = 0``).
+    In closed form for ``exp`` and for ``pow`` with ``m`` 2 or 3.  The
+    other families use a grid scan (``cfg.opt_grid_points``) plus
+    golden-section refinement; values within 1e-13 relative of the peak
+    tie, toward the smallest ``a``.  Returns ``(value, argmax)`` with
+    ``value >= b`` guaranteed (the objective equals ``b`` at ``a = 0``);
+    ``value`` is ``inf`` when ``f`` overflows.
     """
     return _make_stepper(spec, cfg)(b)
 
@@ -178,12 +220,16 @@ def _step_loop(spec: FunctionSpec, cfg: SolverConfig, n_steps: int,
                status=lambda b_seq: None):
     """``b_0 = f(0)`` and up to ``n_steps`` steps, ending after the first
     step for which ``status(b_0 .. b_k)`` is not None.  Returns
-    ``(b, a_star, that status or MAX_ITERATIONS)``."""
+    ``(b, a_star, that status or MAX_ITERATIONS)``.  Raises ValueError
+    at the first step whose value is not finite."""
     stepper = _make_stepper(spec, cfg)
     b_seq = [spec.f_zero]
     a_seq: list[float] = []
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         value, a_star = stepper(b_seq[-1])
+        if not math.isfinite(value):
+            raise ValueError(f"recursion step {k} of {spec} overflows "
+                             f"float64 (b_{k - 1} = {b_seq[-1]!r})")
         b_seq.append(value)
         a_seq.append(a_star)
         end = status(b_seq)

@@ -15,6 +15,7 @@ unit shift) is always evaluated as trial zero of a scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +33,16 @@ __all__ = [
     "property_scan",
 ]
 
-# A gap below this counts as a genuine violation rather than float dust.
+# A gap below this, times max(1, |E f(shift + Y)|), counts as a genuine
+# violation rather than float dust.
 VIOLATION_THRESHOLD = -1e-9
 
 _PROB_TOL = 1e-12
-# Random trials draw 2 .. _MAX_ATOMS atoms with values on [0, _VALUE_CAP].
+# Random trials draw 2 .. _MAX_ATOMS atoms with values on [0, _VALUE_CAP]
+# and a shift on [0, _SHIFT_CAP].
 _MAX_ATOMS = 5
 _VALUE_CAP = 4.0
+_SHIFT_CAP = 2.0
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,26 @@ def expect_f(spec: FunctionSpec, rv: DiscreteRV, shift: float = 0.0) -> float:
     return float(np.dot(rv.probs, spec.value(shift + rv.values)))
 
 
-def shift_gap(spec: FunctionSpec, shift: float, rv: DiscreteRV) -> float:
-    """Right side minus left side of the shift inequality.
-
-    Nonnegative (up to float noise) whenever the inequality holds for
-    ``spec``; a return below :data:`VIOLATION_THRESHOLD` is a violation.
-    """
+def _gap_and_lhs(spec: FunctionSpec, shift: float,
+                 rv: DiscreteRV) -> tuple[float, float]:
+    """:func:`shift_gap` and the left side ``E f(shift + Y)`` it
+    subtracts."""
     if shift < 0.0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     mean_f = expect_f(spec, rv)
     bound = spec.value(shift + spec.inverse(mean_f))
-    return bound - expect_f(spec, rv, shift)
+    lhs = expect_f(spec, rv, shift)
+    return bound - lhs, lhs
+
+
+def shift_gap(spec: FunctionSpec, shift: float, rv: DiscreteRV) -> float:
+    """Right side minus left side of the shift inequality.
+
+    Nonnegative (up to float noise) whenever the inequality holds for
+    ``spec``; a return below :data:`VIOLATION_THRESHOLD` times
+    ``max(1, |E f(shift + Y)|)`` is a violation.
+    """
+    return _gap_and_lhs(spec, shift, rv)[0]
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,7 @@ def _random_instance(seed: int, trial: int) -> tuple[float, DiscreteRV]:
     # Absorb the normalization residue into the largest atom so the
     # masses sum to one exactly.
     probs[int(np.argmax(probs))] += 1.0 - probs.sum()
-    shift = float(rng.uniform(0.0, 2.0))
+    shift = float(rng.uniform(0.0, _SHIFT_CAP))
     atoms = tuple((float(v), float(p)) for v, p in zip(values, probs))
     return shift, DiscreteRV(atoms)
 
@@ -150,9 +163,17 @@ def property_scan(spec: FunctionSpec, trials: int, seed: int) -> ScanReport:
     ``1 .. trials-1`` are random with atom count uniform on ``[2, 5]``,
     values uniform on ``[0, 4]``, probabilities from a normalized uniform
     draw, and shift uniform on ``[0, 2]``.  Deterministic given ``seed``.
+    A gap counts as a violation below :data:`VIOLATION_THRESHOLD` times
+    ``max(1, |E f(shift + Y)|)``, since its round-off grows with the
+    values.  Raises ValueError when ``f`` overflows float64 on the range
+    the trials read.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    top = _VALUE_CAP + _SHIFT_CAP
+    if not math.isfinite(spec.value(top)):
+        raise ValueError(f"{spec} overflows float64 at {top}, inside the "
+                         f"range [0, {top}] the trials read")
 
     violations = 0
     min_gap = float("inf")
@@ -164,10 +185,10 @@ def property_scan(spec: FunctionSpec, trials: int, seed: int) -> ScanReport:
             shift, rv = COUNTEREXAMPLE_SHIFT, COUNTEREXAMPLE_RV
         else:
             shift, rv = _random_instance(seed, trial)
-        gap = shift_gap(spec, shift, rv)
+        gap, lhs = _gap_and_lhs(spec, shift, rv)
         if trial == 0:
             injected_gap = gap
-        if gap < VIOLATION_THRESHOLD:
+        if gap < VIOLATION_THRESHOLD * max(1.0, abs(lhs)):
             violations += 1
         if gap < min_gap:
             min_gap = gap

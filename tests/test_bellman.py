@@ -354,16 +354,16 @@ class TestCompareBounds:
 
     def test_rows_come_from_the_table_and_its_solver(self):
         solver = SolverConfig(refine_iters=0)
-        tab = value_iteration(POW_TWO, 6, GridConfig(6.0, 1.0 / 64), solver)
+        tab = value_iteration(QUAD, 6, GridConfig(6.0, 1.0 / 64), solver)
         rows = compare_bounds(tab).rows
-        b_seq, _ = recursion_sequence(POW_TWO, 6, solver)
+        b_seq, _ = recursion_sequence(QUAD, 6, solver)
         assert [r[0] for r in rows] == list(range(7))
         assert [r[1] for r in rows] == [tab.value_at_zero(n)
                                         for n in range(7)]
         assert [r[2] for r in rows] == list(b_seq)
         # The default solver refines the recursion's maximizer, so the
         # rows above really follow the table's solver.
-        assert list(recursion_sequence(POW_TWO, 6)[0]) != list(b_seq)
+        assert list(recursion_sequence(QUAD, 6)[0]) != list(b_seq)
 
     def test_remark2_not_enforced(self):
         cmp = compare_bounds(value_iteration(

@@ -212,6 +212,19 @@ class TestSolveRecursion:
         payload = json.loads(out)
         assert parse_function_spec(payload["function"]).param == 0.25
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("text, step", [
+        ("exp:lambda=710", 1), ("exp:lambda=800", 1), ("pow:m=1100", 2),
+    ])
+    def test_overflowing_step_is_usage_error(self, text, step, capsys):
+        # Both exp specs step in closed form, pow:m=1100 on the grid;
+        # the grid once printed a finite, wrong trace for all three.
+        code = main(["solve-recursion", "--f", text])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert f"recursion step {step} of" in out.err
+
 
 BELLMAN_SMALL = ["solve-bellman", "--f", "exp:lambda=0.5", "--horizon", "4",
                  "--step", "1/64"]
@@ -317,6 +330,23 @@ class TestTestShift:
         assert payload["violations"] >= 1
         assert payload["injected_gap"] == pytest.approx(-0.125, abs=1e-12)
         assert report.read_text(encoding="utf-8") == out
+
+    def test_round_off_is_not_a_violation(self, capsys):
+        # The exponential gap is identically 0, but its round-off grows
+        # with E f(s + Y), up to e^24 here; 282 trials once counted.
+        code, out = run_cli(["test-shift", "--f", "exp:lambda=4",
+                             "--trials", "1000"], capsys)
+        assert code == 0
+        assert json.loads(out)["violations"] == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("text", ["exp:lambda=300", "pow:m=500"])
+    def test_overflowing_f_is_usage_error(self, text, capsys):
+        code = main(["test-shift", "--f", text, "--trials", "10"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "overflows" in out.err
 
     def test_scan_flags_reach_the_scan(self, capsys):
         code, out = run_cli(["test-shift", "--f", "pow:m=2",

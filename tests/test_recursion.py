@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from compensator_bounds import recursion
-from compensator_bounds.functions import Family, FunctionSpec
+from compensator_bounds.functions import Family, FunctionSpec, step_argmax
 from compensator_bounds.recursion import (
     RecursionStatus,
     SolverConfig,
@@ -188,13 +188,66 @@ class TestOptimalStep:
         monkeypatch.setattr(recursion, "scalar_callable", counting)
         cfg = SolverConfig() if iters is None else SolverConfig(
             refine_iters=iters)
-        optimal_step(EXP_ONE, 3.0, cfg)
+        optimal_step(QUAD, 3.0, cfg)
         evals = len(calls) // 2
         if iters is None:
             # The default stops once the bracket reaches float resolution.
             assert 0 < evals <= cfg.refine_iters + 1
         else:
             assert evals == (iters + 1 if iters else 0)
+
+
+class TestClosedFormStep:
+    # The families whose one-step maximizer is in closed form; the grid
+    # stepper, which the others use, is the oracle.
+    SPECS = [EXP_HALF, EXP_ONE, EXP_TWO, POW_TWO, POW_THREE]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_agrees_with_grid_stepper_on_a_ladder(self, spec):
+        bound = fixed_point_bound(spec).value
+        top = 100.0 if math.isinf(bound) else 0.999 * bound
+        closed = recursion._make_stepper(spec, recursion.DEFAULT_CONFIG)
+        grid = recursion._grid_stepper(spec, recursion.DEFAULT_CONFIG)
+        for b in np.linspace(spec.f_zero, top, 1000):
+            value, a_star = closed(float(b))
+            grid_value, grid_a = grid(float(b))
+            assert value == pytest.approx(grid_value, rel=1e-12, abs=0.0), b
+            assert a_star == pytest.approx(grid_a, abs=1e-6), b
+
+    @pytest.mark.parametrize("spec", [POW_TWO, POW_THREE], ids=str)
+    def test_convex_power_step_from_zero_takes_the_whole_unit(self, spec):
+        # At b = 0 the objective a^{m+1} + (1 - a) a^m is increasing.
+        assert optimal_step(spec, 0.0) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_exponential_step_from_one_takes_the_whole_unit(self, lam):
+        spec = FunctionSpec(Family.EXPONENTIAL, lam)
+        assert optimal_step(spec, 1.0) == (math.exp(lam), 1.0)
+
+    def test_ignores_the_grid_settings(self):
+        light = SolverConfig(opt_grid_points=2, refine_iters=0)
+        for spec in self.SPECS:
+            assert optimal_step(spec, 1.5, light) == optimal_step(spec, 1.5)
+
+    def test_other_families_stay_on_the_grid(self):
+        for spec in self.SPECS:
+            assert step_argmax(spec) is not None
+        for spec in (QUAD, REMARK2, POW_ONE,
+                     FunctionSpec(Family.POWER, 2.5)):
+            assert step_argmax(spec) is None
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spec, step", [
+        (FunctionSpec(Family.EXPONENTIAL, 710.0), 1),
+        (FunctionSpec(Family.POWER, 1100.0), 2),
+    ], ids=["closed-form", "grid"])
+    def test_non_finite_step_is_rejected(self, spec, step):
+        # The grid scan once picked a = 1/2047 past the NaN of 0 * inf
+        # and reported a finite, wrong b_1 = 1.4146 for exp:lambda=710.
+        with pytest.raises(ValueError, match=f"step {step} of {spec}"):
+            iterate(spec)
 
 
 class TestSolverConfig:

@@ -170,3 +170,17 @@ class TestPropertyScan:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="trials"):
             property_scan(QUAD, 0, seed=1)
+
+    @pytest.mark.parametrize("lam", [4.0, 10.0, 100.0])
+    def test_violations_scale_with_the_expectation(self, lam):
+        # The exponential gap is identically 0; its round-off grows with
+        # E f(s + Y), so an absolute threshold counted it as violations.
+        report = property_scan(FunctionSpec(Family.EXPONENTIAL, lam), 500,
+                               seed=1)
+        assert report.violations == 0
+        assert report.min_gap < VIOLATION_THRESHOLD
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_f_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            property_scan(FunctionSpec(Family.EXPONENTIAL, 300.0), 10, seed=1)
