@@ -224,6 +224,13 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
         raise ValueError("the schedule needs at least one step")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
+    # The schedule's compensator is nondecreasing, so f peaks at its end;
+    # an overflow there turns the estimate and the exact value into inf.
+    with np.errstate(over="ignore"):
+        if not math.isfinite(spec.value(y_sched[-1])):
+            raise ValueError(f"{spec.spec_string()} overflows float64 at "
+                             f"the schedule's last compensator value "
+                             f"{float(y_sched[-1])!r}")
     # Counter-based bit generator: a fixed seed pins the whole draw
     # order, independent of platform threading and of the chunk size.
     rng = np.random.Generator(np.random.Philox(seed))

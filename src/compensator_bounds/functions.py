@@ -13,7 +13,8 @@ All solvers in this package are parameterized by an increasing function
 
 Each family is one record in ``_FAMILIES``: its parameter key and
 validity rule, ``f(0)``, whether it belongs to the shift class, and the
-closed forms of ``f`` (array and scalar), ``f'``, ``f''``, ``f^{-1}``
+closed forms of ``f`` (array and scalar), ``f'``, ``f''``, ``f^{-1}``,
+the root ``B`` of the fixed-point equation ``B = f(0) + f'(f^{-1}(B))``
 and, where the math gives one, the maximizer of the recursion's one-step
 objective.  A :class:`FunctionSpec` bundles a family with its parameter,
 evaluates those forms, and round-trips through the little
@@ -37,6 +38,7 @@ __all__ = [
     "scalar_callable",
     "vector_callable",
     "step_argmax",
+    "fixed_point_root",
     "second_derivative",
     "class_s_condition",
     "is_class_s_family",
@@ -166,12 +168,27 @@ def _pow3_argmax(b, o):
 _POW_ARGMAX = {2.0: _pow2_argmax, 3.0: _pow3_argmax}
 
 
+def _exp_root(lam: float) -> float:
+    # 1 + lam B = B.
+    return 1.0 / (1.0 - lam) if lam < 1.0 else math.inf
+
+
+def _pow_root(m: float) -> float:
+    # m B^{(m-1)/m} = B, so B^{1/m} = m.  Float m ** m raises instead of
+    # returning inf, from m = 144 on.
+    try:
+        return m ** m
+    except OverflowError:
+        return math.inf
+
+
 class _Record(NamedTuple):
     """Everything the package knows about one family.
 
     ``key`` names the parameter (``None`` for parameter-free families),
     ``valid`` accepts a parameter value and ``rule`` says in words what
-    it accepts; ``forms`` builds the closed forms for one parameter.
+    it accepts; ``forms`` builds the closed forms for one parameter and
+    ``root`` gives the closed-form fixed point ``B`` for one parameter.
     ``argmax``, where set, builds for one parameter the closed-form
     maximizer ``argmax(b, o)`` of the recursion's one-step objective, or
     ``None`` when that parameter has none.
@@ -183,18 +200,25 @@ class _Record(NamedTuple):
     f_zero: float
     class_s: bool
     forms: Callable[[float | None], _Forms]
+    root: Callable[[float | None], float]
     argmax: Callable[[float | None], Callable | None] | None = None
 
 
 _FAMILIES = {
     Family.EXPONENTIAL: _Record("lambda", "> 0", lambda p: p > 0.0,
-                                1.0, True, _exp_forms, _exp_argmax),
+                                1.0, True, _exp_forms, _exp_root,
+                                _exp_argmax),
     Family.POWER: _Record("m", ">= 1", lambda p: p >= 1.0,
-                          0.0, True, _pow_forms, _POW_ARGMAX.get),
-    Family.QUAD: _Record(None, None, None, 0.0, True, _quad_forms),
+                          0.0, True, _pow_forms, _pow_root,
+                          _POW_ARGMAX.get),
+    # 1 + f^{-1}(B) = B, so B^2 = 1 + 2B.
+    Family.QUAD: _Record(None, None, None, 0.0, True, _quad_forms,
+                         lambda _: 1.0 + math.sqrt(2.0)),
     # Outside the shift class: the curvature-to-slope ratio jumps up at
-    # the splice.
-    Family.REMARK2: _Record(None, None, None, 0.0, False, _remark2_forms),
+    # the splice.  Its root is 1, not the recursion's limit 41/32: below
+    # the splice f'(f^{-1}(B)) = 1, and past it sqrt(2B - 1) = B only at 1.
+    Family.REMARK2: _Record(None, None, None, 0.0, False, _remark2_forms,
+                            lambda _: 1.0),
 }
 
 
@@ -336,6 +360,14 @@ def step_argmax(spec: FunctionSpec):
     3)."""
     build = _FAMILIES[spec.family].argmax
     return None if build is None else build(spec.param)
+
+
+def fixed_point_root(spec: FunctionSpec) -> float:
+    """The root ``B`` of ``B = f(0) + f'(f^{-1}(B))`` in closed form:
+    ``1/(1 - lambda)`` for ``exp`` (``inf`` at ``lambda >= 1``), ``m^m``
+    for ``pow`` (``inf`` where that overflows float64), ``1 + sqrt(2)``
+    for ``quad`` and 1 for ``remark2``."""
+    return _FAMILIES[spec.family].root(spec.param)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Deterministic scalar numeric primitives shared across the solvers.
+"""Deterministic golden-section search shared across the solvers.
 
-Bisection for monotone root finding, plus golden-section search for
-one-dimensional maximization inside a bracket whose ends the caller has
-already scanned.  Identical inputs produce bit-identical outputs: no
+One-dimensional maximization inside a bracket whose ends the caller has
+already scanned; the Bellman backup's batched refinement shares its
+contraction factor.  Identical inputs produce bit-identical outputs: no
 randomness, fixed iteration counts, and ties resolved toward the probe
 made first.
 """
@@ -13,43 +13,11 @@ import math
 from typing import Callable
 
 __all__ = [
-    "bisect_root",
     "golden_max",
 ]
 
 # Inverse golden ratio: contraction factor of both golden searches.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12) -> float:
-    """Root of ``fn`` on ``[lo, hi]`` located by bisection.
-
-    ``fn(lo)`` and ``fn(hi)`` must have opposite (weak) signs.  Stops when
-    the bracket is narrower than ``tol`` or an exact zero is hit, so the
-    result is within ``tol`` of a sign change of ``fn``.
-    """
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Bracket has collapsed to two adjacent floats.
-            break
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def golden_max(fn: Callable[[float], float], lo: float, hi: float,

@@ -8,8 +8,8 @@ One step of the recursion maximizes, over a first-step increment
 where ``b`` is the previous bound.  Starting from ``b_0 = f(0)`` this
 produces a nondecreasing sequence ``b_n``; its limit, when finite,
 equals the root ``B`` of ``B = f(0) + f'(f^{-1}(B))``, which
-:func:`fixed_point_bound` solves for directly; when no root lies below
-1e6 the bound is reported as unbounded.
+:func:`fixed_point_bound` takes in closed form from the family record;
+when no root lies below 1e6 the bound is reported as unbounded.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ import numpy as np
 
 from .functions import (
     FunctionSpec,
+    fixed_point_root,
     scalar_callable,
     step_argmax,
     vector_callable,
 )
-from .optimize import bisect_root, golden_max
+from .optimize import golden_max
 
 __all__ = [
     "SolverConfig",
@@ -44,9 +45,8 @@ __all__ = [
 # Tolerance for the slope cross-check at the fixed point.
 _CROSS_CHECK_TOL = 1e-6
 _CROSS_CHECK_GRID = 512
-# A recursion value (or fixed-point bracket) above this counts as divergence.
+# A recursion value (or fixed point) above this counts as divergence.
 _DIVERGENCE_THRESHOLD = 1e6
-_BISECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ def recursion_sequence(spec: FunctionSpec, n_steps: int,
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Root of ``b = f(0) + f'(f^{-1}(b))``, or unbounded.
+    """Closed-form root of ``b = f(0) + f'(f^{-1}(b))``, or unbounded.
 
     ``cross_check_max`` is the largest one-step slope over an ``a``-grid
     at the root; a value above 1e-6 clears ``cross_check_ok`` and means
@@ -292,32 +292,17 @@ class FixedPointResult:
         return math.isinf(self.value)
 
 
-def _fixed_point_residual(spec: FunctionSpec, b: float) -> float:
-    return spec.f_zero + spec.deriv(spec.inverse(b)) - b
-
-
 def fixed_point_bound(spec: FunctionSpec) -> FixedPointResult:
-    """Solve ``b = f(0) + f'(f^{-1}(b))`` by bracketing + bisection.
+    """The root of ``b = f(0) + f'(f^{-1}(b))``, from the family record.
 
-    The bracket doubles outward from ``f(0) + 1``; if the residual is
-    still positive at the first bracket end past
-    ``_DIVERGENCE_THRESHOLD`` the bound is reported as unbounded.  At a
-    finite root the one-step slope is cross-checked on a 512-point grid.
+    A root above ``_DIVERGENCE_THRESHOLD`` (1e6), or none, is reported
+    as unbounded, as :func:`iterate` reports a value past it as
+    divergence.  At a finite root the one-step slope is cross-checked on
+    a 512-point grid; at ``a = 0`` that slope is the equation's residual.
     """
-    f0 = spec.f_zero
-    lo = f0
-    hi = f0 + 1.0
-    res_hi = _fixed_point_residual(spec, hi)
-    while res_hi > 0.0:
-        if hi > _DIVERGENCE_THRESHOLD:
-            return FixedPointResult(math.inf)
-        lo = hi
-        hi = f0 + 2.0 * (hi - f0)
-        res_hi = _fixed_point_residual(spec, hi)
-
-    root = bisect_root(lambda b: _fixed_point_residual(spec, b),
-                       lo, hi, _BISECTION_TOL)
-
+    root = fixed_point_root(spec)
+    if root > _DIVERGENCE_THRESHOLD:
+        return FixedPointResult(math.inf)
     grid = np.linspace(0.0, 1.0, _CROSS_CHECK_GRID)
     slope_max = float(np.max(mixture_objective_deriv(spec, grid, root)))
     return FixedPointResult(root, slope_max, slope_max <= _CROSS_CHECK_TOL)

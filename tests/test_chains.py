@@ -217,6 +217,13 @@ class TestSimulateIntro:
         factor = rmse[1000] / rmse[16000]
         assert 2.5 <= factor <= 6.5
 
+    def test_overflowing_f_rejected(self):
+        # E e^{3 Y_600} is about 1e210, but e^{3 * 300} on the
+        # never-absorbed path is not a float64.
+        spec = FunctionSpec(Family.EXPONENTIAL, 3.0)
+        with pytest.raises(ValueError, match="overflows float64"):
+            simulate_intro(spec, 600, 10, seed=1)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_steps"):
             simulate_intro(EXP_ONE, 0, 100, seed=1)

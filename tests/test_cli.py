@@ -173,6 +173,17 @@ class TestBound:
         assert payload["value"] == "unbounded"
         assert payload["unbounded"] is True
 
+    @pytest.mark.parametrize("text", [
+        "exp:lambda=1", "pow:m=144", "pow:m=200", "pow:m=1e5"])
+    def test_no_root_below_threshold_is_unbounded(self, text, capsys):
+        # exp has no root at lambda = 1; m^m overflows float64 from
+        # m = 144 on.
+        code, out = run_cli(["bound", "--f", text], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        check("bound", payload)
+        assert payload["value"] == "unbounded"
+
     def test_json_file_matches_stdout(self, tmp_path, capsys):
         target = tmp_path / "bound.json"
         code, out = run_cli(["bound", "--f", "quad", "--json", str(target)],
@@ -413,6 +424,18 @@ class TestSimulate:
         assert hashlib.sha256(paths_csv.read_bytes()).hexdigest() == (
             "a1ac922cf7987f132667ae0ea1fc3f0e9295c869e39799e57caf6c51d78bc33e")
 
+    def test_overflowing_f_is_usage_error(self, tmp_path, capsys):
+        # This printed exact_f: Infinity and exited 0.
+        outputs = [tmp_path / "sim.json", tmp_path / "paths.csv"]
+        code = main(["simulate", "--chain", "intro", "--f", "exp:lambda=3",
+                     "--n", "600", "--paths", "10",
+                     "--json", str(outputs[0]), "--csv", str(outputs[1])])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "overflows" in out.err
+        assert not any(path.exists() for path in outputs)
+
     def test_extremal_chain_from_artifact(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"
         code, _ = run_cli(BELLMAN_SMALL + ["--json", str(policy)], capsys)
@@ -445,7 +468,7 @@ class TestSimulate:
 class TestPinnedRecursionOutputs:
     # sha256 of the stdout of the bound and recursion commands, frozen
     # from the golden search that also probed its bracket ends and swept
-    # its last pair again.
+    # its last pair again; the quad bound from the closed-form root.
     @pytest.mark.parametrize("argv,digest", [
         (["bound", "--f", "exp:lambda=0.5"],
          "2bb1bf3b7c1098b170dc7d8e6408c667c1a6d1d37a89404f7ae39ca14dfe4d22"),
@@ -456,7 +479,7 @@ class TestPinnedRecursionOutputs:
         (["bound", "--f", "pow:m=3"],
          "23490b1b486324ce7579c3043af9092966ed851545d9aafa96bcc02925443289"),
         (["bound", "--f", "quad"],
-         "b9313d3c551c32f471642031e29d0dacf8c8a6ac2f0804925b7242781ef2537c"),
+         "360d81a516835e1544b99b45d374c3de50fc8dd1e289ff2bb6d2446ea457e4f6"),
         (["bound", "--f", "remark2"],
          "513c18708f23e8cf3a89dfe5b0d331ed1ad027cf3acdb08abb0af0155620a0ac"),
         (["solve-recursion", "--f", "remark2"],

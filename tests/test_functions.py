@@ -16,6 +16,7 @@ from compensator_bounds.functions import (
     Family,
     FunctionSpec,
     class_s_condition,
+    fixed_point_root,
     is_class_s_family,
     parse_function_spec,
     second_derivative,
@@ -215,6 +216,21 @@ def test_every_family_has_a_complete_record(family):
         assert spec.inverse(spec.value(x)) == pytest.approx(x, rel=1e-14)
         assert spec.deriv(x) > 0.0
         assert math.isfinite(second_derivative(spec, x))
+
+
+class TestFixedPointRoot:
+    @pytest.mark.parametrize("text", [
+        "exp:lambda=0.1", "exp:lambda=0.5", "exp:lambda=0.9",
+        "exp:lambda=0.999999", "pow:m=1", "pow:m=1.5", "pow:m=2",
+        "pow:m=3", "pow:m=7", "quad", "remark2"])
+    def test_root_solves_the_equation(self, text):
+        # The equation B = f(0) + f'(f^{-1}(B)), evaluated through the
+        # family's f, f' and f^{-1}, shares no code with the record's
+        # closed-form root.
+        spec = parse_function_spec(text)
+        root = fixed_point_root(spec)
+        residual = spec.value(0.0) + spec.deriv(spec.inverse(root)) - root
+        assert abs(residual) <= 1e-9 * max(1.0, root)
 
 
 class TestParse:

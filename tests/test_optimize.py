@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from compensator_bounds.optimize import bisect_root, golden_max
+from compensator_bounds.optimize import golden_max
 
 
 def bump(x):
@@ -58,18 +58,3 @@ class TestGoldenMax:
         first = golden_max(math.sin, 0.0, 3.0)
         second = golden_max(math.sin, 0.0, 3.0)
         assert [v.hex() for v in first] == [v.hex() for v in second]
-
-
-class TestBisectRoot:
-    def test_exact_zero_at_either_end(self):
-        assert bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
-        assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-    def test_no_sign_change_rejected(self):
-        with pytest.raises(ValueError, match="sign change"):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-12])
-    def test_within_tolerance_of_the_root(self, tol):
-        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, tol)
-        assert abs(root - math.sqrt(2.0)) <= tol

@@ -351,11 +351,20 @@ class TestFixedPointBound:
         (FunctionSpec(Family.EXPONENTIAL, 0.999999), 1.0 / (1.0 - 0.999999)),
     ], ids=["pow:m=7", "exp:lambda=0.999999"])
     def test_root_past_the_last_doubling_below_threshold(self, spec, root):
-        # Both roots lie in (f(0) + 2**19, 1e6]: past the last bracket
-        # end below the divergence threshold, where the search gave up.
+        # Both roots lie just below the 1e6 divergence threshold, and
+        # both are still reported as finite and checked.
         res = fixed_point_bound(spec)
         assert res.value == pytest.approx(root, rel=1e-9)
         assert res.cross_check_ok
+
+    def test_closed_form_is_exact(self):
+        assert fixed_point_bound(FunctionSpec(Family.POWER, 7.0)).value == (
+            823543.0)
+        assert fixed_point_bound(QUAD).value == 1.0 + math.sqrt(2.0)
+
+    def test_finite_root_above_threshold_is_unbounded(self):
+        # 143^143 is still a float, but it lies past 1e6, as 8^8 does.
+        assert fixed_point_bound(FunctionSpec(Family.POWER, 143.0)).unbounded
 
     def test_quad(self):
         res = fixed_point_bound(QUAD)
