@@ -174,10 +174,10 @@ class TestBound:
         assert payload["unbounded"] is True
 
     @pytest.mark.parametrize("text", [
-        "exp:lambda=1", "pow:m=144", "pow:m=200", "pow:m=1e5"])
+        "exp:lambda=1", "pow:m=143", "pow:m=144", "pow:m=200", "pow:m=1e5"])
     def test_no_root_below_threshold_is_unbounded(self, text, capsys):
-        # exp has no root at lambda = 1; m^m overflows float64 from
-        # m = 144 on.
+        # exp has no root at lambda = 1; 143^143 is a float but lies past
+        # 1e6, as 8^8 does; m^m overflows float64 from m = 144 on.
         code, out = run_cli(["bound", "--f", text], capsys)
         assert code == 0
         payload = json.loads(out)

@@ -352,23 +352,14 @@ class TestFixedPointBound:
     ], ids=["pow:m=7", "exp:lambda=0.999999"])
     def test_root_past_the_last_doubling_below_threshold(self, spec, root):
         # Both roots lie just below the 1e6 divergence threshold, and
-        # both are still reported as finite and checked.
+        # both are still reported as finite, exact and checked.
         res = fixed_point_bound(spec)
-        assert res.value == pytest.approx(root, rel=1e-9)
+        assert res.value == root
         assert res.cross_check_ok
-
-    def test_closed_form_is_exact(self):
-        assert fixed_point_bound(FunctionSpec(Family.POWER, 7.0)).value == (
-            823543.0)
-        assert fixed_point_bound(QUAD).value == 1.0 + math.sqrt(2.0)
-
-    def test_finite_root_above_threshold_is_unbounded(self):
-        # 143^143 is still a float, but it lies past 1e6, as 8^8 does.
-        assert fixed_point_bound(FunctionSpec(Family.POWER, 143.0)).unbounded
 
     def test_quad(self):
         res = fixed_point_bound(QUAD)
-        assert res.value == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-8)
+        assert res.value == 1.0 + math.sqrt(2.0)
         assert res.cross_check_ok
 
     def test_remark2_root_fails_cross_check(self):
