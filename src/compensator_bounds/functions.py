@@ -280,9 +280,11 @@ class FunctionSpec:
         """``f^{-1}(y)`` for ``y >= f(0)``, in closed form.
 
         Targets a hair below ``f(0)`` from float rounding are clamped;
-        anything further below raises a range error.
+        anything further below, and NaN, raises a range error.
         """
         y = float(y)
+        if math.isnan(y):
+            raise ValueError("inverse target is NaN")
         f0 = self.f_zero
         if y < f0:
             if y >= f0 - _INVERSE_CLAMP * max(1.0, abs(f0)):

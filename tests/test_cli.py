@@ -379,6 +379,27 @@ class TestTestShift:
             [v, p] for v, p in report.argmin_rv.atoms]
         assert payload["injected_gap"] == report.injected_gap
 
+    # sha256 of the stdout from the scan that evaluated one trial at a
+    # time; exp:lambda=10 carries the large unscaled min_gap that the
+    # relative violation threshold forgives.
+    @pytest.mark.parametrize("f,trials,digest", [
+        ("exp:lambda=0.5", "5000",
+         "d1cd61b7fbcce25a4d2927d85542c84afc537f3c2a735154061118ab6d1693ce"),
+        ("pow:m=2", "5000",
+         "9ce3845fc258d2c41b28b63898476cb4add774caa7f20819030652db9d02288b"),
+        ("quad", "5000",
+         "dcdc707af0bbdf37d7047ebe52de7ed8477aa7259fae376248cb1ae590cb27cb"),
+        ("remark2", "5000",
+         "24a4e6e5c55b7da23f8d36c81e7a7d39f7eb07f589ebbc7186e06d7f0023a627"),
+        ("exp:lambda=10", "2000",
+         "55777ee75993be7d78887cde0b92d3843a589a71e980838ad9266f0fb368e6b9"),
+    ])
+    def test_scan_outputs_are_pinned(self, f, trials, digest, capsys):
+        code, out = run_cli(["test-shift", "--f", f, "--trials", trials,
+                             "--seed", "1"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestSimulate:
     def test_intro_chain(self, tmp_path, capsys):

@@ -131,6 +131,12 @@ class TestInverse:
         with pytest.raises(ValueError, match="below f\\(0\\)"):
             QUAD.inverse(-0.25)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_nan_target_rejected(self, spec):
+        # nan < f(0) is False, so this returned nan.
+        with pytest.raises(ValueError, match="NaN"):
+            spec.inverse(math.nan)
+
     def test_tiny_float_undershoot_clamps_to_zero(self):
         assert EXP_HALF.inverse(1.0 - 1e-12) == 0.0
 

@@ -7,9 +7,12 @@ monotone form ``f^{-1}(E f(a+Y)) <= a + f^{-1}(E f(Y))``.
 """
 
 
+import math
+
 import numpy as np
 import pytest
 
+from compensator_bounds import shift
 from compensator_bounds.functions import Family, FunctionSpec
 from compensator_bounds.shift import (
     COUNTEREXAMPLE_RV,
@@ -73,6 +76,14 @@ class TestDiscreteRV:
         with pytest.raises(ValueError, match="at least one atom"):
             DiscreteRV(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_value(self, bad):
+        # Both were accepted, and expect_f then returned nan or inf.
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteRV(((bad, 1.0),))
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteRV(((0.0, 0.5), (bad, 0.5)))
+
 
 class TestExpectF:
     def test_known_value(self):
@@ -91,6 +102,14 @@ class TestExpectF:
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError, match="shift"):
             expect_f(QUAD, COUNTEREXAMPLE_RV, -0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_shift_rejected(self, bad):
+        # nan < 0 is False, so both returned nan.
+        with pytest.raises(ValueError, match="finite"):
+            expect_f(QUAD, COUNTEREXAMPLE_RV, bad)
+        with pytest.raises(ValueError, match="finite"):
+            shift_gap(QUAD, bad, COUNTEREXAMPLE_RV)
 
 
 class TestShiftGap:
@@ -138,7 +157,49 @@ class TestShiftGap:
                     assert lhs > rhs - 1e-9
 
 
+SCAN_SPECS = [EXP_HALF, FunctionSpec(Family.POWER, 2.0), QUAD, REMARK2]
+
+
+def scan_oracle(spec, trials, seed):
+    """The scan as a plain loop of :func:`shift_gap`, one trial at a
+    time, worst instance the first strict minimum."""
+    violations, worst, injected = 0, None, None
+    for trial in range(trials):
+        if trial == 0:
+            a, rv = COUNTEREXAMPLE_SHIFT, COUNTEREXAMPLE_RV
+        else:
+            a, rv = shift._random_instance(seed, trial)
+        gap = shift_gap(spec, a, rv)
+        lhs = expect_f(spec, rv, a)
+        if trial == 0:
+            injected = gap
+        if gap < VIOLATION_THRESHOLD * max(1.0, abs(lhs)):
+            violations += 1
+        if worst is None or gap < worst[0]:
+            worst = (gap, trial, a, rv)
+    return violations, worst, injected
+
+
 class TestPropertyScan:
+    @pytest.mark.parametrize("seed", [1, 8])
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=str)
+    def test_batched_scan_matches_scalar_oracle(self, spec, seed):
+        report = property_scan(spec, 300, seed)
+        violations, (gap, trial, a, rv), injected = scan_oracle(spec, 300,
+                                                                seed)
+        assert report.violations == violations
+        assert report.min_gap == gap
+        assert report.argmin_trial == trial
+        assert report.argmin_shift == a
+        assert report.argmin_rv == rv
+        assert report.injected_gap == injected
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=str)
+    def test_chunk_size_does_not_change_the_report(self, spec, monkeypatch):
+        whole = property_scan(spec, 300, seed=3)
+        monkeypatch.setattr(shift, "_CHUNK_TRIALS", 7)
+        assert property_scan(spec, 300, seed=3) == whole
+
     def test_deterministic_given_seed(self):
         a = property_scan(QUAD, 500, seed=13)
         b = property_scan(QUAD, 500, seed=13)
