@@ -283,10 +283,12 @@ class FunctionSpec:
         anything further below, and NaN, raises a range error.
         """
         y = float(y)
-        if math.isnan(y):
-            raise ValueError("inverse target is NaN")
         f0 = self.f_zero
-        if y < f0:
+        # Negated so that NaN, for which every comparison is False, takes
+        # this branch too.
+        if not y >= f0:
+            if math.isnan(y):
+                raise ValueError("inverse target is NaN")
             if y >= f0 - _INVERSE_CLAMP * max(1.0, abs(f0)):
                 return 0.0
             raise ValueError(f"inverse target {y} below f(0) = {f0}")
