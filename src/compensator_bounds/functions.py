@@ -15,10 +15,10 @@ Each family is one record in ``_FAMILIES``: its parameter key and
 validity rule, ``f(0)``, whether it belongs to the shift class, and the
 closed forms of ``f`` (array and scalar), ``f'``, ``f''``, ``f^{-1}``,
 the root ``B`` of the fixed-point equation ``B = f(0) + f'(f^{-1}(B))``
-and, where the math gives one, the maximizer of the recursion's one-step
-objective.  A :class:`FunctionSpec` bundles a family with its parameter,
-evaluates those forms, and round-trips through the little
-``family:key=value`` string syntax used on the command line.
+and the maximizer of the recursion's one-step objective.  A
+:class:`FunctionSpec` bundles a family with its parameter, evaluates
+those forms, and round-trips through the little ``family:key=value``
+string syntax used on the command line.
 """
 
 from __future__ import annotations
@@ -125,9 +125,8 @@ def _remark2_forms(_: None) -> _Forms:
     )
 
 
-# Closed-form maximizers argmax(b, o) of the recursion's one-step
-# objective a f(a) + (1 - a) f(a + o), with o = f^{-1}(b), over a in
-# [0, 1] with its endpoints.
+# Maximizers argmax(b, o) over a in [0, 1] of the recursion's one-step
+# objective a f(a) + (1 - a) f(a + o), with o = f^{-1}(b).
 
 
 def _clip_unit(a: float) -> float:
@@ -165,7 +164,58 @@ def _pow3_argmax(b, o):
     return _clip_unit(2.0 * qc / (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)))
 
 
-_POW_ARGMAX = {2.0: _pow2_argmax, 3.0: _pow3_argmax}
+def _pow_argmax(m: float):
+    def slope(a, o):
+        return ((m + 1.0) * a ** m - (a + o) ** m
+                + m * (1.0 - a) * (a + o) ** (m - 1.0))
+
+    def argmax(b, o):
+        # The slope's signs along [0, 1] run +, - or + then -.  At b = 0
+        # it is 0 at a = 0 for m > 1 while the objective rises, so a = 1
+        # is tested first; past that a zero slope at 0 means a* = 0.
+        s0 = slope(0.0, o)
+        if s0 < 0.0:
+            return 0.0
+        if slope(1.0, o) > 0.0:
+            return 1.0
+        if s0 == 0.0:
+            return 0.0
+        lo, hi = 0.0, 1.0
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            lo, hi = (mid, hi) if slope(mid, o) > 0.0 else (lo, mid)
+        return lo
+
+    return {2.0: _pow2_argmax, 3.0: _pow3_argmax}.get(m, argmax)
+
+
+def _quad_argmax(b, o):
+    # The slope in a is 1 - o^2/2 + a (1 - 2o): positive while o <= 1/2.
+    if o <= 0.5:
+        return 1.0
+    return _clip_unit((1.0 - 0.5 * o * o) / (2.0 * o - 1.0))
+
+
+def _remark2_argmax(_: None):
+    f = _remark2_forms(None).f_scalar
+
+    def argmax(b, o):
+        # Up to the splice (a <= 1 - o) the objective is a (1 - o) + o,
+        # best at an end of that piece.  Beyond it the slope is
+        # -3a^2/2 + (3 - 2o) a - (1 - o)^2/2, whose roots are the other
+        # candidates.  max keeps the first, smallest a of tied values.
+        cands = [0.0, _clip_unit(1.0 - o), 1.0]
+        p, c = 3.0 - 2.0 * o, -0.5 * (1.0 - o) ** 2
+        disc = p * p + 6.0 * c
+        if disc >= 0.0:
+            q = -0.5 * (p + math.copysign(math.sqrt(disc), p))
+            cands += [_clip_unit(q / -1.5), _clip_unit(c / q)]
+        return max(sorted(cands),
+                   key=lambda a: a * f(a) + (1.0 - a) * f(a + o))
+
+    return argmax
 
 
 def _exp_root(lam: float) -> float:
@@ -189,9 +239,8 @@ class _Record(NamedTuple):
     ``valid`` accepts a parameter value and ``rule`` says in words what
     it accepts; ``forms`` builds the closed forms for one parameter and
     ``root`` gives the closed-form fixed point ``B`` for one parameter.
-    ``argmax``, where set, builds for one parameter the closed-form
-    maximizer ``argmax(b, o)`` of the recursion's one-step objective, or
-    ``None`` when that parameter has none.
+    ``argmax`` builds for one parameter the maximizer ``argmax(b, o)``
+    of the recursion's one-step objective.
     """
 
     key: str | None
@@ -201,7 +250,7 @@ class _Record(NamedTuple):
     class_s: bool
     forms: Callable[[float | None], _Forms]
     root: Callable[[float | None], float]
-    argmax: Callable[[float | None], Callable | None] | None = None
+    argmax: Callable[[float | None], Callable]
 
 
 _FAMILIES = {
@@ -210,20 +259,24 @@ _FAMILIES = {
                                 _exp_argmax),
     Family.POWER: _Record("m", ">= 1", lambda p: p >= 1.0,
                           0.0, True, _pow_forms, _pow_root,
-                          _POW_ARGMAX.get),
+                          _pow_argmax),
     # 1 + f^{-1}(B) = B, so B^2 = 1 + 2B.
     Family.QUAD: _Record(None, None, None, 0.0, True, _quad_forms,
-                         lambda _: 1.0 + math.sqrt(2.0)),
+                         lambda _: 1.0 + math.sqrt(2.0),
+                         lambda _: _quad_argmax),
     # Outside the shift class: the curvature-to-slope ratio jumps up at
     # the splice.  Its root is 1, not the recursion's limit 41/32: below
     # the splice f'(f^{-1}(B)) = 1, and past it sqrt(2B - 1) = B only at 1.
     Family.REMARK2: _Record(None, None, None, 0.0, False, _remark2_forms,
-                            lambda _: 1.0),
+                            lambda _: 1.0, _remark2_argmax),
 }
 
 
 def _domain_check(x) -> None:
-    if np.any(np.asarray(x) < 0.0):
+    # Negated so that NaN, for which every comparison is False, fails too.
+    if not np.all(np.asarray(x) >= 0.0):
+        if np.any(np.isnan(x)):
+            raise ValueError("function argument is NaN")
         raise ValueError("function argument must be >= 0")
 
 
@@ -358,12 +411,13 @@ def vector_callable(spec: FunctionSpec):
 
 
 def step_argmax(spec: FunctionSpec):
-    """The closed-form maximizer ``argmax(b, o)`` of the recursion's
-    one-step objective, with ``o = f^{-1}(b)``; ``None`` for families
-    without one (``quad``, ``remark2`` and ``pow`` unless ``m`` is 2 or
-    3)."""
-    build = _FAMILIES[spec.family].argmax
-    return None if build is None else build(spec.param)
+    """The maximizer ``argmax(b, o)`` over ``[0, 1]`` of the recursion's
+    one-step objective, with ``o = f^{-1}(b)``; ties go to the smallest
+    increment.  The slope's root in closed form, clipped to ``[0, 1]``,
+    for ``exp``, ``quad`` and ``pow`` with ``m`` 2 or 3; the best of the
+    ends, the splice and the slope's roots for ``remark2``; a bisection
+    of the slope, which can raise OverflowError, for the other ``pow``."""
+    return _FAMILIES[spec.family].argmax(spec.param)
 
 
 def fixed_point_root(spec: FunctionSpec) -> float:

@@ -1,10 +1,10 @@
-"""Deterministic golden-section search shared across the solvers.
+"""Deterministic golden-section search.
 
 One-dimensional maximization inside a bracket whose ends the caller has
-already scanned; the Bellman backup's batched refinement shares its
-contraction factor.  Identical inputs produce bit-identical outputs: no
-randomness, fixed iteration counts, and ties resolved toward the probe
-made first.
+already scanned: the scalar form of the Bellman backup's batched
+refinement, which shares its contraction factor.  Identical inputs
+produce bit-identical outputs: no randomness, fixed iteration counts,
+and ties resolved toward the probe made first.
 """
 
 from __future__ import annotations

@@ -25,9 +25,7 @@ from .functions import (
     fixed_point_root,
     scalar_callable,
     step_argmax,
-    vector_callable,
 )
-from .optimize import golden_max
 
 __all__ = [
     "SolverConfig",
@@ -53,12 +51,10 @@ _DIVERGENCE_THRESHOLD = 1e6
 class SolverConfig:
     """Numerical knobs of the recursion and Bellman solvers.
 
-    ``opt_grid_points`` is the recursion's coarse scan size; the Bellman
-    route takes its increments from the grid.  On both routes a golden
-    refinement makes at most ``refine_iters + 1`` objective evaluations.
-    Recursion steps of families with a closed-form maximizer (``exp``,
-    and ``pow`` with ``m`` 2 or 3) ignore both ``opt_grid_points`` and
-    ``refine_iters``.
+    No solver reads ``opt_grid_points``; it stays the first positional
+    field so that positional configurations keep their meaning.  A
+    Bellman backup's golden refinement makes ``refine_iters + 1``
+    objective evaluations; recursion steps read neither field.
     """
 
     opt_grid_points: int = 2048
@@ -67,8 +63,6 @@ class SolverConfig:
     max_iterations: int = 20000
 
     def __post_init__(self) -> None:
-        if self.opt_grid_points < 2:
-            raise ValueError("opt_grid_points must be >= 2")
         if self.refine_iters < 0:
             raise ValueError("refine_iters must be >= 0")
         if not math.isfinite(self.b_tolerance):
@@ -82,110 +76,61 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
+def _check_increment(a) -> None:
+    # Negated so that NaN, for which every comparison is False, fails too.
+    if not np.all((np.asarray(a) >= 0.0) & (np.asarray(a) <= 1.0)):
+        raise ValueError("increment a must lie in [0, 1]")
+
+
 def mixture_objective(spec: FunctionSpec, a, b: float):
     """The one-step objective at increment ``a`` given previous bound
     ``b >= f(0)``; vectorized over ``a`` in ``[0, 1]``."""
-    if np.any(np.asarray(a) < 0.0) or np.any(np.asarray(a) > 1.0):
-        raise ValueError("increment a must lie in [0, 1]")
+    _check_increment(a)
     offset = spec.inverse(b)
     return a * spec.value(a) + (1.0 - a) * spec.value(a + offset)
 
 
 def mixture_objective_deriv(spec: FunctionSpec, a, b: float):
     """d/da of :func:`mixture_objective`; vectorized over ``a``."""
-    if np.any(np.asarray(a) < 0.0) or np.any(np.asarray(a) > 1.0):
-        raise ValueError("increment a must lie in [0, 1]")
+    _check_increment(a)
     offset = spec.inverse(b)
     shifted = a + offset
     return (spec.value(a) + a * spec.deriv(a)
             - spec.value(shifted) + (1.0 - a) * spec.deriv(shifted))
 
 
-def _grid_stepper(spec: FunctionSpec, cfg: SolverConfig):
-    """A reusable single-step maximizer by grid scan plus golden search.
-
-    Precomputes every grid quantity that does not depend on the incoming
-    bound ``b`` (the first mixture term in particular), which matters
-    when the recursion runs for hundreds of thousands of steps.  A scan
-    that overflows (``inf``, or ``0 * inf = nan`` at ``a = 1``) gives the
-    value ``inf``.
-    """
-    n = cfg.opt_grid_points
-    a_grid = np.linspace(0.0, 1.0, n)
-    f_vec = vector_callable(spec)
-    f_scal = scalar_callable(spec)
-    first_term = a_grid * f_vec(a_grid)
-    weight = 1.0 - a_grid
-    refine_iters = cfg.refine_iters
-
-    def step(b: float) -> tuple[float, float]:
-        offset = spec.inverse(b)
-        vals = first_term + weight * f_vec(a_grid + offset)
-        peak = float(np.max(vals))
-        if not math.isfinite(peak):
-            return math.inf, math.nan
-        # Ties (exact or within float noise, as on flat objectives) go
-        # to the smallest increment.
-        noise = 1e-13 * max(1.0, abs(peak))
-        i = int(np.argmax(vals >= peak - noise))
-        best_v = float(vals[i])
-        best_x = float(a_grid[i])
-        if refine_iters > 0:
-            ref_v, ref_x = golden_max(
-                lambda a: a * f_scal(a) + (1.0 - a) * f_scal(a + offset),
-                float(a_grid[max(i - 1, 0)]),
-                float(a_grid[min(i + 1, n - 1)]), refine_iters - 1)
-            if ref_v > best_v + noise:
-                best_v, best_x = ref_v, ref_x
-        if best_v < b:
-            # The true supremum is >= b (the objective equals b at
-            # a = 0); only inverse round-off can dip below.
-            return b, 0.0
-        return best_v, best_x
-
-    return step
-
-
-def _make_stepper(spec: FunctionSpec, cfg: SolverConfig):
-    """A reusable single-step maximizer ``b -> (value, argmax)``.
-
-    Families with a closed-form maximizer (``exp``, and ``pow`` with
-    ``m`` 2 or 3) evaluate the objective once, at that maximizer, and
-    ignore ``cfg``; the others use :func:`_grid_stepper`.  A value that
-    overflows comes back as ``inf``.
-    """
+def _make_stepper(spec: FunctionSpec):
+    """A reusable single-step maximizer ``b -> (value, argmax)``: the
+    family record's maximizer, where the objective is evaluated once.
+    A maximizer or value that overflows gives the value ``inf``."""
     argmax = step_argmax(spec)
-    if argmax is None:
-        return _grid_stepper(spec, cfg)
     f = scalar_callable(spec)
 
     def step(b: float) -> tuple[float, float]:
         offset = spec.inverse(b)
-        a = argmax(b, offset)
         try:
+            a = argmax(b, offset)
             value = a * f(a) + (1.0 - a) * f(a + offset)
         except OverflowError:
-            return math.inf, a
+            return math.inf, math.nan
         if value < b:
-            # As on the grid: only inverse round-off can dip below b.
+            # The true supremum is >= b (the objective equals b at
+            # a = 0); only inverse round-off can dip below.
             return b, 0.0
         return value, a
 
     return step
 
 
-def optimal_step(spec: FunctionSpec, b: float,
-                 cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def optimal_step(spec: FunctionSpec, b: float) -> tuple[float, float]:
     """Maximize the one-step objective over ``a in [0, 1]``.
 
-    In closed form for ``exp`` and for ``pow`` with ``m`` 2 or 3.  The
-    other families use a grid scan (``cfg.opt_grid_points``) plus
-    golden-section refinement; values within 1e-13 relative of the peak
-    tie, toward the smallest ``a``.  Returns ``(value, argmax)`` with
+    The maximizer comes from :func:`~.functions.step_argmax`, so ties go
+    to the smallest ``a``.  Returns ``(value, argmax)`` with
     ``value >= b`` guaranteed (the objective equals ``b`` at ``a = 0``);
     ``value`` is ``inf`` when ``f`` overflows.
     """
-    return _make_stepper(spec, cfg)(b)
+    return _make_stepper(spec)(b)
 
 
 class RecursionStatus(Enum):
@@ -216,13 +161,13 @@ class RecursionTrace:
         return self.b[-1]
 
 
-def _step_loop(spec: FunctionSpec, cfg: SolverConfig, n_steps: int,
+def _step_loop(spec: FunctionSpec, n_steps: int,
                status=lambda b_seq: None):
     """``b_0 = f(0)`` and up to ``n_steps`` steps, ending after the first
     step for which ``status(b_0 .. b_k)`` is not None.  Returns
     ``(b, a_star, that status or MAX_ITERATIONS)``.  Raises ValueError
     at the first step whose value is not finite."""
-    stepper = _make_stepper(spec, cfg)
+    stepper = _make_stepper(spec)
     b_seq = [spec.f_zero]
     a_seq: list[float] = []
     for k in range(1, n_steps + 1):
@@ -253,7 +198,7 @@ def iterate(spec: FunctionSpec,
             return RecursionStatus.CONVERGED
         return None
 
-    b_seq, a_seq, end = _step_loop(spec, cfg, cfg.max_iterations, status)
+    b_seq, a_seq, end = _step_loop(spec, cfg.max_iterations, status)
     return RecursionTrace(
         spec, tuple(b_seq), tuple(a_seq), end,
         limit=b_seq[-1] if end is RecursionStatus.CONVERGED else None,
@@ -266,11 +211,11 @@ def recursion_sequence(spec: FunctionSpec, n_steps: int,
     """Exactly ``n_steps`` recursion values with no stopping rule.
 
     Returns ``(b_0 .. b_n, a_1 .. a_n)``; used when a fixed horizon must
-    line up with the Bellman table.
+    line up with the Bellman table.  No step reads ``cfg``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    return _step_loop(spec, cfg, n_steps)[:2]
+    return _step_loop(spec, n_steps)[:2]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from compensator_bounds.recursion import (
 )
 # The y = 0 values this solver produces agree with the heavyweight
 # default to ~2e-8, far below every tolerance below.
-LIGHT = SolverConfig(opt_grid_points=256, refine_iters=40)
+LIGHT = SolverConfig(refine_iters=40)
 
 
 def _verdict(number: int, description: str, checks) -> None:

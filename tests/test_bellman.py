@@ -40,7 +40,7 @@ QUAD = FunctionSpec(Family.QUAD)
 # only shortens the golden refinement: the y = 0 column agrees with the
 # default solver to ~2e-15.  The recursion's coarse a-grid can be light
 # because the one-step objective is unimodal in the increment.
-LIGHT = SolverConfig(opt_grid_points=256, refine_iters=40)
+LIGHT = SolverConfig(refine_iters=40)
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +279,7 @@ class TestExtremalPolicy:
         # With the compensator at zero the table's maximizing increment
         # should track the scalar recursion's maximizer.
         b_seq, _ = recursion_sequence(EXP_HALF, 40, LIGHT)
-        _, a_star = optimal_step(EXP_HALF, b_seq[39], LIGHT)
+        _, a_star = optimal_step(EXP_HALF, b_seq[39])
         pol = extremal_policy(exp_table_40)
         assert pol.action(40, 0.0) == pytest.approx(a_star, abs=0.02)
 
@@ -361,9 +361,9 @@ class TestCompareBounds:
         assert [r[1] for r in rows] == [tab.value_at_zero(n)
                                         for n in range(7)]
         assert [r[2] for r in rows] == list(b_seq)
-        # The default solver refines the recursion's maximizer, so the
-        # rows above really follow the table's solver.
-        assert list(recursion_sequence(QUAD, 6)[0]) != list(b_seq)
+        # No recursion step reads the solver, so the default solver's
+        # recursion gives the same rows.
+        assert list(recursion_sequence(QUAD, 6)[0]) == list(b_seq)
 
     def test_remark2_not_enforced(self):
         cmp = compare_bounds(value_iteration(
@@ -448,7 +448,7 @@ class TestLatticeBackup:
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
     def test_batched_report_equals_per_state_calls(self, spec):
         tab = value_iteration(spec, 4, GridConfig(8.0, 1.0 / 64),
-                              solver=SolverConfig(64, 20))
+                              solver=SolverConfig(refine_iters=20))
         y_samples = (0.0, 0.35, 0.8, 1.6, 2.5)
         x_samples = np.linspace(0.0, 1.0, 9)
         report = verify_lemma1(tab)

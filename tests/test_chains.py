@@ -47,8 +47,7 @@ def geometric_oracle(lam: float, n: int) -> float:
 @pytest.fixture(scope="module")
 def exp_table_30():
     return value_iteration(EXP_HALF, 30, GridConfig(30.0, 1.0 / 512),
-                           solver=SolverConfig(opt_grid_points=256,
-                                               refine_iters=40))
+                           solver=SolverConfig(refine_iters=40))
 
 
 class TestChainLaw:

@@ -490,6 +490,11 @@ class TestPinnedRecursionOutputs:
     # sha256 of the stdout of the bound and recursion commands, frozen
     # from the golden search that also probed its bracket ends and swept
     # its last pair again; the quad bound from the closed-form root.
+    # The remark2 and quad recursions are pinned from the maximizer in
+    # their family records; the 2048-point scan they replaced stopped
+    # remark2 at b_149 = 1.2812499824243049 (now b_155 =
+    # 1.2812499915935995) and quad at b_3231 = 2.4109528257299075 (now
+    # b_3231 = 2.4109528257295296).
     @pytest.mark.parametrize("argv,digest", [
         (["bound", "--f", "exp:lambda=0.5"],
          "2bb1bf3b7c1098b170dc7d8e6408c667c1a6d1d37a89404f7ae39ca14dfe4d22"),
@@ -504,11 +509,11 @@ class TestPinnedRecursionOutputs:
         (["bound", "--f", "remark2"],
          "513c18708f23e8cf3a89dfe5b0d331ed1ad027cf3acdb08abb0af0155620a0ac"),
         (["solve-recursion", "--f", "remark2"],
-         "5af298f78ff823c4efff04f95f57f54e8ec36fe4ee7a9ac43d6a49212b8af66c"),
+         "4fcb9c7cc3373d52e47341e11fba91a75b6b3b1f0fb63ccd7e4c991586f2e94c"),
         (["solve-recursion", "--f", "pow:m=1"],
          "1a08c214010e19d0defa00dfcfab52b68b9372fb626b0aea966cb29441847a28"),
         (["solve-recursion", "--f", "quad", "--tol", "1e-6"],
-         "bc1b5b5877e1942ba297f7ae98d799d90fa9c4e6f171e5c9a153a0d4f8046921"),
+         "521b0165633a5b1f3dd28852c62f7942e1d92eb29783f8634278ec5405309d37"),
     ])
     def test_recursion_outputs_are_pinned(self, argv, digest, capsys):
         code, out = run_cli(argv, capsys)

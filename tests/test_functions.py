@@ -83,6 +83,22 @@ class TestEval:
             with pytest.raises(ValueError, match=">= 0"):
                 spec.deriv(-1e-9)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_nan_argument_rejected(self, spec):
+        # nan < 0 is False, so value and deriv returned nan.
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                spec.value(x)
+            with pytest.raises(ValueError, match="NaN"):
+                spec.deriv(x)
+
+    def test_infinite_argument_still_evaluates(self):
+        # Only NaN is rejected; +inf is in the domain.
+        assert EXP_HALF.value(math.inf) == math.inf
+        assert QUAD.deriv(math.inf) == math.inf
+        assert list(REMARK2.value(np.array([0.5, math.inf]))) == [0.5,
+                                                                 math.inf]
+
     def test_scalar_in_scalar_out(self):
         assert isinstance(QUAD.value(1.5), float)
         assert isinstance(EXP_HALF.deriv(1.5), float)

@@ -3,10 +3,11 @@
 Closed forms are the oracles wherever they exist: the exponential
 family's one-step maximum has an explicit formula, every family's
 fixed point is known, and the slope of the one-step objective can be
-cross-checked by finite differences.  The light solver configurations
-in the long-running tests are safe because the one-step objective is
-unimodal in the increment for every built-in family (verified by the
-fine-grid scan in ``test_objective_is_unimodal``).
+cross-checked by finite differences.  Every family's one-step maximizer
+comes from its record; a dense scan of ``mixture_objective``, which
+shares no code with it, is the oracle for the step, and
+``test_objective_is_unimodal`` checks the slope sign pattern that the
+power family's bisection relies on.
 """
 
 import math
@@ -14,7 +15,6 @@ import math
 import numpy as np
 import pytest
 
-from compensator_bounds import recursion
 from compensator_bounds.functions import Family, FunctionSpec, step_argmax
 from compensator_bounds.recursion import (
     RecursionStatus,
@@ -52,16 +52,12 @@ FD_RANGES = [
 
 @pytest.fixture(scope="module")
 def pow2_long_trace():
-    cfg = SolverConfig(opt_grid_points=64, refine_iters=28,
-                       max_iterations=60000)
-    return iterate(POW_TWO, cfg)
+    return iterate(POW_TWO, SolverConfig(max_iterations=60000))
 
 
 @pytest.fixture(scope="module")
 def pow3_long_trace():
-    cfg = SolverConfig(opt_grid_points=64, refine_iters=28,
-                       max_iterations=660000)
-    return iterate(POW_THREE, cfg)
+    return iterate(POW_THREE, SolverConfig(max_iterations=660000))
 
 
 class TestMixtureObjective:
@@ -86,6 +82,11 @@ class TestMixtureObjective:
             mixture_objective(QUAD, 1.5, 1.0)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             mixture_objective_deriv(QUAD, -0.1, 1.0)
+        # nan < 0 and nan > 1 are both False, so NaN gave NaN.
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            mixture_objective(QUAD, math.nan, 1.0)
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            mixture_objective_deriv(QUAD, np.array([0.5, math.nan]), 1.0)
 
     def test_objective_is_unimodal(self):
         # At most one interior local maximum in a (beyond float noise),
@@ -102,6 +103,15 @@ class TestMixtureObjective:
                 flips = (int(np.sum((sign[:-1] > 0) & (sign[1:] < 0)))
                          if sign.size > 1 else 0)
                 assert flips <= 1, (spec, b)
+        # The power family's bisection needs more: along a in [0, 1] the
+        # slope's signs run +, - or + then -, never - then +.
+        for m in (1.0, 1.5, 2.5, 4.0, 7.0, 20.0, 40.0):
+            spec = FunctionSpec(Family.POWER, m)
+            for o in np.linspace(0.0, 50.0 * m, 41):
+                d = mixture_objective_deriv(spec, a, float(o) ** m)
+                scale = max(1.0, float(np.max(np.abs(d))))
+                sign = np.sign(d[np.abs(d) > 1e-12 * scale])
+                assert not np.any((sign[:-1] < 0) & (sign[1:] > 0)), (m, o)
 
     def test_deriv_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -168,53 +178,60 @@ class TestOptimalStep:
         value, a_star = optimal_step(POW_ONE, 1.0)
         assert value == 1.0
         assert a_star == 0.0
+        # The maximizer itself, not only the value >= b guard, says 0;
+        # likewise at the fixed point o = m of pow:m=4.
+        assert step_argmax(POW_ONE)(1.0, 1.0) == 0.0
+        pow4 = FunctionSpec(Family.POWER, 4.0)
+        assert step_argmax(pow4)(256.0, 4.0) == 0.0
+        # At remark2's limit b = 41/32 the objective peaks at a = 0 and
+        # at a = 1/4 with the same value, exactly in float.
+        assert optimal_step(REMARK2, 41.0 / 32.0) == (41.0 / 32.0, 0.0)
 
-    @pytest.mark.parametrize("iters", [0, 1, 5, None])
-    def test_refinement_makes_at_most_refine_iters_plus_one_evaluations(
-            self, monkeypatch, iters):
-        # Only the golden refinement calls the scalar f, twice per
-        # objective evaluation; the coarse scan is vectorized.
-        calls = []
-        real = recursion.scalar_callable
 
-        def counting(spec):
-            f = real(spec)
+DENSE_A = np.linspace(0.0, 1.0, 200001)
 
-            def counted(x):
-                calls.append(x)
-                return f(x)
-            return counted
 
-        monkeypatch.setattr(recursion, "scalar_callable", counting)
-        cfg = SolverConfig() if iters is None else SolverConfig(
-            refine_iters=iters)
-        optimal_step(QUAD, 3.0, cfg)
-        evals = len(calls) // 2
-        if iters is None:
-            # The default stops once the bracket reaches float resolution.
-            assert 0 < evals <= cfg.refine_iters + 1
-        else:
-            assert evals == (iters + 1 if iters else 0)
+def dense_grid_step(spec, b):
+    """The best value of a 200001-point scan of the one-step objective."""
+    return float(np.max(mixture_objective(spec, DENSE_A, b)))
 
 
 class TestClosedFormStep:
-    # The families whose one-step maximizer is in closed form; the grid
-    # stepper, which the others use, is the oracle.
-    SPECS = [EXP_HALF, EXP_ONE, EXP_TWO, POW_TWO, POW_THREE]
+    # Every family's one-step maximizer comes from its record: in closed
+    # form for exp, quad and pow with m 2 or 3, from candidates for
+    # remark2, by bisecting the slope for the other powers.
+    SPECS = [EXP_HALF, EXP_ONE, EXP_TWO, POW_ONE,
+             FunctionSpec(Family.POWER, 1.5), POW_TWO,
+             FunctionSpec(Family.POWER, 2.5), POW_THREE,
+             FunctionSpec(Family.POWER, 4.0),
+             FunctionSpec(Family.POWER, 7.0), QUAD, REMARK2]
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_agrees_with_grid_stepper_on_a_ladder(self, spec):
+        # The step's value is the objective at its a*, reaches the best
+        # value of a dense scan, and the slope falls through zero at a*.
         bound = fixed_point_bound(spec).value
-        top = 100.0 if math.isinf(bound) else 0.999 * bound
-        closed = recursion._make_stepper(spec, recursion.DEFAULT_CONFIG)
-        grid = recursion._grid_stepper(spec, recursion.DEFAULT_CONFIG)
-        for b in np.linspace(spec.f_zero, top, 1000):
-            value, a_star = closed(float(b))
-            grid_value, grid_a = grid(float(b))
-            assert value == pytest.approx(grid_value, rel=1e-12, abs=0.0), b
-            assert a_star == pytest.approx(grid_a, abs=1e-6), b
+        top = 100.0 if math.isinf(bound) else max(1.5 * bound, 3.0)
+        for b in np.linspace(spec.f_zero, top, 60):
+            b = float(b)
+            value, a_star = optimal_step(spec, b)
+            assert 0.0 <= a_star <= 1.0
+            assert value == pytest.approx(
+                max(b, mixture_objective(spec, a_star, b)), rel=1e-14)
+            scan = dense_grid_step(spec, b)
+            assert value >= scan - 2e-15 * max(1.0, abs(scan)), b
+            tol = 1e-12 * max(1.0, value)
+            h = 1e-6
+            if a_star > 0.0:
+                left = mixture_objective_deriv(spec, max(a_star - h, 0.0), b)
+                assert left >= -tol, (b, a_star)
+            if a_star < 1.0:
+                right = mixture_objective_deriv(spec, min(a_star + h, 1.0), b)
+                assert right <= tol, (b, a_star)
 
-    @pytest.mark.parametrize("spec", [POW_TWO, POW_THREE], ids=str)
+    @pytest.mark.parametrize("spec", [
+        FunctionSpec(Family.POWER, m) for m in (1.5, 2.0, 2.5, 3.0, 4.0,
+                                                1100.0)], ids=str)
     def test_convex_power_step_from_zero_takes_the_whole_unit(self, spec):
         # At b = 0 the objective a^{m+1} + (1 - a) a^m is increasing.
         assert optimal_step(spec, 0.0) == (1.0, 1.0)
@@ -227,25 +244,24 @@ class TestClosedFormStep:
     def test_ignores_the_grid_settings(self):
         light = SolverConfig(opt_grid_points=2, refine_iters=0)
         for spec in self.SPECS:
-            assert optimal_step(spec, 1.5, light) == optimal_step(spec, 1.5)
+            assert (recursion_sequence(spec, 8, light)
+                    == recursion_sequence(spec, 8)), spec
 
-    def test_other_families_stay_on_the_grid(self):
+    def test_every_family_has_a_one_step_argmax(self):
         for spec in self.SPECS:
-            assert step_argmax(spec) is not None
-        for spec in (QUAD, REMARK2, POW_ONE,
-                     FunctionSpec(Family.POWER, 2.5)):
-            assert step_argmax(spec) is None
+            a_star = step_argmax(spec)(2.0, spec.inverse(2.0))
+            assert 0.0 <= a_star <= 1.0, spec
 
 
 class TestOverflow:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("spec, step", [
         (FunctionSpec(Family.EXPONENTIAL, 710.0), 1),
         (FunctionSpec(Family.POWER, 1100.0), 2),
-    ], ids=["closed-form", "grid"])
+    ], ids=["closed-form", "bisection"])
     def test_non_finite_step_is_rejected(self, spec, step):
-        # The grid scan once picked a = 1/2047 past the NaN of 0 * inf
-        # and reported a finite, wrong b_1 = 1.4146 for exp:lambda=710.
+        # A scan once picked an increment past the NaN of 0 * inf and
+        # reported a finite, wrong b_1 = 1.4146 for exp:lambda=710.  For
+        # pow:m=1100 the bisection's slope overflows first, at a = 1.
         with pytest.raises(ValueError, match=f"step {step} of {spec}"):
             iterate(spec)
 
@@ -285,6 +301,16 @@ class TestIterate:
         assert trace.b[1] == pytest.approx(math.e, abs=1e-9)
         assert trace.status is RecursionStatus.MAX_ITERATIONS
         assert np.all(np.diff(trace.b) >= 0.0)
+
+    def test_remark2_limit_is_a_fixed_point_of_the_step_map(self):
+        # The scan stepper stopped at b = 1.2812499824243049, where its
+        # scan lattice missed a = 1/4 and the step still rose by 1.76e-9.
+        trace = iterate(REMARK2)
+        assert trace.status is RecursionStatus.CONVERGED
+        scan = mixture_objective(REMARK2, np.linspace(0.2, 0.3, 200001),
+                                 trace.limit)
+        assert float(np.max(scan)) - trace.limit < SolverConfig().b_tolerance
+        assert trace.limit <= 41.0 / 32.0
 
     def test_linear_power_converges_immediately(self):
         trace = iterate(POW_ONE)
