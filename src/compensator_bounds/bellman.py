@@ -9,14 +9,17 @@ complementary probability.  The value tables computed here store the
 ``x = 0`` slice on a uniform ``y``-grid with linear interpolation;
 general ``x`` is reconstructed on demand from that slice.
 
-Every backup runs through one maximizer over arrays of states: a coarse
-scan of increments, keeping the first strict maximum, then a golden
-refinement between the winner's neighbouring candidates that evaluates
-the objective once per contraction.  The coarse increments come from
-the grid alone: ``a_k = min(k * step, 1 - x)`` for
-``k = 0 .. ceil(1 / step)``, that is, the grid lattice plus ``a = 1``
-when ``step`` does not divide 1.  On whole-grid ``x = 0`` layers
-``f(y + a)`` and ``V_{n-1}(y + a)`` are then plain slices.
+Every backup runs through one maximizer over arrays of states: a scan
+of increments that keeps the first strict maximum, so ties go to the
+smallest increment.  The increments come from the grid alone:
+``a_k = min(k * step, 1 - x)`` for ``k = 0 .. ceil(1 / step)``, that is,
+the grid lattice plus ``a = 1`` when ``step`` does not divide 1.  On
+whole-grid ``x = 0`` layers ``f(y + a)`` and ``V_{n-1}(y + a)`` are then
+plain slices, so no ``x = 0`` node reads an interpolated value.  On
+its trusted nodes (below) each such layer is the exact value of the
+control problem whose increments lie on the lattice, and ``V[n, 0]`` is
+``E f(Y_n)`` for the chain that follows the stored increments: a lower
+bound on the supremum over all increments.
 
 Reads past the top of the grid clamp to the last value, so the layer for
 ``n`` steps to go is only trustworthy for ``y <= y_max - n``; build
@@ -27,13 +30,12 @@ large ``y`` are needed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import FunctionSpec, is_class_s_family, vector_callable
-from .optimize import _INVPHI
-from .recursion import DEFAULT_CONFIG, SolverConfig, recursion_sequence
+from .recursion import SolverConfig, recursion_sequence
 
 __all__ = [
     "GridConfig",
@@ -84,10 +86,12 @@ class GridConfig:
 def grid_error_budget(step: float) -> float:
     """Absolute error allowance for grid-interpolated values.
 
-    Linear interpolation of the convex layers overestimates by
-    O(step^2) per layer; ``2 * step`` is a deliberately generous cover
-    for every horizon used here (the refinement study in the test suite
-    shows actual step-halving differences orders of magnitude smaller).
+    Linear interpolation of the convex layers overestimates off the
+    nodes by O(step^2) per layer, and the increment lattice keeps the
+    ``x = 0`` nodes below the continuous optimum by O(step^2);
+    ``2 * step`` is a deliberately generous cover for every horizon used
+    here (the refinement study in the test suite shows actual
+    step-halving differences orders of magnitude smaller).
     """
     return 2.0 * step
 
@@ -129,136 +133,35 @@ def _uniform_interp(V: np.ndarray, step: float, q) -> np.ndarray:
                         np.empty_like(q), np.empty(q.shape, dtype=np.intp))
 
 
-class _Objective:
-    """``(x+a) f(y+a) + (1-(x+a)) V_prev~(y+a)`` at the states
-    ``(x[i], y[i])`` (``x`` an array like ``y`` or one shared scalar),
-    for one increment ``a[i]`` per state.
-
-    Its scratch arrays are allocated once, so a call allocates nothing
-    but the array ``f`` returns.
-    """
-
-    def __init__(self, f_vec, V_prev: np.ndarray, step: float, x,
-                 y: np.ndarray) -> None:
-        self.f_vec, self.V_prev, self.step = f_vec, V_prev, step
-        self.x, self.y = np.broadcast_to(x, y.shape), y
-        self._q, self._reach, self._w, self._tmp = (
-            np.empty(len(y)) for _ in range(4))
-        self._idx = np.empty(len(y), dtype=np.intp)
-
-    def __call__(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the objective at the increments ``a`` into ``out``."""
-        q = np.add(self.y, a, out=self._q)
-        f_q = self.f_vec(q)
-        _interp_into(self.V_prev, self.step, q, out, self._w, self._tmp,
-                     self._idx)
-        reach = np.add(self.x, a, out=self._reach)
-        f_q *= reach
-        np.subtract(1.0, reach, out=reach)
-        out *= reach
-        out += f_q
-        return out
-
-
 # ----------------------------------------------------------------------
 # the one maximizer
 
 
-def _blend(out: np.ndarray, m: np.ndarray, u: np.ndarray,
-           not_m: np.ndarray, v: np.ndarray, tmp: np.ndarray) -> None:
-    """``out = m*u + not_m*v``: for a 0/1 mask ``m``, ``not_m = 1 - m``
-    and finite ``u``, ``v`` it picks ``u`` or ``v`` exactly, without the
-    branch a masked copy takes per element.  ``out`` may be ``u`` or
-    ``v``; ``tmp`` is scratch."""
-    np.multiply(m, u, out=tmp)
-    np.multiply(not_m, v, out=out)
-    out += tmp
-
-
-def _backup(objective: _Objective, a_cand: np.ndarray, coarse,
-            cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+def _backup(a_cand: np.ndarray, scan,
+            n_states: int) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the backup objective over the increment, elementwise
-    over the objective's states.
+    over ``n_states`` states.
 
-    ``a_cand`` holds the coarse increments in ascending order, either
-    one row shared by every state or one column per state; ``coarse``
-    yields the objective at each of them in turn.  The scan keeps the
-    first strict maximum, so ties go to the smallest increment.  A
-    data-parallel golden-section search then contracts the bracket
-    between each state's neighbouring candidates ``cfg.refine_iters``
-    times.  The first bracket costs two objective evaluations; every
-    later one keeps the surviving interior probe and its value and costs
-    one, so a backup makes ``refine_iters + 1`` evaluations (none when
-    ``refine_iters`` is 0).  Probes write into buffers allocated here
-    once, and the bracket, survivor and best-so-far updates are 0/1
-    blends, since their masks flip at random from state to state.
-    Returns ``(values, argmax increments)``.
+    ``a_cand`` holds the increments in ascending order, either one row
+    shared by every state or one column per state; ``scan`` yields the
+    objective at each of them in turn.  The scan keeps the first strict
+    maximum, so ties go to the smallest increment.  Returns
+    ``(values, argmax increments)``.
     """
-    n_states = len(objective.y)
     best_v = np.full(n_states, -np.inf)
     best_i = np.zeros(n_states, dtype=np.intp)
     better = np.empty(n_states, dtype=bool)
-    for i, obj in enumerate(coarse):
+    for i, obj in enumerate(scan):
         np.greater(obj, best_v, out=better)
         np.copyto(best_v, obj, where=better)
         np.copyto(best_i, i, where=better)
-
     k_pts = len(a_cand)
     cand = np.broadcast_to(a_cand.reshape(k_pts, -1), (k_pts, n_states))
-    cols = np.arange(n_states)
-    best_a = cand[best_i, cols]
-    lo = cand[np.maximum(best_i - 1, 0), cols]
-    hi = cand[np.minimum(best_i + 1, k_pts - 1), cols]
-    if cfg.refine_iters == 0:
-        return best_v, best_a
-
-    m, not_m, tmp, p, f_p, spare, f_spare = (
-        np.empty(n_states) for _ in range(7))
-
-    def keep(v, a):
-        # Strict >: the earlier probe keeps a tie.  The masks reuse the
-        # buffers of left and right, which are done with by then.
-        np.greater(v, best_v, out=m)
-        np.maximum(best_v, v, out=best_v)
-        np.subtract(1.0, m, out=not_m)
-        _blend(best_a, m, a, not_m, best_a, tmp)
-
-    # The probes c < d of [lo, hi] and their values.
-    width = hi - lo
-    c = hi - _INVPHI * width
-    d = lo + _INVPHI * width
-    f_c = objective(c, np.empty(n_states))
-    f_d = objective(d, np.empty(n_states))
-    keep(f_c, c)
-    keep(f_d, d)
-    # The last contraction would only narrow a bracket no probe reads.
-    for _ in range(cfg.refine_iters - 1):
-        # left = 1 keeps [lo, d]: c survives as the new d and the new
-        # probe p is the new c.  left = 0 keeps [c, hi]: d survives as
-        # the new c and p is the new d.
-        left, right = m, not_m
-        np.greater_equal(f_c, f_d, out=left)
-        np.subtract(1.0, left, out=right)
-        _blend(hi, left, d, right, hi, tmp)
-        _blend(lo, left, lo, right, c, tmp)
-        np.subtract(hi, lo, out=p)
-        p *= _INVPHI
-        np.subtract(hi, p, out=f_p)
-        p += lo
-        _blend(p, left, f_p, right, p, tmp)
-        objective(p, f_p)
-        _blend(spare, left, c, right, p, tmp)
-        _blend(c, left, p, right, d, tmp)
-        d, spare = spare, d
-        _blend(f_spare, left, f_c, right, f_p, tmp)
-        _blend(f_c, left, f_p, right, f_d, tmp)
-        f_d, f_spare = f_spare, f_d
-        keep(f_p, p)
-    return best_v, best_a
+    return best_v, cand[best_i, np.arange(n_states)]
 
 
 def _lattice_increments(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse increments at ``x = 0``: their offsets in grid cells,
+    """The increments at ``x = 0``: their offsets in grid cells,
     every cell up to ``a = 1``, and their values, with ``a = 1``
     appended when no offset reaches it."""
     cells = math.floor(1.0 / step * (1.0 + 1e-12))
@@ -271,8 +174,8 @@ def _lattice_increments(step: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _lattice_scan(f_ext: np.ndarray, f_one, V_prev: np.ndarray,
                   offsets: np.ndarray, a_cand: np.ndarray):
-    """The ``x = 0`` objective over the whole grid at each coarse
-    increment in turn, yielded in one reused buffer.
+    """The ``x = 0`` objective over the whole grid at each increment
+    in turn, yielded in one reused buffer.
 
     At ``a = c * step``, ``f(y + a)`` and ``V_prev(y + a)`` are slices:
     of ``f_ext`` (``f`` on the grid extended past its top) and of
@@ -294,6 +197,29 @@ def _lattice_scan(f_ext: np.ndarray, f_one, V_prev: np.ndarray,
         yield f_one
 
 
+def _general_scan(f_vec, V_prev: np.ndarray, step: float, x: np.ndarray,
+                  y: np.ndarray, a_cand: np.ndarray):
+    """``(x+a) f(y+a) + (1-(x+a)) V_prev~(y+a)`` at the states
+    ``(x[i], y[i])`` for each row of ``a_cand`` (one increment per
+    state) in turn, yielded in one reused buffer.
+
+    The scratch arrays are allocated once, so a row allocates nothing
+    but the array ``f`` returns.
+    """
+    q, reach, w, tmp, obj = (np.empty(len(y)) for _ in range(5))
+    idx = np.empty(len(y), dtype=np.intp)
+    for a in a_cand:
+        np.add(y, a, out=q)
+        f_q = f_vec(q)
+        _interp_into(V_prev, step, q, obj, w, tmp, idx)
+        np.add(x, a, out=reach)
+        f_q *= reach
+        np.subtract(1.0, reach, out=reach)
+        obj *= reach
+        obj += f_q
+        yield obj
+
+
 # ----------------------------------------------------------------------
 # tables
 
@@ -312,7 +238,6 @@ class ValueTable:
     y: np.ndarray
     V: np.ndarray
     A: np.ndarray
-    solver: SolverConfig = field(default=DEFAULT_CONFIG)
 
     @property
     def horizon(self) -> int:
@@ -324,10 +249,13 @@ class ValueTable:
 
 def value_iteration(spec: FunctionSpec, horizon: int,
                     grid: GridConfig,
-                    solver: SolverConfig = DEFAULT_CONFIG) -> ValueTable:
+                    solver: SolverConfig | None = None) -> ValueTable:
     """Backward induction from ``V_0 = f`` up to the given horizon.
 
-    Raises ``ValueError`` when ``f`` is not finite on ``[0, y_max + 1]``.
+    Each layer is the first strict maximum over the increment lattice
+    at every node, so the table makes no ``f`` calls past its setup.
+    ``solver`` is accepted and unread: the grid alone fixes the
+    increments.  Raises ``ValueError`` when ``f`` is not finite on ``[0, y_max + 1]``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -354,10 +282,9 @@ def value_iteration(spec: FunctionSpec, horizon: int,
         (V[0], f_vec(grid.y_max + step * np.arange(1, offsets[-1] + 1))))
     f_one = f_vec(y + 1.0) if len(a_cand) > len(offsets) else None
     for n in range(1, horizon + 1):
-        coarse = _lattice_scan(f_ext, f_one, V[n - 1], offsets, a_cand)
-        objective = _Objective(f_vec, V[n - 1], step, 0.0, y)
-        V[n], A[n] = _backup(objective, a_cand, coarse, solver)
-    return ValueTable(spec, grid, y, V, A, solver)
+        scan = _lattice_scan(f_ext, f_one, V[n - 1], offsets, a_cand)
+        V[n], A[n] = _backup(a_cand, scan, n_pts)
+    return ValueTable(spec, grid, y, V, A)
 
 
 # ----------------------------------------------------------------------
@@ -410,11 +337,9 @@ def _full_values(table: ValueTable, n: int, x: np.ndarray,
         return vals
     a_cand = np.minimum.outer(_lattice_increments(table.grid.step)[1],
                               1.0 - x[rows])
-    objective = _Objective(f_vec, table.V[n - 1], table.grid.step, x[rows],
-                           y[rows])
-    obj = np.empty(a_cand.shape[1])
-    coarse = (objective(a, obj) for a in a_cand)
-    vals[rows], _ = _backup(objective, a_cand, coarse, table.solver)
+    scan = _general_scan(f_vec, table.V[n - 1], table.grid.step, x[rows],
+                         y[rows], a_cand)
+    vals[rows], _ = _backup(a_cand, scan, a_cand.shape[1])
     return vals
 
 
@@ -563,13 +488,13 @@ class BoundComparison:
 
 def compare_bounds(table: ValueTable) -> BoundComparison:
     """Tabulate the table's ``c_n`` against ``b_n`` from the recursion
-    for the table's spec, horizon and solver.
+    for the table's spec and horizon.
 
     ``c_n <= b_n + budget`` must hold for shift-class functions; the
     comparison is still tabulated, but not enforced, outside that class.
     """
     spec = table.spec
-    b_seq, _ = recursion_sequence(spec, table.horizon, table.solver)
+    b_seq, _ = recursion_sequence(spec, table.horizon)
     budget = grid_error_budget(table.grid.step)
     rows = []
     max_gap = -math.inf

@@ -49,6 +49,9 @@ from .recursion import (
     iterate,
 )
 from .shift import property_scan
+# No command calls optimize; the import keeps every layer of the package
+# loaded once the CLI is.
+from . import optimize  # noqa: F401
 
 __all__ = ["main", "parse_args", "run_report"]
 
@@ -286,7 +289,6 @@ def _cmd_solve_bellman(args) -> int:
         "horizon": table.horizon,
         "grid": {"y_max": float(table.grid.y_max),
                  "step": float(table.grid.step)},
-        "solver": {"refine_iters": table.solver.refine_iters},
         "values_at_zero": table.V[:, 0].tolist(),
         "actions": table.A.tolist(),
     }
@@ -368,7 +370,9 @@ def _load_policy(path: str, expected: FunctionSpec):
             f"got --f {expected.spec_string()}")
     grid = GridConfig(y_max, step)
     # Layer n is trusted for y <= y_max - n only, as in value_iteration.
-    if (not isinstance(horizon, int) or not 1 <= horizon <= y_max
+    # bool is an int subclass: "horizon": true would run as horizon 1.
+    if (not isinstance(horizon, int) or isinstance(horizon, bool)
+            or not 1 <= horizon <= y_max
             or actions.shape != (horizon + 1, grid.n_points)
             or len(values_at_zero) != horizon + 1):
         raise ValueError(f"horizon, action table and values_at_zero in "

@@ -1,10 +1,11 @@
 """Deterministic golden-section search.
 
 One-dimensional maximization inside a bracket whose ends the caller has
-already scanned: the scalar form of the Bellman backup's batched
-refinement, which shares its contraction factor.  Identical inputs
-produce bit-identical outputs: no randomness, fixed iteration counts,
-and ties resolved toward the probe made first.
+already scanned.  No code in the package calls it: the recursion takes
+its maximizers from the family records and the Bellman backup scans the
+increment lattice alone.  Identical inputs produce bit-identical
+outputs: no randomness, fixed iteration counts, and ties resolved
+toward the probe made first.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ __all__ = [
     "golden_max",
 ]
 
-# Inverse golden ratio: contraction factor of both golden searches.
+# Inverse golden ratio: the contraction factor.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 

@@ -49,12 +49,12 @@ _DIVERGENCE_THRESHOLD = 1e6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs of the recursion and Bellman solvers.
+    """Numerical knobs of the recursion.
 
-    No solver reads ``opt_grid_points``; it stays the first positional
-    field so that positional configurations keep their meaning.  A
-    Bellman backup's golden refinement makes ``refine_iters + 1``
-    objective evaluations; recursion steps read neither field.
+    No solver reads ``opt_grid_points`` or ``refine_iters``: recursion
+    steps take their maximizers from the family records, and Bellman
+    tables take their increments from the grid.  The two fields stay
+    so that positional configurations keep their meaning.
     """
 
     opt_grid_points: int = 2048

@@ -34,9 +34,6 @@ from compensator_bounds.recursion import (
     mixture_objective,
     mixture_objective_deriv,
 )
-# The y = 0 values this solver produces agree with the heavyweight
-# default to ~2e-8, far below every tolerance below.
-LIGHT = SolverConfig(refine_iters=40)
 
 
 def _verdict(number: int, description: str, checks) -> None:
@@ -199,7 +196,7 @@ def test_criterion_08_value_function_structure():
         grid = GridConfig(23.0, 1.0 / 128)
         for spec in (FunctionSpec(Family.EXPONENTIAL, 0.5),
                      FunctionSpec(Family.POWER, 2.0)):
-            table = value_iteration(spec, 20, grid, solver=LIGHT)
+            table = value_iteration(spec, 20, grid)
             report = verify_lemma1(table)
             assert report.total_violations == 0, \
                 f"{spec.spec_string()}: {report}"
@@ -222,8 +219,7 @@ def test_criterion_09_critical_map_has_no_fixed_point():
 def test_criterion_10_cross_module_consistency():
     def checks():
         spec = FunctionSpec(Family.EXPONENTIAL, 0.5)
-        table = value_iteration(spec, 30, GridConfig(30.0, 1.0 / 512),
-                                solver=LIGHT)
+        table = value_iteration(spec, 30, GridConfig(30.0, 1.0 / 512))
         law = extremal_chain_law(extremal_policy(table))
         diff = abs(exact_expectation(spec, law) - table.value_at_zero(30))
         assert diff <= grid_error_budget(1.0 / 512), f"diff {diff}"

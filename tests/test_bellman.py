@@ -20,12 +20,15 @@ from compensator_bounds.bellman import (
     value_iteration,
     verify_lemma1,
 )
+from compensator_bounds.chains import (
+    exact_expectation,
+    extremal_chain_law,
+)
 from compensator_bounds.functions import (
     Family,
     FunctionSpec,
     parse_function_spec,
 )
-from compensator_bounds.optimize import golden_max
 from compensator_bounds.recursion import (
     SolverConfig,
     optimal_step,
@@ -35,32 +38,25 @@ from compensator_bounds.recursion import (
 EXP_HALF = FunctionSpec(Family.EXPONENTIAL, 0.5)
 POW_TWO = FunctionSpec(Family.POWER, 2.0)
 QUAD = FunctionSpec(Family.QUAD)
-
-# Bellman tables take their increments from the grid, so for them LIGHT
-# only shortens the golden refinement: the y = 0 column agrees with the
-# default solver to ~2e-15.  The recursion's coarse a-grid can be light
-# because the one-step objective is unimodal in the increment.
-LIGHT = SolverConfig(refine_iters=40)
+REMARK2 = FunctionSpec(Family.REMARK2)
 
 
 @pytest.fixture(scope="module")
 def exp_table_30():
-    return value_iteration(EXP_HALF, 30, GridConfig(30.0, 1.0 / 512),
-                           solver=LIGHT)
+    return value_iteration(EXP_HALF, 30, GridConfig(30.0, 1.0 / 512))
 
 
 @pytest.fixture(scope="module")
 def exp_table_40():
-    return value_iteration(EXP_HALF, 40, GridConfig(40.0, 1.0 / 512),
-                           solver=LIGHT)
+    return value_iteration(EXP_HALF, 40, GridConfig(40.0, 1.0 / 512))
 
 
 @pytest.fixture(scope="module")
 def lemma_tables():
     grid = GridConfig(23.0, 1.0 / 128)
     return {
-        "exp": value_iteration(EXP_HALF, 20, grid, solver=LIGHT),
-        "pow": value_iteration(POW_TWO, 20, grid, solver=LIGHT),
+        "exp": value_iteration(EXP_HALF, 20, grid),
+        "pow": value_iteration(POW_TWO, 20, grid),
     }
 
 
@@ -119,8 +115,7 @@ class TestValueIteration:
     def test_first_layer_is_shifted_f(self, spec):
         # One step to go: jumping straight to the ceiling (a = 1) is
         # optimal for convex f, so V_1(y) = f(y + 1) at every node.
-        tab = value_iteration(spec, 1, GridConfig(4.0, 1.0 / 128),
-                              solver=LIGHT)
+        tab = value_iteration(spec, 1, GridConfig(4.0, 1.0 / 128))
         np.testing.assert_allclose(tab.V[1], spec.value(tab.y + 1.0),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(tab.A[1], 1.0, rtol=0, atol=1e-9)
@@ -141,8 +136,8 @@ class TestValueIteration:
 
     def test_deterministic_rebuild(self):
         grid = GridConfig(4.0, 1.0 / 64)
-        a = value_iteration(EXP_HALF, 4, grid, solver=LIGHT)
-        b = value_iteration(EXP_HALF, 4, grid, solver=LIGHT)
+        a = value_iteration(EXP_HALF, 4, grid)
+        b = value_iteration(EXP_HALF, 4, grid)
         np.testing.assert_array_equal(a.V, b.V)
         np.testing.assert_array_equal(a.A, b.A)
 
@@ -210,13 +205,13 @@ class TestFullValue:
 
     @pytest.mark.parametrize("text, digest", [
         ("exp:lambda=0.5",
-         "f5b15028467139ecb9e6f646b0babb4123545c18a5730d68f692ea0be004b5d8"),
+         "46a55d3e65829dd40c08833cbf271fe5c443ed90ef07544f9c24a3b11f20b65d"),
         ("pow:m=2",
-         "62c1de1bddf27e27ae7e6772fe02e50609de1f5f7888bae651b0b9078fb4a11a"),
+         "628d2c3ca0de96d47c1ab9dd385ee9d9931727df16cb41d02ee4ef46c431feab"),
         ("quad",
-         "9af9d4055cfc81b6e2a4315b27a53793422fdc30e543b78bed1df2bb431090ec"),
+         "852b4a1f21f553bc2896e0919c6ce8ba587af83522aaeac93edf309566a162dc"),
         ("remark2",
-         "c6c6dd3ff95a32a0dd7f92a23bbcceffaa00070ffb3fbe2c0f7f0499e3b1d8a4"),
+         "9602b1c6e68635fbb4f785d056eb5fd1a83595ed5e6e99a3efd10f260203d9f9"),
     ])
     def test_values_are_pinned(self, text, digest):
         # sha256 of the float64 values: a restructured backup must not
@@ -252,12 +247,16 @@ class TestFullValue:
         assert v <= full_value(tab, 6, 0.0, 0.5) + 1e-12
 
     def test_backup_objective_dominated_by_value(self, exp_table_30):
+        # The value is the objective's maximum over the lattice capped
+        # at 1 - x, and a fine increment grid gains next to nothing.
         tab = exp_table_30
         n, x, y = 4, 0.25, 0.75
         v = full_value(tab, n, x, y)
+        lattice = np.minimum(np.arange(512 + 1) / 512, 1.0 - x)
+        assert max(backup_objective(tab, n, x, y, a)
+                   for a in lattice) == pytest.approx(v, rel=1e-14, abs=0)
         best = max(backup_objective(tab, n, x, y, a)
                    for a in np.linspace(0.0, 1.0 - x, 301))
-        assert best <= v + 1e-12
         assert best >= v - 1e-4
 
     def test_validation(self, exp_table_30):
@@ -278,7 +277,7 @@ class TestExtremalPolicy:
     def test_matches_recursion_argmax_at_origin(self, exp_table_40):
         # With the compensator at zero the table's maximizing increment
         # should track the scalar recursion's maximizer.
-        b_seq, _ = recursion_sequence(EXP_HALF, 40, LIGHT)
+        b_seq, _ = recursion_sequence(EXP_HALF, 40)
         _, a_star = optimal_step(EXP_HALF, b_seq[39])
         pol = extremal_policy(exp_table_40)
         assert pol.action(40, 0.0) == pytest.approx(a_star, abs=0.02)
@@ -341,7 +340,7 @@ class TestCompareBounds:
 
     def test_power_bound_dominates_exact_value(self):
         cmp = compare_bounds(value_iteration(
-            POW_TWO, 30, GridConfig(30.0, 1.0 / 512), solver=LIGHT))
+            POW_TWO, 30, GridConfig(30.0, 1.0 / 512)))
         assert cmp.enforced and cmp.within_budget
         assert cmp.max_gap <= cmp.budget
         # Strict slack far from the start: the recursion is conservative
@@ -353,22 +352,21 @@ class TestCompareBounds:
         assert cmp.budget == grid_error_budget(1.0 / 512)
 
     def test_rows_come_from_the_table_and_its_solver(self):
+        # The table and the recursion ignore the solver they are given,
+        # so the rows are the table's c_n against the plain recursion.
         solver = SolverConfig(refine_iters=0)
         tab = value_iteration(QUAD, 6, GridConfig(6.0, 1.0 / 64), solver)
         rows = compare_bounds(tab).rows
-        b_seq, _ = recursion_sequence(QUAD, 6, solver)
+        b_seq, _ = recursion_sequence(QUAD, 6)
         assert [r[0] for r in rows] == list(range(7))
         assert [r[1] for r in rows] == [tab.value_at_zero(n)
                                         for n in range(7)]
         assert [r[2] for r in rows] == list(b_seq)
-        # No recursion step reads the solver, so the default solver's
-        # recursion gives the same rows.
-        assert list(recursion_sequence(QUAD, 6)[0]) == list(b_seq)
+        assert list(recursion_sequence(QUAD, 6, solver)[0]) == list(b_seq)
 
     def test_remark2_not_enforced(self):
         cmp = compare_bounds(value_iteration(
-            FunctionSpec(Family.REMARK2), 5, GridConfig(6.0, 1.0 / 128),
-            solver=LIGHT))
+            REMARK2, 5, GridConfig(6.0, 1.0 / 128)))
         assert not cmp.enforced
 
 
@@ -376,14 +374,55 @@ class TestGridRefinement:
     def test_step_halving_converges(self):
         vals = {}
         for step in (1.0 / 256, 1.0 / 512, 1.0 / 1024):
-            tab = value_iteration(EXP_HALF, 10, GridConfig(10.0, step),
-                                  solver=LIGHT)
+            tab = value_iteration(EXP_HALF, 10, GridConfig(10.0, step))
             vals[step] = tab.value_at_zero(10)
         d_coarse = abs(vals[1.0 / 256] - vals[1.0 / 512])
         d_fine = abs(vals[1.0 / 512] - vals[1.0 / 1024])
         assert d_fine <= d_coarse
         # Observed differences sit orders of magnitude below the budget.
         assert d_coarse <= grid_error_budget(1.0 / 256) / 100
+
+
+class TestLatticeCertificate:
+    """Every x = 0 node is the exact value of the control problem with
+    increments on the grid lattice, so each ``c_n`` is ``E f(Y_n)`` of
+    an explicit admissible chain: a lower bound on the supremum."""
+
+    @pytest.mark.parametrize("text", ["exp:lambda=0.5", "pow:m=1",
+                                      "pow:m=1.5", "pow:m=2", "pow:m=3",
+                                      "quad", "remark2"])
+    def test_value_is_the_policy_chain_expectation(self, text):
+        spec = parse_function_spec(text)
+        tab = value_iteration(spec, 8, GridConfig(8.0, 1.0 / 64))
+        policy = extremal_policy(tab)
+        for n in range(1, 9):
+            exact = exact_expectation(spec, extremal_chain_law(policy, n))
+            assert exact == pytest.approx(tab.value_at_zero(n), rel=1e-14,
+                                          abs=0)
+
+    @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO, QUAD, REMARK2])
+    def test_step_halving_never_lowers_a_shared_node(self, spec):
+        # The finer lattice contains the coarser one, so its optimum on
+        # a shared trusted node can only be higher.
+        coarse = value_iteration(spec, 6, GridConfig(6.0, 1.0 / 32))
+        fine = value_iteration(spec, 6, GridConfig(6.0, 1.0 / 64))
+        for n in range(7):
+            trusted = coarse.y <= coarse.grid.y_max - n
+            assert np.all(fine.V[n, ::2][trusted] >= coarse.V[n][trusted])
+
+    def test_exponential_lies_below_the_recursion(self, exp_table_30):
+        # For exp the shift inequality is an identity and b_n is the
+        # supremum, so the achieved c_n needs no grid budget.
+        b_seq, _ = recursion_sequence(EXP_HALF, 30)
+        for n in range(31):
+            assert exp_table_30.value_at_zero(n) <= b_seq[n]
+
+    def test_remark2_exceeds_the_recursion_limit(self):
+        # A derived fact, not one of the paper's: remark2 lies outside
+        # the shift class, and an explicit chain beats the recursion's
+        # limit 41/32, so the recursion bound fails there.
+        tab = value_iteration(REMARK2, 20, GridConfig(20.0, 1.0 / 64))
+        assert tab.value_at_zero(20) > 41.0 / 32.0
 
 
 def brute_force_layer(table, n, a_grid):
@@ -399,25 +438,24 @@ def brute_force_layer(table, n, a_grid):
 
 class TestLatticeBackup:
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
-    def test_layers_dominate_a_fine_increment_grid(self, spec):
+    def test_layers_equal_a_lattice_brute_force(self, spec):
         tab = value_iteration(spec, 4, GridConfig(4.0, 1.0 / 64))
-        a_grid = np.linspace(0.0, 1.0, 2001)
+        lattice = np.arange(64 + 1) / 64
         for n in range(1, 5):
-            best = brute_force_layer(tab, n, a_grid)
-            assert np.all(tab.V[n] >= best - 1e-12)
+            np.testing.assert_allclose(
+                tab.V[n], brute_force_layer(tab, n, lattice), rtol=1e-14,
+                atol=0)
         # The oracle reads the table as backup_objective does.
         for j, a in ((0, 0.3), (100, 0.77), (256, 1.0)):
             y = float(tab.y[j])
             assert brute_force_layer(tab, 3, [a])[j] == pytest.approx(
                 backup_objective(tab, 3, 0.0, y, a), rel=1e-14)
 
-    @pytest.mark.parametrize("solver", [None, LIGHT], ids=["default", "light"])
-    def test_exponential_scaling_invariant(self, solver):
+    def test_exponential_scaling_invariant(self):
         # f(y + a) = e^{lambda y} f(a) makes every layer a multiple of
         # f, wherever the top-edge clamp has not reached.
         grid = GridConfig(12.0, 1.0 / 128)
-        kwargs = {} if solver is None else {"solver": solver}
-        tab = value_iteration(EXP_HALF, 10, grid, **kwargs)
+        tab = value_iteration(EXP_HALF, 10, grid)
         for n in range(11):
             ok = tab.y <= grid.y_max - n
             expect = EXP_HALF.value(tab.y[ok]) * tab.V[n, 0]
@@ -447,8 +485,7 @@ class TestLatticeBackup:
 
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
     def test_batched_report_equals_per_state_calls(self, spec):
-        tab = value_iteration(spec, 4, GridConfig(8.0, 1.0 / 64),
-                              solver=SolverConfig(refine_iters=20))
+        tab = value_iteration(spec, 4, GridConfig(8.0, 1.0 / 64))
         y_samples = (0.0, 0.35, 0.8, 1.6, 2.5)
         x_samples = np.linspace(0.0, 1.0, 9)
         report = verify_lemma1(tab)
@@ -470,16 +507,15 @@ class TestLatticeBackup:
 
 
 class TestGoldenRefinement:
+    """The backup is the lattice scan and nothing else: no refinement
+    step runs after it, whatever ``refine_iters`` says."""
+
     @pytest.mark.parametrize("iters", [0, 1, 2, 60])
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
     def test_matches_scalar_golden_max(self, spec, iters):
         # Oracle: the first strict maximum of the scalar objective over
-        # the capped lattice, then optimize.golden_max on the bracket of
-        # its neighbours.  Both probe c and d and then one point per
-        # contraction, so golden_max with iters - 1 contractions makes
-        # the backup's iters + 1 evaluations.  The value is checked at
-        # general states; the argmax at x = 0 grid nodes, where the
-        # table stores it.
+        # the capped lattice.  The value is checked at general states;
+        # the argmax at x = 0 grid nodes, where the table stores it.
         tab = value_iteration(spec, 4, GridConfig(8.0, 1.0 / 64),
                               SolverConfig(refine_iters=iters))
         step = tab.grid.step
@@ -488,31 +524,25 @@ class TestGoldenRefinement:
             cand = [min(k * step, 1.0 - x) for k in range(64 + 1)]
             vals = [backup_objective(tab, n, x, y, a) for a in cand]
             i = vals.index(max(vals))
-            value, arg = vals[i], cand[i]
-            if iters:
-                lo, hi = cand[max(i - 1, 0)], cand[min(i + 1, 64)]
-                v, a = golden_max(lambda a: backup_objective(tab, n, x, y, a),
-                                  lo, hi, iters - 1)
-                if v > value:
-                    value, arg = v, a
-            return vals[i], value, arg
+            return vals[i], cand[i]
 
         rng = np.random.default_rng(7)
         nodes = np.random.default_rng(8)
         for _ in range(50):
             n = int(rng.integers(1, 5))
             x, y = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 4.0))
-            coarse, expect, _ = oracle(n, x, y)
-            got = full_value(tab, n, x, y)
-            assert got >= coarse
-            assert got == pytest.approx(expect, rel=1e-12, abs=0)
+            expect, _ = oracle(n, x, y)
+            assert full_value(tab, n, x, y) == pytest.approx(
+                expect, rel=1e-14, abs=0)
             j = int(nodes.integers(0, 4 * 64 + 1))
-            _, expect, expect_a = oracle(n, 0.0, j * step)
-            assert tab.V[n][j] == pytest.approx(expect, rel=1e-12, abs=0)
+            expect, expect_a = oracle(n, 0.0, j * step)
+            assert tab.V[n][j] == pytest.approx(expect, rel=1e-14, abs=0)
             assert tab.A[n][j] == expect_a
 
     @pytest.mark.parametrize("iters", [0, 1, 2, 60])
     def test_one_evaluation_per_contraction(self, monkeypatch, iters):
+        # No contractions, so no evaluations: a layer reads f only from
+        # the slices its setup built.
         calls = []
         real = bellman.vector_callable
 
@@ -531,5 +561,4 @@ class TestGoldenRefinement:
         setup = len(calls)
         calls.clear()
         value_iteration(EXP_HALF, 4, grid, solver)
-        # The coarse scan reads f from the setup's slices.
-        assert len(calls) - setup == 4 * (iters + 1 if iters else 0)
+        assert len(calls) == setup

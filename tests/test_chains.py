@@ -28,7 +28,6 @@ from compensator_bounds.chains import (
     simulate_intro,
 )
 from compensator_bounds.functions import Family, FunctionSpec
-from compensator_bounds.recursion import SolverConfig
 
 EXP_ONE = FunctionSpec(Family.EXPONENTIAL, 1.0)
 EXP_HALF = FunctionSpec(Family.EXPONENTIAL, 0.5)
@@ -46,8 +45,7 @@ def geometric_oracle(lam: float, n: int) -> float:
 
 @pytest.fixture(scope="module")
 def exp_table_30():
-    return value_iteration(EXP_HALF, 30, GridConfig(30.0, 1.0 / 512),
-                           solver=SolverConfig(refine_iters=40))
+    return value_iteration(EXP_HALF, 30, GridConfig(30.0, 1.0 / 512))
 
 
 class TestChainLaw:
