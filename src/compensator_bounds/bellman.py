@@ -88,10 +88,10 @@ def grid_error_budget(step: float) -> float:
 
     Linear interpolation of the convex layers overestimates off the
     nodes by O(step^2) per layer, and the increment lattice keeps the
-    ``x = 0`` nodes below the continuous optimum by O(step^2);
-    ``2 * step`` is a deliberately generous cover for every horizon used
-    here (the refinement study in the test suite shows actual
-    step-halving differences orders of magnitude smaller).
+    ``x = 0`` nodes below the continuous optimum; ``2 * step`` is a
+    deliberately generous cover for every horizon used here (the
+    refinement study in the test suite shows actual step-halving
+    differences orders of magnitude smaller).
     """
     return 2.0 * step
 
@@ -255,7 +255,9 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     Each layer is the first strict maximum over the increment lattice
     at every node, so the table makes no ``f`` calls past its setup.
     ``solver`` is accepted and unread: the grid alone fixes the
-    increments.  Raises ``ValueError`` when ``f`` is not finite on ``[0, y_max + 1]``.
+    increments.
+
+    Raises ``ValueError`` when ``f`` is not finite on ``[0, y_max + 1]``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
