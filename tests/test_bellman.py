@@ -39,6 +39,7 @@ EXP_HALF = FunctionSpec(Family.EXPONENTIAL, 0.5)
 POW_TWO = FunctionSpec(Family.POWER, 2.0)
 QUAD = FunctionSpec(Family.QUAD)
 REMARK2 = FunctionSpec(Family.REMARK2)
+LIGHT = SolverConfig(refine_iters=40)
 
 
 @pytest.fixture(scope="module")
@@ -451,11 +452,14 @@ class TestLatticeBackup:
             assert brute_force_layer(tab, 3, [a])[j] == pytest.approx(
                 backup_objective(tab, 3, 0.0, y, a), rel=1e-14)
 
-    def test_exponential_scaling_invariant(self):
+    @pytest.mark.parametrize("solver", [None, LIGHT], ids=["default", "light"])
+    def test_exponential_scaling_invariant(self, solver):
         # f(y + a) = e^{lambda y} f(a) makes every layer a multiple of
-        # f, wherever the top-edge clamp has not reached.
+        # f, wherever the top-edge clamp has not reached, whatever
+        # solver settings the caller passes.
         grid = GridConfig(12.0, 1.0 / 128)
-        tab = value_iteration(EXP_HALF, 10, grid)
+        kwargs = {} if solver is None else {"solver": solver}
+        tab = value_iteration(EXP_HALF, 10, grid, **kwargs)
         for n in range(11):
             ok = tab.y <= grid.y_max - n
             expect = EXP_HALF.value(tab.y[ok]) * tab.V[n, 0]
