@@ -9,8 +9,12 @@ combined battery with CI-friendly exit codes.
 Every subcommand prints one JSON document to stdout (also written to
 ``--json PATH`` when given) and, where a tabular trace exists, writes it
 as CSV via ``--csv PATH``.  Identical argv and seed give byte-identical
-outputs: keys are sorted, floats use ``repr``, and nothing is stamped
-with times or hostnames.
+outputs: keys are sorted, and nothing is stamped with times or
+hostnames.  The JSON text is what ``json.dumps(payload, sort_keys=True,
+indent=2)`` gives, written by a small encoder: each float is its
+``repr``, taken once per distinct value of an array (the action table
+holds a few hundred), and ``NaN`` and ``Infinity`` appear as ``json``
+writes them.
 
 Exit codes: 0 = ran and all internal consistency checks passed, 2 =
 usage error, 3 = a consistency check failed.
@@ -192,8 +196,44 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline,
+    byte for byte, for payloads with string keys; a float64 ``ndarray``
+    may stand where the nested list of its floats would."""
+    return _encode(payload, "") + "\n"
+
+
+def _encode(value, indent: str) -> str:
+    if type(value) is float and value - value == 0.0:
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        return _join([f"{json.dumps(key)}: {_encode(value[key], inner)}"
+                      for key in sorted(value)], "{", "}", indent)
+    if isinstance(value, (list, tuple)):
+        return _join([float.__repr__(v) if type(v) is float and v - v == 0.0
+                      else _encode(v, inner) for v in value], "[", "]", indent)
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        # repr once per distinct bit pattern, so 0.0 and -0.0 stay apart.
+        bits, inverse = np.unique(value.view(np.uint64), return_inverse=True)
+        distinct = [_encode(v, "") for v in bits.view(np.float64).tolist()]
+        texts = np.array(distinct, dtype=object)[inverse.reshape(value.shape)]
+        return _nest(texts.tolist(), indent)
+    return json.dumps(value)
+
+
+def _join(parts: list[str], opening: str, closing: str, indent: str) -> str:
+    if not parts:
+        return opening + closing
+    inner = indent + "  "
+    return (f"{opening}\n{inner}" + f",\n{inner}".join(parts)
+            + f"\n{indent}{closing}")
+
+
+def _nest(texts: list, indent: str) -> str:
+    """Nested lists of ready JSON texts, laid out as a list of lists."""
+    if texts and not isinstance(texts[0], str):
+        texts = [_nest(t, indent + "  ") for t in texts]
+    return _join(texts, "[", "]", indent)
 
 
 def _emit(payload: dict, json_path: str | None) -> None:
@@ -290,16 +330,17 @@ def _cmd_solve_bellman(args) -> int:
         "grid": {"y_max": float(table.grid.y_max),
                  "step": float(table.grid.step)},
         "values_at_zero": table.V[:, 0].tolist(),
-        "actions": table.A.tolist(),
+        "actions": table.A,
     }
     _emit(payload, args.json)
     if args.csv:
-        rows = []
-        for n in range(table.horizon + 1):
-            for j, y in enumerate(table.y):
-                rows.append((n, repr(float(y)), repr(float(table.V[n, j])),
-                             repr(float(table.A[n, j]))))
-        _write_csv(args.csv, ["n", "y", "value", "action"], rows)
+        y_texts = [repr(y) for y in table.y.tolist()]
+        layers = (zip([n] * len(y_texts), y_texts,
+                      map(repr, table.V[n].tolist()),
+                      map(repr, table.A[n].tolist()))
+                  for n in range(table.horizon + 1))
+        _write_csv(args.csv, ["n", "y", "value", "action"],
+                   (row for layer in layers for row in layer))
     return 0
 
 

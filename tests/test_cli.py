@@ -8,6 +8,7 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from compensator_bounds import cli
@@ -520,6 +521,106 @@ class TestPinnedRecursionOutputs:
         code, out = run_cli(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestPinnedTableOutputs:
+    # sha256 of the stdout, --json and --csv bytes, frozen from the
+    # emitter that handed the payload, the action table as nested lists,
+    # to json.dumps and built the whole --csv row list before writing.
+    POW2 = ["--f", "pow:m=2", "--horizon", "6", "--step", "1/64"]
+
+    def test_small_table_artifact_and_chain(self, tmp_path, capsys):
+        table_json, table_csv = tmp_path / "t.json", tmp_path / "t.csv"
+        paths_csv = tmp_path / "p.csv"
+        code, out = run_cli(["solve-bellman", *self.POW2,
+                             "--json", str(table_json),
+                             "--csv", str(table_csv)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "ebaf08cc795db8935714512255eab29f6a08ea441b92f4ec062092da623de1bb")
+        assert table_json.read_text(encoding="utf-8") == out
+        assert hashlib.sha256(table_csv.read_bytes()).hexdigest() == (
+            "364835bfe00166607e7db64e874ca51c465e9f900ac0e40fae93896f2e4bb982")
+        code, out = run_cli(["simulate", "--chain", "extremal",
+                             "--f", "pow:m=2", "--policy", str(table_json),
+                             "--paths", "4000", "--seed", "9",
+                             "--csv", str(paths_csv)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "afc658c5839b953d07a9dccfd42dfbe8770e0ff0676aeb9a8cbe0121ba414164")
+        assert hashlib.sha256(paths_csv.read_bytes()).hexdigest() == (
+            "f4554e2e0b37c2df9b2e6f04873f569b4e9e5855a052d7a19df144d64127dbbd")
+
+    def test_compare(self, tmp_path, capsys):
+        rows_csv = tmp_path / "c.csv"
+        code, out = run_cli(["compare", "--f", "exp:lambda=0.5",
+                             "--horizon", "6", "--step", "1/64",
+                             "--csv", str(rows_csv)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "0d6d1287371fcf849a5c8c6b395e09b16461ef07f612deecab310e37f3c61d87")
+        assert hashlib.sha256(rows_csv.read_bytes()).hexdigest() == (
+            "27a2c64ce1c6017681e70cdc26d07a726e32e7a552a555fc0eb6fa005cc6505e")
+
+    def test_readme_scale_table(self, capsys):
+        code, out = run_cli(["solve-bellman", "--f", "exp:lambda=0.5",
+                             "--horizon", "30", "--step", "1/512"], capsys)
+        assert code == 0
+        assert len(out) == 8_288_620
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "01cc7e53beef38db1f461ee6532a5cecc6a0c071fc991205afd23a96c6bb587f")
+
+
+def as_lists(value):
+    """The payload with every array replaced by its nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(v) for v in value]
+    return value
+
+
+class TestJsonEncoder:
+    ODD = [np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, -0.0, 0.0]
+
+    @pytest.mark.parametrize("payload", [
+        {"signed_zero": np.array([[0.0, -0.0, 1.0], [-0.0, 0.5, 0.0]])},
+        {"array": np.array(ODD), "list": list(ODD), "tuple": tuple(ODD),
+         "nan": math.nan, "inf": math.inf, "tiny": 5e-324},
+        {"mixed": [True, 1, np.float64(0.1), None, False, 0, -0.0,
+                   np.float64(-0.0), np.float64("nan")],
+         "scalar": np.float64(1e-5), "flag": True, "none": None},
+        {"ключ": "значение ü", "plain": "a\"b\\c\n", "ü": ["é", "\u2603"]},
+        {"list": [], "dict": {}, "array": np.array([]),
+         "nested": [[], {}, [[]]], "rows": np.zeros((2, 0))},
+        {"table": np.arange(24.0).reshape(2, 3, 4) / 7,
+         "pair": (1, (2.5, "x")), "grid": {"b": {"a": [1.5]}, "a": 2}},
+        {"draws": np.random.default_rng(5).integers(-3, 4, (6, 11)) / 8},
+    ])
+    def test_matches_the_stdlib(self, payload):
+        assert cli._dump_json(payload) == json.dumps(
+            as_lists(payload), sort_keys=True, indent=2,
+            separators=(",", ": ")) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--f", "exp:lambda=1.5"],
+        ["solve-recursion", "--f", "exp:lambda=1"],
+        BELLMAN_SMALL,
+        ["compare", "--f", "pow:m=2", "--horizon", "4", "--step", "1/64"],
+        ["test-shift", "--f", "remark2", "--trials", "200"],
+        ["simulate", "--chain", "intro", "--f", "quad", "--n", "8",
+         "--paths", "300"],
+        ["report", "--f", "remark2", "--horizon", "3", "--step", "1/64",
+         "--trials", "100"],
+    ])
+    def test_stdout_round_trips_through_the_stdlib(self, argv, capsys):
+        # An oracle that shares no code with the encoder.
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True,
+                                 indent=2) + "\n"
 
 
 def hand_artifact(path: Path, **overrides) -> Path:
