@@ -598,7 +598,8 @@ class TestJsonEncoder:
         {"table": np.arange(24.0).reshape(2, 3, 4) / 7,
          "pair": (1, (2.5, "x")), "grid": {"b": {"a": [1.5]}, "a": 2}},
         {"draws": np.random.default_rng(5).integers(-3, 4, (6, 11)) / 8},
-    ])
+    ], ids=["signed-zero", "non-finite-and-extremes", "scalars",
+            "non-ascii", "empty", "nested", "repeated-draws"])
     def test_matches_the_stdlib(self, payload):
         assert cli._dump_json(payload) == json.dumps(
             as_lists(payload), sort_keys=True, indent=2,
