@@ -97,6 +97,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative seed, got {value}")
+    return value
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH",
@@ -108,7 +116,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     tabular.add_argument("--csv", metavar="PATH",
                          help="write the tabular trace to this file")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
+    seeded.add_argument("--seed", type=_seed_arg, default=0,
                         help="seed for every random draw (default 0)")
 
     parser = argparse.ArgumentParser(

@@ -7,7 +7,9 @@ variable ``Y`` and any shift ``a >= 0`` satisfy::
 
 with equality for exponentials and at ``a = 0``.  :func:`shift_gap`
 measures the right side minus the left; :func:`property_scan` hammers
-the inequality with seeded random discrete distributions.  The
+the inequality with seeded random discrete distributions, each trial
+drawn from its own ``(seed, trial)`` numpy generator, which the scan
+reproduces for a whole batch of trials in uint64 array arithmetic.  The
 ``remark2`` family is the built-in function that breaks the inequality,
 and its fixed counterexample instance (a two-point coin on {0, 1} with a
 unit shift) is always evaluated as trial zero of a scan.
@@ -145,7 +147,11 @@ class ScanReport:
 
 def _draw(seed: int, trial: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Shift, atom values and probabilities of one random trial, drawn
-    from its own generator seeded with ``(seed, trial)``."""
+    from its own generator ``np.random.default_rng((seed, trial))``.
+
+    This is the definition of a trial's instance.  :func:`_chunk_draws`
+    reproduces it for a batch of trials and falls back here for the rows
+    where this draw redraws (a repeated value or a zero weight)."""
     rng = np.random.default_rng((seed, trial))
     n_atoms = int(rng.integers(2, _MAX_ATOMS + 1))
     while True:
@@ -172,6 +178,143 @@ def _random_instance(seed: int, trial: int) -> tuple[float, DiscreteRV]:
     return shift, DiscreteRV(atoms)
 
 
+# numpy's SeedSequence hash constants and PCG64 multiplier, for
+# _hasher, _seed_words and _pcg64_outputs.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# One integer, then at most 2 * _MAX_ATOMS + 1 uniforms, per trial.
+_OUTPUTS = 2 * _MAX_ATOMS + 2
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's SeedSequence ``hashmix``: a hash of 32-bit words whose
+    constant is multiplied by ``mult`` after each word it hashes."""
+    def hash_word(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
+    return hash_word
+
+
+def _seed_words(seed: int, trials: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence((seed, t)).generate_state(8, np.uint32)`` for each
+    ``t`` in ``trials`` (uint64, below 2^64), one array per word.
+
+    Words live in uint64 lanes and are masked back to 32 bits after each
+    product, so no operation overflows.  A trial below 2^32 is one word
+    of entropy and a larger one two; while the entropy fits the pool, a
+    missing high word hashes like a zero word, so only the entropy mixed
+    in after the pool is full needs the per-row mask.
+    """
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    # The seed's little-endian 32-bit words, as numpy's
+    # _int_to_uint32_array makes them (0 is one word), then the trial's.
+    high = trials >> 32
+    entropy = [np.full_like(trials, seed >> bit & _MASK32)
+               for bit in range(0, max(int(seed).bit_length(), 1), 32)]
+    entropy += [trials & _MASK32, high]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(trials))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        present = high > 0 if src == len(entropy) - 1 else True
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(present,
+                                 mix(pool[dst], hashmix(entropy[src])),
+                                 pool[dst])
+    generate = _hasher(_INIT_B, _MULT_B)
+    return [generate(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """``state * multiplier + inc`` modulo 2^128 on (hi, lo) uint64
+    limbs; lo * multiplier_lo is built from 32-bit partial products."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    lo_prod = (p00 & _MASK32) | (mid << 32)
+    hi = (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+          + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI)
+    lo = lo_prod + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _pcg64_outputs(seed: int, trials: np.ndarray) -> np.ndarray:
+    """The first ``_OUTPUTS`` 64-bit outputs of
+    ``np.random.default_rng((seed, t))`` for each ``t``, one row per
+    trial: PCG64 seeded as numpy seeds it (state 0, ``inc = 2·initseq +
+    1``, one step, add ``initstate``, one more step), then step and
+    emit XSL-RR."""
+    w = _seed_words(seed, trials)
+    state_hi, state_lo = w[0] | w[1] << 32, w[2] | w[3] << 32
+    seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + state_lo
+    hi, lo = _lcg_step(inc_hi + state_hi + (lo < state_lo), lo,
+                       inc_hi, inc_lo)
+    out = np.empty((trials.size, _OUTPUTS), dtype=np.uint64)
+    for k in range(_OUTPUTS):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, k] = x >> rot | x << (64 - rot & 63)
+    return out
+
+
+def _scalar_rows(values: np.ndarray, weights: np.ndarray,
+                 atoms: np.ndarray) -> np.ndarray:
+    """Rows on which :func:`_draw` would redraw: two equal atom values or
+    a zero weight (each about 2^-50 per trial)."""
+    ordered = np.sort(np.where(atoms, values, np.nan), axis=1)
+    return ((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            | (atoms & (weights <= 0.0)).any(axis=1))
+
+
+def _chunk_draws(seed: int, start: int,
+                 stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_draw` for trials ``start .. stop-1`` at once: shifts and
+    zero-padded ``(rows, _MAX_ATOMS)`` values and probabilities, bit
+    for bit.  The atom count is Lemire's bounded draw on the first
+    output's low 32 bits (the range 4 divides 2^32, so it never rejects);
+    each later output ``o`` gives ``(o >> 11) · 2^-53``, scaled to the
+    values, then the weights, then the shift."""
+    trials = np.arange(start, stop, dtype=np.uint64)
+    out = _pcg64_outputs(seed, trials)
+    span = _MAX_ATOMS - 1
+    n_atoms = (2 + ((out[:, 0] & _MASK32) * span >> 32)).astype(np.intp)
+    uniforms = (out[:, 1:] >> 11) * 2.0 ** -53
+    cols = np.arange(_MAX_ATOMS)
+    atoms = cols < n_atoms[:, None]
+    rows = np.arange(trials.size)
+    values = np.where(atoms, _VALUE_CAP * uniforms[:, :_MAX_ATOMS], 0.0)
+    weights = np.where(atoms, np.take_along_axis(
+        uniforms, n_atoms[:, None] + cols, axis=1), 0.0)
+    shifts = _SHIFT_CAP * uniforms[rows, 2 * n_atoms]
+    # Zero padding adds exact zeros to the row sums and never wins the
+    # argmax, so each row normalizes as _draw's 1-d arrays do.
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    probs[rows, probs.argmax(axis=1)] += 1.0 - probs.sum(axis=1)
+    for row in np.flatnonzero(_scalar_rows(values, weights, atoms)):
+        shifts[row], v, p = _draw(seed, start + int(row))
+        values[row], probs[row] = 0.0, 0.0
+        values[row, :v.size], probs[row, :p.size] = v, p
+    return shifts, values, probs
+
+
 def _row_expectations(probs: np.ndarray, f_values: np.ndarray) -> np.ndarray:
     # One BLAS dot per row, the reduction np.dot makes in expect_f.  ddot
     # fuses each multiply into its add, so row sums and einsum differ in
@@ -184,19 +327,12 @@ def _chunk_gaps(spec: FunctionSpec, seed: int, start: int,
     """Gaps and left sides ``E f(shift + Y)`` of trials ``start .. stop-1``,
     evaluated as one batch; each equals :func:`shift_gap` on the trial's
     instance bit for bit."""
-    rows = stop - start
-    shifts = np.empty(rows)
-    values = np.zeros((rows, _MAX_ATOMS))
-    probs = np.zeros((rows, _MAX_ATOMS))
-    for row, trial in enumerate(range(start, stop)):
-        if trial == 0:
-            shift = COUNTEREXAMPLE_SHIFT
-            v, p = COUNTEREXAMPLE_RV.values, COUNTEREXAMPLE_RV.probs
-        else:
-            shift, v, p = _draw(seed, trial)
-        shifts[row] = shift
-        values[row, :v.size] = v
-        probs[row, :p.size] = p
+    shifts, values, probs = _chunk_draws(seed, start, stop)
+    if start == 0:
+        rv = COUNTEREXAMPLE_RV
+        shifts[0], values[0], probs[0] = COUNTEREXAMPLE_SHIFT, 0.0, 0.0
+        values[0, :len(rv.atoms)], probs[0, :len(rv.atoms)] = (rv.values,
+                                                               rv.probs)
 
     f = vector_callable(spec)
     mean_f = _row_expectations(probs, f(values))
@@ -212,17 +348,21 @@ def property_scan(spec: FunctionSpec, trials: int, seed: int) -> ScanReport:
     ``1 .. trials-1`` are random with atom count uniform on ``[2, 5]``,
     values uniform on ``[0, 4]``, probabilities from a normalized uniform
     draw, and shift uniform on ``[0, 2]``, each from its own generator
-    seeded with ``(seed, trial)``.  Deterministic given ``seed``.  Trials
-    are drawn and then evaluated in batches of at most ``_CHUNK_TRIALS``,
-    so memory stays bounded however large ``trials`` is, and every gap
+    ``np.random.default_rng((seed, trial))``.  Deterministic given
+    ``seed``.  Trials are drawn and then evaluated in batches of at most
+    ``_CHUNK_TRIALS``, so memory stays bounded however large ``trials``
+    is.  A batch reproduces its trials' generators in one vectorized
+    pass, so every instance is the one :func:`_draw` gives and every gap
     equals the scalar :func:`shift_gap` exactly.  A gap counts as a
     violation below :data:`VIOLATION_THRESHOLD` times
     ``max(1, |E f(shift + Y)|)``, since its round-off grows with the
-    values.  Raises ValueError when ``f`` overflows float64 on the range
-    the trials read.
+    values.  Raises ValueError when ``seed`` is negative, and when ``f``
+    overflows float64 on the range the trials read.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     top = _VALUE_CAP + _SHIFT_CAP
     if not math.isfinite(spec.value(top)):
         raise ValueError(f"{spec} overflows float64 at {top}, inside the "

@@ -121,6 +121,20 @@ class TestParseArgs:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["test-shift", "--f", "quad"],
+        ["simulate", "--f", "quad", "--chain", "intro", "--n", "3"],
+        ["report", "--f", "quad"],
+    ], ids=["test-shift", "simulate", "report"])
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        # report used to build its whole Bellman table before numpy
+        # refused the seed.
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert ("argument --seed: expected a non-negative seed, got -1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
         ["solve-recursion", "--f", "exp:lambda=1", "--tol", "inf"],
         ["solve-recursion", "--f", "exp:lambda=1", "--tol", "nan"],
     ], ids=["tol-inf", "tol-nan"])

@@ -160,15 +160,18 @@ class TestShiftGap:
 SCAN_SPECS = [EXP_HALF, FunctionSpec(Family.POWER, 2.0), QUAD, REMARK2]
 
 
+def scan_instance(seed, trial):
+    if trial == 0:
+        return COUNTEREXAMPLE_SHIFT, COUNTEREXAMPLE_RV
+    return shift._random_instance(seed, trial)
+
+
 def scan_oracle(spec, trials, seed):
     """The scan as a plain loop of :func:`shift_gap`, one trial at a
     time, worst instance the first strict minimum."""
     violations, worst, injected = 0, None, None
     for trial in range(trials):
-        if trial == 0:
-            a, rv = COUNTEREXAMPLE_SHIFT, COUNTEREXAMPLE_RV
-        else:
-            a, rv = shift._random_instance(seed, trial)
+        a, rv = scan_instance(seed, trial)
         gap = shift_gap(spec, a, rv)
         lhs = expect_f(spec, rv, a)
         if trial == 0:
@@ -180,19 +183,90 @@ def scan_oracle(spec, trials, seed):
     return violations, worst, injected
 
 
+def assert_matches_oracle(report, spec, trials, seed):
+    violations, (gap, trial, a, rv), injected = scan_oracle(spec, trials,
+                                                            seed)
+    assert report.violations == violations
+    assert report.min_gap == gap
+    assert report.argmin_trial == trial
+    assert report.argmin_shift == a
+    assert report.argmin_rv == rv
+    assert report.injected_gap == injected
+
+
+def numpy_instance(seed, trial):
+    """A trial's instance straight from numpy's own generator."""
+    rng = np.random.default_rng((seed, trial))
+    n_atoms = int(rng.integers(2, 6))
+    values = rng.uniform(0.0, 4.0, size=n_atoms)
+    weights = rng.uniform(0.0, 1.0, size=n_atoms)
+    probs = weights / weights.sum()
+    probs[probs.argmax()] += 1.0 - probs.sum()
+    return float(rng.uniform(0.0, 2.0)), values, probs
+
+
+def assert_draws_match_numpy(seed, start, stop):
+    shifts, values, probs = shift._chunk_draws(seed, start, stop)
+    for row, trial in enumerate(range(start, stop)):
+        a, v, p = numpy_instance(seed, trial)
+        assert shifts[row] == a, trial
+        assert values[row].tolist() == v.tolist() + [0.0] * (5 - v.size)
+        assert probs[row].tolist() == p.tolist() + [0.0] * (5 - p.size)
+
+
+class TestBatchedDraw:
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 3, 2**64 + 1])
+    def test_matches_numpy_generators(self, seed):
+        # Trials 1 .. 2100 as the scan chunks them: three chunks.
+        for start in range(0, 2101, shift._CHUNK_TRIALS):
+            assert_draws_match_numpy(seed, max(start, 1),
+                                     min(start + shift._CHUNK_TRIALS, 2101))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**100 + 7])
+    def test_trials_past_two_to_the_32(self, seed):
+        # From 2^32 a trial is two words of entropy; with a seed of three
+        # or more words the second one is mixed in after the pool.
+        start, stop = 2**32 - 3, 2**32 + 3
+        assert_draws_match_numpy(seed, start, stop)
+        raw = shift._pcg64_outputs(seed, np.arange(start, stop,
+                                                   dtype=np.uint64))
+        for row, trial in enumerate(range(start, stop)):
+            bits = np.random.PCG64(np.random.SeedSequence((seed, trial)))
+            assert raw[row].tolist() == bits.random_raw(
+                shift._OUTPUTS).tolist()
+
+
 class TestPropertyScan:
-    @pytest.mark.parametrize("seed", [1, 8])
+    @pytest.mark.parametrize("seed, trials", [
+        pytest.param(1, 300, id="1"),
+        pytest.param(8, 300, id="8"),
+        pytest.param(2, 2100, id="2-2100trials"),
+    ])
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=str)
-    def test_batched_scan_matches_scalar_oracle(self, spec, seed):
-        report = property_scan(spec, 300, seed)
-        violations, (gap, trial, a, rv), injected = scan_oracle(spec, 300,
-                                                                seed)
-        assert report.violations == violations
-        assert report.min_gap == gap
-        assert report.argmin_trial == trial
-        assert report.argmin_shift == a
-        assert report.argmin_rv == rv
-        assert report.injected_gap == injected
+    def test_batched_scan_matches_scalar_oracle(self, spec, seed, trials):
+        assert_matches_oracle(property_scan(spec, trials, seed), spec,
+                              trials, seed)
+
+    def test_scalar_fallback_rows_match_the_oracle(self, monkeypatch):
+        # No seed is known to make _draw redraw (about 2^-50 a trial), so
+        # every third row of each chunk is sent down the scalar path, with
+        # its batched values spoiled so that only the fallback can mend it.
+        batched_rows = shift._scalar_rows
+
+        def every_third_row(values, weights, atoms):
+            rows = batched_rows(values, weights, atoms)
+            rows[::3] = True
+            values[::3] = np.nan
+            return rows
+
+        monkeypatch.setattr(shift, "_scalar_rows", every_third_row)
+        for start in range(0, 2100, shift._CHUNK_TRIALS):
+            stop = min(start + shift._CHUNK_TRIALS, 2100)
+            gaps, _ = shift._chunk_gaps(REMARK2, 4, start, stop)
+            assert gaps.tolist() == [shift_gap(REMARK2, *scan_instance(4, t))
+                                     for t in range(start, stop)]
+        assert_matches_oracle(property_scan(REMARK2, 2100, seed=4), REMARK2,
+                              2100, seed=4)
 
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=str)
     def test_chunk_size_does_not_change_the_report(self, spec, monkeypatch):
@@ -204,6 +278,7 @@ class TestPropertyScan:
         a = property_scan(QUAD, 500, seed=13)
         b = property_scan(QUAD, 500, seed=13)
         assert a == b
+        assert property_scan(QUAD, 500, seed=np.int64(13)) == a
 
     def test_seed_changes_instances(self):
         a = property_scan(QUAD, 500, seed=13)
@@ -231,6 +306,9 @@ class TestPropertyScan:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="trials"):
             property_scan(QUAD, 0, seed=1)
+        # numpy refused a negative seed only after the scan began.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            property_scan(QUAD, 10, seed=-1)
 
     @pytest.mark.parametrize("lam", [4.0, 10.0, 100.0])
     def test_violations_scale_with_the_expectation(self, lam):
