@@ -100,37 +100,17 @@ def grid_error_budget(step: float) -> float:
 # interpolated reads
 
 
-def _interp_into(V: np.ndarray, step: float, q: np.ndarray,
-                 out: np.ndarray, w: np.ndarray, tmp: np.ndarray,
-                 idx: np.ndarray) -> np.ndarray:
-    """Linear interpolation of layer values on the uniform grid, with
-    reads past the top edge clamped to the last value, written into
-    ``out``.  ``w``, ``tmp`` (float) and ``idx`` (intp) are scratch
-    arrays shaped like ``q``."""
-    np.divide(q, step, out=w)
+def _interp(V: np.ndarray, step: float, q) -> np.ndarray:
+    """Linear interpolation of layer values on the uniform grid at
+    ``q``, with reads past the top edge clamped to the last value."""
+    w = np.asarray(q, dtype=float) / step
     # The cell index, clamped to the grid while still a float; w becomes
-    # the weight of the cell's right end.  take() with mode="clip" skips
-    # the buffering its default mode does for out=.
-    np.floor(w, out=tmp)
-    np.minimum(tmp, len(V) - 1, out=tmp)
-    np.maximum(tmp, 0.0, out=tmp)
-    w -= tmp
-    idx[...] = tmp
-    np.take(V, idx, out=out, mode="clip")
-    np.subtract(1.0, w, out=tmp)
-    out *= tmp
-    idx += 1
-    np.take(V, idx, out=tmp, mode="clip")
-    tmp *= w
-    out += tmp
-    return out
-
-
-def _uniform_interp(V: np.ndarray, step: float, q) -> np.ndarray:
-    """:func:`_interp_into` with fresh buffers."""
-    q = np.asarray(q, dtype=float)
-    return _interp_into(V, step, q, np.empty_like(q), np.empty_like(q),
-                        np.empty_like(q), np.empty(q.shape, dtype=np.intp))
+    # the weight of the cell's right end.
+    cell = np.maximum(np.minimum(np.floor(w), len(V) - 1), 0.0)
+    w -= cell
+    idx = cell.astype(np.intp)
+    return (V.take(idx, mode="clip") * (1.0 - w)
+            + V.take(idx + 1, mode="clip") * w)
 
 
 # ----------------------------------------------------------------------
@@ -201,23 +181,10 @@ def _general_scan(f_vec, V_prev: np.ndarray, step: float, x: np.ndarray,
                   y: np.ndarray, a_cand: np.ndarray):
     """``(x+a) f(y+a) + (1-(x+a)) V_prev~(y+a)`` at the states
     ``(x[i], y[i])`` for each row of ``a_cand`` (one increment per
-    state) in turn, yielded in one reused buffer.
-
-    The scratch arrays are allocated once, so a row allocates nothing
-    but the array ``f`` returns.
-    """
-    q, reach, w, tmp, obj = (np.empty(len(y)) for _ in range(5))
-    idx = np.empty(len(y), dtype=np.intp)
+    state) in turn."""
     for a in a_cand:
-        np.add(y, a, out=q)
-        f_q = f_vec(q)
-        _interp_into(V_prev, step, q, obj, w, tmp, idx)
-        np.add(x, a, out=reach)
-        f_q *= reach
-        np.subtract(1.0, reach, out=reach)
-        obj *= reach
-        obj += f_q
-        yield obj
+        q, reach = y + a, x + a
+        yield reach * f_vec(q) + (1.0 - reach) * _interp(V_prev, step, q)
 
 
 # ----------------------------------------------------------------------
@@ -314,8 +281,7 @@ def backup_objective(table: ValueTable, n: int, x: float, y: float,
         raise ValueError(f"increment a = {a} outside [0, {1.0 - x}]")
     spec = table.spec
     reach = x + a
-    cont = float(_uniform_interp(table.V[n - 1], table.grid.step,
-                                 np.array([y + a]))[0])
+    cont = float(_interp(table.V[n - 1], table.grid.step, y + a))
     return reach * spec.value(y + a) + (1.0 - reach) * cont
 
 
@@ -376,8 +342,7 @@ class ExtremalPolicy:
             raise ValueError(f"n = {n} outside [1, {self.horizon}]")
         if not 0.0 <= y <= self.grid.y_max:
             raise ValueError(f"y = {y} outside the grid")
-        a = float(_uniform_interp(self.A[n], self.grid.step,
-                                  np.array([y]))[0])
+        a = float(_interp(self.A[n], self.grid.step, y))
         return min(max(a, 0.0), 1.0)
 
 
@@ -433,14 +398,10 @@ def verify_lemma1(table: ValueTable) -> Lemma1Report:
     counts as a violation below ``-_MONOTONE_TOL`` (1e-9) for the
     monotonicity checks and below ``-_CONVEX_TOL`` (1e-6) for convexity.
     """
-    y_checks = y_viols = 0
-    worst_y = 0.0
-    for n in range(table.horizon + 1):
-        diffs = np.diff(table.V[n])
-        y_checks += len(diffs)
-        y_viols += int(np.sum(diffs < -_MONOTONE_TOL))
-        if len(diffs):
-            worst_y = min(worst_y, float(np.min(diffs)))
+    y_diffs = np.diff(table.V, axis=1)
+    y_checks = y_diffs.size
+    y_viols = int(np.sum(y_diffs < -_MONOTONE_TOL))
+    worst_y = float(np.min(y_diffs, initial=0.0))
 
     x_checks = x_viols = 0
     cx_checks = cx_viols = 0

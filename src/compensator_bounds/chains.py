@@ -35,7 +35,6 @@ __all__ = [
     "SimulationResult",
     "simulate_schedule",
     "simulate_intro",
-    "simulate_extremal",
 ]
 
 _PROB_TOL = 1e-9
@@ -265,14 +264,3 @@ def simulate_intro(spec: FunctionSpec, n_steps: int, n_paths: int,
         raise ValueError("n_steps must be >= 1")
     return simulate_schedule(spec, *intro_schedule(n_steps), n_paths, seed,
                              audit_paths)
-
-
-def simulate_extremal(policy, spec: FunctionSpec, n_paths: int, seed: int,
-                      horizon: int | None = None,
-                      audit_paths: int = 200) -> SimulationResult:
-    """Monte-Carlo draw of the table-driven chain."""
-    horizon = policy.horizon if horizon is None else horizon
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return simulate_schedule(spec, *policy_schedule(policy, horizon),
-                             n_paths, seed, audit_paths)

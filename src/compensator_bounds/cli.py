@@ -91,14 +91,22 @@ def _step_arg(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive count, got {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
     return value
 
 
 def _seed_arg(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative seed, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative seed, got {value}")

@@ -13,7 +13,7 @@ All solvers in this package are parameterized by an increasing function
 
 Each family is one record in ``_FAMILIES``: its parameter key and
 validity rule, ``f(0)``, whether it belongs to the shift class, and the
-closed forms of ``f`` (array and scalar), ``f'``, ``f''``, ``f^{-1}``,
+closed forms of ``f`` (array and scalar), ``f'``, ``f^{-1}``,
 the root ``B`` of the fixed-point equation ``B = f(0) + f'(f^{-1}(B))``
 and the maximizer of the recursion's one-step objective.  A
 :class:`FunctionSpec` bundles a family with its parameter, evaluates
@@ -33,14 +33,11 @@ import numpy as np
 __all__ = [
     "Family",
     "FunctionSpec",
-    "ClassSResult",
     "parse_function_spec",
     "scalar_callable",
     "vector_callable",
     "step_argmax",
     "fixed_point_root",
-    "second_derivative",
-    "class_s_condition",
     "is_class_s_family",
 ]
 
@@ -61,14 +58,13 @@ class Family(enum.Enum):
 class _Forms(NamedTuple):
     """Closed forms of one family member, its parameter bound in.
 
-    ``f`` and ``deriv`` take numpy arrays; ``f_scalar``, ``second`` and
-    ``inverse`` take plain floats.
+    ``f`` and ``deriv`` take numpy arrays; ``f_scalar`` and ``inverse``
+    take plain floats.
     """
 
     f: Callable
     f_scalar: Callable
     deriv: Callable
-    second: Callable
     inverse: Callable
 
 
@@ -77,7 +73,6 @@ def _exp_forms(lam: float) -> _Forms:
         f=lambda x: np.exp(lam * x),
         f_scalar=lambda x: math.exp(lam * x),
         deriv=lambda x: lam * np.exp(lam * x),
-        second=lambda x: lam * lam * np.exp(lam * x),
         # np.log, not math.log: they differ in the last bit for some y,
         # which shows in the recursion output.
         inverse=lambda y: np.log(y) / lam,
@@ -85,20 +80,10 @@ def _exp_forms(lam: float) -> _Forms:
 
 
 def _pow_forms(m: float) -> _Forms:
-    def second(x):
-        # x ** (m - 2) would divide by zero at 0 for m < 2: m = 1 is
-        # linear, and for 1 < m < 2 the curvature's limit at 0 is +inf.
-        if m == 1.0:
-            return 0.0
-        if x == 0.0 and m < 2.0:
-            return math.inf
-        return m * (m - 1.0) * x ** (m - 2.0)
-
     return _Forms(
         f=lambda x: x ** m,
         f_scalar=lambda x: x ** m,
         deriv=lambda x: m * x ** (m - 1.0),
-        second=second,
         inverse=lambda y: y ** (1.0 / m),
     )
 
@@ -108,7 +93,6 @@ def _quad_forms(_: None) -> _Forms:
         f=lambda x: x + 0.5 * x * x,
         f_scalar=lambda x: x + 0.5 * x * x,
         deriv=lambda x: 1.0 + x,
-        second=lambda x: 1.0,
         # -1 + sqrt(1 + 2y), rewritten to avoid cancellation at small y.
         inverse=lambda y: 2.0 * y / (1.0 + math.sqrt(1.0 + 2.0 * y)),
     )
@@ -120,7 +104,6 @@ def _remark2_forms(_: None) -> _Forms:
         f=lambda x: np.where(x <= 1.0, x, 0.5 * (1.0 + x * x)),
         f_scalar=lambda x: x if x <= 1.0 else 0.5 * (1.0 + x * x),
         deriv=lambda x: np.where(x <= 1.0, 1.0, x),
-        second=lambda x: 0.0 if x <= 1.0 else 1.0,
         inverse=lambda y: y if y <= 1.0 else math.sqrt(2.0 * y - 1.0),
     )
 
@@ -426,54 +409,6 @@ def fixed_point_root(spec: FunctionSpec) -> float:
     for ``pow`` (``inf`` where that overflows float64), ``1 + sqrt(2)``
     for ``quad`` and 1 for ``remark2``."""
     return _FAMILIES[spec.family].root(spec.param)
-
-
-# ----------------------------------------------------------------------
-# curvature and the class membership check
-
-
-def second_derivative(spec: FunctionSpec, x: float) -> float:
-    """``f''(x)`` in closed form.  At the ``remark2`` splice point the
-    left value (0) is used, as :meth:`FunctionSpec.deriv` does."""
-    x = float(x)
-    _domain_check(x)
-    return float(spec._forms.second(x))
-
-
-class ClassSResult(NamedTuple):
-    holds: bool
-    violation_at: float | None
-
-
-def class_s_condition(spec: FunctionSpec, grid) -> ClassSResult:
-    """Check the smooth sufficient condition for the shift inequality:
-    the ratio ``f''(x) / f'(x)`` must be nonincreasing along ``grid``.
-
-    ``grid`` must be sorted ascending with at least two points, all in
-    regions where ``f`` is smooth.  Returns whether the sampled ratio is
-    nonincreasing (tolerance 1e-9) and, if not, the first offending grid
-    point.  Points where ``f' = 0`` (power families at the origin) get a
-    ``+inf`` ratio, matching the one-sided limit.
-    """
-    pts = [float(v) for v in np.asarray(grid, dtype=float).ravel()]
-    if len(pts) < 2:
-        raise ValueError("grid must contain at least two points")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("grid must be strictly increasing")
-
-    def ratio(x: float) -> float:
-        slope = spec.deriv(x)
-        if slope == 0.0:
-            return float("inf")
-        return second_derivative(spec, x) / slope
-
-    prev = ratio(pts[0])
-    for x in pts[1:]:
-        cur = ratio(x)
-        if cur > prev + 1e-9:
-            return ClassSResult(False, x)
-        prev = cur
-    return ClassSResult(True, None)
 
 
 def is_class_s_family(spec: FunctionSpec) -> bool:

@@ -320,6 +320,21 @@ class TestVerifyLemma1:
             worst_y_monotone=0.0, worst_x_monotone=0.0,
             worst_x_convex=-1.7763568394002505e-15)
 
+    def test_y_dips_are_counted_across_layers(self):
+        # One dip past the tolerance in layer 1 and one inside it in
+        # layer 2: one violation, and the worst difference over all.
+        tab = value_iteration(POW_TWO, 2, GridConfig(4.0, 0.5))
+        tab.V[1, 3] = tab.V[1, 2] - 0.25
+        tab.V[2, 5] = tab.V[2, 4] - 1e-12
+        report = verify_lemma1(tab)
+        # The per-layer loop the whole-table difference replaced.
+        diffs = [np.diff(row) for row in tab.V]
+        assert report.y_monotone_checks == sum(map(len, diffs)) == 3 * 8
+        assert report.y_monotone_violations == sum(
+            int(np.sum(d < -1e-9)) for d in diffs) == 1
+        assert report.worst_y_monotone == min(
+            0.0, *(float(d.min()) for d in diffs)) == -0.25
+
     def test_worst_slacks_are_tiny(self, lemma_tables):
         report = verify_lemma1(lemma_tables["exp"])
         assert report.worst_y_monotone >= -1e-9

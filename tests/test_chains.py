@@ -23,9 +23,10 @@ from compensator_bounds.chains import (
     extremal_chain_law,
     intro_chain_law,
     intro_kernel,
+    policy_schedule,
     schedule_law,
-    simulate_extremal,
     simulate_intro,
+    simulate_schedule,
 )
 from compensator_bounds.functions import Family, FunctionSpec
 
@@ -255,7 +256,8 @@ class TestExtremalChain:
         policy = extremal_policy(exp_table_30)
         law = extremal_chain_law(policy)
         exact = exact_expectation(EXP_HALF, law)
-        sim = simulate_extremal(policy, EXP_HALF, 20_000, seed=11)
+        sim = simulate_schedule(EXP_HALF, *policy_schedule(policy, 30),
+                                20_000, seed=11)
         assert abs(sim.mean_f - exact) <= 4.0 * sim.std_error
         assert sim.max_doob_residual == 0.0
 
@@ -264,7 +266,8 @@ class TestExtremalChain:
         with pytest.raises(ValueError, match="horizon"):
             extremal_chain_law(policy, horizon=0)
         with pytest.raises(ValueError, match="n_paths"):
-            simulate_extremal(policy, EXP_HALF, 1, seed=3)
+            simulate_schedule(EXP_HALF, *policy_schedule(policy, 30), 1,
+                              seed=3)
 
 
 def same_result(a, b) -> None:
@@ -288,12 +291,12 @@ class TestStreamedDraw:
         same_result(chunked, whole)
 
     def test_extremal_chunks_match_one_draw(self, exp_table_30, monkeypatch):
-        policy = extremal_policy(exp_table_30)
+        sched = policy_schedule(extremal_policy(exp_table_30), 30)
         n_paths = 3001
         monkeypatch.setattr(chains, "_CHUNK_FLOATS", 30 * n_paths)
-        whole = simulate_extremal(policy, EXP_HALF, n_paths, seed=11)
+        whole = simulate_schedule(EXP_HALF, *sched, n_paths, seed=11)
         monkeypatch.setattr(chains, "_CHUNK_FLOATS", 30 * 7)
-        chunked = simulate_extremal(policy, EXP_HALF, n_paths, seed=11)
+        chunked = simulate_schedule(EXP_HALF, *sched, n_paths, seed=11)
         same_result(chunked, whole)
 
     def test_draw_does_not_hold_the_whole_block(self):

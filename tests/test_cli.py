@@ -134,6 +134,19 @@ class TestParseArgs:
         assert ("argument --seed: expected a non-negative seed, got -1"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flag, expect", [
+        ("--trials", "expected a positive count, got 'abc'"),
+        ("--seed", "expected a non-negative seed, got 'abc'"),
+    ], ids=["trials", "seed"])
+    def test_non_numeric_count_is_a_usage_error(self, flag, expect, capsys):
+        # argparse used to name the private type function instead.
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["test-shift", "--f", "quad", flag, "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {expect}" in err
+        assert " _" not in err
+
     @pytest.mark.parametrize("argv", [
         ["solve-recursion", "--f", "exp:lambda=1", "--tol", "inf"],
         ["solve-recursion", "--f", "exp:lambda=1", "--tol", "nan"],
@@ -575,6 +588,17 @@ class TestPinnedTableOutputs:
             "0d6d1287371fcf849a5c8c6b395e09b16461ef07f612deecab310e37f3c61d87")
         assert hashlib.sha256(rows_csv.read_bytes()).hexdigest() == (
             "27a2c64ce1c6017681e70cdc26d07a726e32e7a552a555fc0eb6fa005cc6505e")
+
+    def test_report_with_off_grid_increment(self, capsys):
+        # Step 0.3 does not divide 1, so the lattice appends a = 1, no
+        # grid offset, and the chain check's last step takes it from an
+        # interpolated policy read.  Frozen from the interpolation that
+        # wrote into caller-supplied scratch arrays.
+        code, out = run_cli(["report", "--f", "pow:m=2", "--horizon", "6",
+                             "--step", "0.3"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "a09d8e1de6c614033f2a5a905bdc99d7e61b86bad6f579f0a1f31e4319f47c95")
 
     def test_readme_scale_table(self, capsys):
         code, out = run_cli(["solve-bellman", "--f", "exp:lambda=0.5",

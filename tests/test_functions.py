@@ -15,11 +15,9 @@ from compensator_bounds.functions import (
     _FAMILIES,
     Family,
     FunctionSpec,
-    class_s_condition,
     fixed_point_root,
     is_class_s_family,
     parse_function_spec,
-    second_derivative,
 )
 
 EXP_HALF = FunctionSpec(Family.EXPONENTIAL, 0.5)
@@ -38,6 +36,25 @@ ALL_SPECS = [EXP_HALF, EXP_ONE, EXP_TWO, POW_ONE, POW_TWO, POW_THREE,
 def central_difference(f, x, h=1e-6):
     """Independent derivative oracle."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def curvature_ratio(spec, x):
+    """``f''(x) / f'(x)`` in closed form: the ratio whose monotonicity
+    is the smooth sufficient condition for the shift inequality."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        if spec.family is Family.EXPONENTIAL:
+            return np.full_like(x, spec.param)
+        if spec.family is Family.POWER:
+            # (m - 1) / x, with its limit +inf at the origin for m > 1.
+            if spec.param == 1.0:
+                return np.zeros_like(x)
+            return (spec.param - 1.0) / x
+        if spec.family is Family.QUAD:
+            return 1.0 / (1.0 + x)
+        # remark2: 0 up to the splice (its left value at x = 1), 1/x
+        # beyond, so the ratio jumps up there.
+        return np.where(x <= 1.0, 0.0, 1.0 / x)
 
 
 def sample_points(spec, count, seed):
@@ -168,57 +185,34 @@ class TestInverse:
 
 
 class TestClassS:
-    def test_exponential_holds(self):
-        res = class_s_condition(EXP_HALF, [0.0, 1.0, 2.0, 3.0])
-        assert res.holds and res.violation_at is None
-
-    def test_quad_holds(self):
-        res = class_s_condition(QUAD, [0.0, 0.5, 1.0, 2.0])
-        assert res.holds
-
-    @pytest.mark.parametrize("spec", [POW_ONE, POW_TWO, POW_THREE], ids=str)
-    def test_powers_hold(self, spec):
-        res = class_s_condition(spec, [0.0, 0.25, 1.0, 2.0, 4.0])
-        assert res.holds
-
-    def test_quad_holds_on_a_fine_grid(self):
+    @pytest.mark.parametrize("spec, grid", [
+        (EXP_HALF, [0.0, 1.0, 2.0, 3.0]),
+        (EXP_TWO, np.linspace(0.0, 8.0, 81)),
+        (POW_ONE, [0.0, 0.25, 1.0, 2.0, 4.0]),
+        (FunctionSpec(Family.POWER, 1.5), [0.0, 0.25, 1.0, 2.0, 4.0]),
+        (POW_TWO, [0.0, 0.25, 1.0, 2.0, 4.0]),
+        (POW_THREE, [0.0, 0.25, 1.0, 2.0, 4.0]),
+        (QUAD, [0.0, 0.5, 1.0, 2.0]),
         # Finite-difference curvature reported a false violation at
         # 29.0003 on this grid.
-        res = class_s_condition(QUAD, np.linspace(29.0, 31.0, 20001))
-        assert res.holds and res.violation_at is None
-
-    def test_remark2_fails_across_the_splice(self):
-        res = class_s_condition(REMARK2, [0.5, 2.0])
-        assert not res.holds
-        assert res.violation_at == 2.0
-
-    def test_short_grid_rejected(self):
-        with pytest.raises(ValueError, match="two points"):
-            class_s_condition(QUAD, [1.0])
-
-    def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError, match="increasing"):
-            class_s_condition(QUAD, [1.0, 0.5])
+        (QUAD, np.linspace(29.0, 31.0, 20001)),
+        (REMARK2, [0.5, 2.0]),
+        (REMARK2, np.linspace(0.0, 3.0, 301)),
+    ], ids=["exp:lambda=0.5", "exp:lambda=2.0", "pow:m=1.0", "pow:m=1.5",
+            "pow:m=2.0", "pow:m=3.0", "quad", "quad-fine", "remark2-splice",
+            "remark2-fine"])
+    def test_ratio_nonincreasing_iff_class_s(self, spec, grid):
+        ratio = curvature_ratio(spec, grid)
+        assert bool(np.all(np.diff(ratio) <= 0.0)) is is_class_s_family(spec)
 
     def test_second_derivative_oracle(self):
-        # Finite-difference curvature against closed forms.
-        for spec, x, expect in [
-            (EXP_ONE, 1.0, math.e),
-            (POW_THREE, 2.0, 12.0),
-            (QUAD, 1.7, 1.0),
-            (REMARK2, 0.4, 0.0),
-            (REMARK2, 2.0, 1.0),
-        ]:
-            assert second_derivative(spec, x) == pytest.approx(
-                expect, rel=1e-6, abs=1e-6)
-
-    @pytest.mark.parametrize("m, expect", [(1.0, 0.0), (1.5, math.inf),
-                                           (2.0, 2.0), (3.0, 0.0)])
-    def test_power_curvature_at_zero(self, m, expect):
-        # m (m-1) x^(m-2) as x -> 0+: +inf for 1 < m < 2, and no
-        # division by zero from 0.0 ** negative.
-        spec = parse_function_spec(f"pow:m={m}")
-        assert second_derivative(spec, 0.0) == expect
+        # The closed-form ratio against a finite difference of each
+        # family's own f', away from remark2's splice.
+        for spec in ALL_SPECS:
+            xs = sample_points(spec, 50, seed=5)
+            fd = central_difference(spec.deriv, xs, h=1e-5) / spec.deriv(xs)
+            np.testing.assert_allclose(curvature_ratio(spec, xs), fd,
+                                       rtol=1e-5, atol=1e-6, err_msg=str(spec))
 
     def test_family_membership_helper(self):
         assert is_class_s_family(EXP_TWO)
@@ -237,7 +231,6 @@ def test_every_family_has_a_complete_record(family):
     for x in (0.5, 1.5):
         assert spec.inverse(spec.value(x)) == pytest.approx(x, rel=1e-14)
         assert spec.deriv(x) > 0.0
-        assert math.isfinite(second_derivative(spec, x))
 
 
 class TestFixedPointRoot:

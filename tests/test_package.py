@@ -18,3 +18,29 @@ def test_layers_resolve_after_cli_import():
     # The package root carries no second copy of the module names.
     with pytest.raises(ImportError):
         from compensator_bounds import value_iteration  # noqa: F401
+
+
+def test_benchmark_library_calls_resolve():
+    # bench/probes.py and bench/workloads.py make these calls, with
+    # these signatures; deleting one of them breaks the benchmark.
+    from compensator_bounds import bellman, chains, optimize, recursion, shift
+    from compensator_bounds.functions import parse_function_spec
+
+    _, a = optimize.golden_max(lambda a: -(a - 0.25) ** 2, 0.0, 1.0, 20)
+    assert abs(a - 0.25) < 1e-3
+    cfg = recursion.SolverConfig(64, 20)
+    assert (cfg.opt_grid_points, cfg.refine_iters) == (64, 20)
+    coarse = recursion.SolverConfig(refine_iters=0)
+    f = parse_function_spec("exp:lambda=0.5")
+    b_seq, _ = recursion.recursion_sequence(f, 3, coarse)
+    assert len(b_seq) == 4
+    table = bellman.value_iteration(f, 2, bellman.GridConfig(3.0, 0.25),
+                                    coarse)
+    assert bellman.full_value(table, 2, 0.0, 0.0) == table.V[2, 0]
+    assert bellman.verify_lemma1(table).ok
+    law = chains.extremal_chain_law(bellman.extremal_policy(table), 2)
+    assert chains.exact_expectation(f, law) > 0.0
+    assert chains.simulate_intro(f, 3, 10, 1, audit_paths=0).n_paths == 10
+    assert shift.property_scan(f, 5, 1).violations == 0
+    rv = shift.DiscreteRV(((0.5, 0.5), (1.5, 0.5)))
+    assert shift.shift_gap(f, 0.5, rv) >= 0.0
