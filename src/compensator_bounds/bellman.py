@@ -153,9 +153,9 @@ def _lattice_increments(step: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lattice_scan(f_ext: np.ndarray, f_one, V_prev: np.ndarray,
-                  offsets: np.ndarray, a_cand: np.ndarray):
-    """The ``x = 0`` objective over the whole grid at each increment
-    in turn, yielded in one reused buffer.
+                  offsets: np.ndarray, a_cand: np.ndarray, count: int):
+    """The ``x = 0`` objective on the first ``count`` grid nodes at
+    each increment in turn, yielded in one reused buffer.
 
     At ``a = c * step``, ``f(y + a)`` and ``V_prev(y + a)`` are slices:
     of ``f_ext`` (``f`` on the grid extended past its top) and of
@@ -163,18 +163,36 @@ def _lattice_scan(f_ext: np.ndarray, f_one, V_prev: np.ndarray,
     ``f_one`` is ``f(y + 1)`` when ``a = 1`` is an extra candidate,
     else ``None``.
     """
-    n_pts = len(V_prev)
     V_pad = np.concatenate((V_prev, np.full(offsets[-1], V_prev[-1])))
-    obj = np.empty(n_pts)
-    cont = np.empty(n_pts)
+    obj = np.empty(count)
+    cont = np.empty(count)
     for c, a in zip(offsets.tolist(), a_cand.tolist()):
-        np.multiply(f_ext[c:c + n_pts], a, out=obj)
-        np.multiply(V_pad[c:c + n_pts], 1.0 - a, out=cont)
+        np.multiply(f_ext[c:c + count], a, out=obj)
+        np.multiply(V_pad[c:c + count], 1.0 - a, out=cont)
         obj += cont
         yield obj
     if f_one is not None:
         # a = 1 reaches the ceiling for sure: no continuation term.
-        yield f_one
+        yield f_one[:count]
+
+
+def _trusted_counts(grid: GridConfig, horizon: int,
+                    reach: int) -> list[int]:
+    """How many leading nodes each layer backs up when only the
+    trusted triangle is wanted.
+
+    Layer ``n`` covers the nodes ``y <= y_max - n``, one more for the
+    right end of an interpolated read at ``y_max - n``, and every node
+    that the layer above reads ``reach`` cells further up.  Layer 0 is
+    ``f`` on the whole grid.
+    """
+    counts = [grid.n_points] * (horizon + 1)
+    read = 0  # the nodes of layer n that layer n + 1 reads
+    for n in range(horizon, 0, -1):
+        own = math.floor((grid.y_max - n) / grid.step) + 2
+        counts[n] = min(grid.n_points, max(own, read))
+        read = counts[n] + reach
+    return counts
 
 
 def _general_scan(f_vec, V_prev: np.ndarray, step: float, x: np.ndarray,
@@ -197,7 +215,9 @@ class ValueTable:
     increments ``A[n]`` on the grid ``y`` (``A[0]`` is all zeros).
 
     Layer ``n`` is accurate for ``y <= y_max - n`` only: reads past the
-    top of the grid clamp to the last node.
+    top of the grid clamp to the last node.  A ``trusted_only`` table
+    computed no more than that (plus the nodes its own reads need) and
+    holds NaN in ``V`` and ``A`` everywhere else.
     """
 
     spec: FunctionSpec
@@ -205,6 +225,7 @@ class ValueTable:
     y: np.ndarray
     V: np.ndarray
     A: np.ndarray
+    trusted_only: bool = False
 
     @property
     def horizon(self) -> int:
@@ -216,13 +237,21 @@ class ValueTable:
 
 def value_iteration(spec: FunctionSpec, horizon: int,
                     grid: GridConfig,
-                    solver: SolverConfig | None = None) -> ValueTable:
+                    solver: SolverConfig | None = None, *,
+                    trusted_only: bool = False) -> ValueTable:
     """Backward induction from ``V_0 = f`` up to the given horizon.
 
     Each layer is the first strict maximum over the increment lattice
     at every node, so the table makes no ``f`` calls past its setup.
     ``solver`` is accepted and unread: the grid alone fixes the
     increments.
+
+    With ``trusted_only``, layer ``n`` backs up only the nodes
+    ``y <= y_max - n`` and the few above them that later reads need;
+    those nodes equal the full table's bit for bit, and every other
+    node holds NaN.  That is all ``V[n, 0]`` and the policy read from
+    the origin use, and ``full_value``, ``backup_objective`` and
+    ``verify_lemma1`` refuse such a table.
 
     Raises ``ValueError`` when ``f`` is not finite on ``[0, y_max + 1]``.
     """
@@ -242,25 +271,35 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     step = grid.step
     f_vec = vector_callable(spec)
     n_pts = grid.n_points
-    V = np.empty((horizon + 1, n_pts))
-    A = np.zeros((horizon + 1, n_pts))
-    V[0] = f_vec(y)
-
     offsets, a_cand = _lattice_increments(step)
+    counts = (_trusted_counts(grid, horizon, offsets[-1]) if trusted_only
+              else [n_pts] * (horizon + 1))
+    V = np.full((horizon + 1, n_pts), np.nan)
+    A = np.full((horizon + 1, n_pts), np.nan)
+    V[0], A[0] = f_vec(y), 0.0
+
     f_ext = np.concatenate(
         (V[0], f_vec(grid.y_max + step * np.arange(1, offsets[-1] + 1))))
     f_one = f_vec(y + 1.0) if len(a_cand) > len(offsets) else None
     for n in range(1, horizon + 1):
-        scan = _lattice_scan(f_ext, f_one, V[n - 1], offsets, a_cand)
-        V[n], A[n] = _backup(a_cand, scan, n_pts)
-    return ValueTable(spec, grid, y, V, A)
+        count = counts[n]
+        scan = _lattice_scan(f_ext, f_one, V[n - 1], offsets, a_cand, count)
+        V[n, :count], A[n, :count] = _backup(a_cand, scan, count)
+    return ValueTable(spec, grid, y, V, A, trusted_only)
 
 
 # ----------------------------------------------------------------------
 # general-x values
 
 
+def _require_full(table: ValueTable) -> None:
+    if table.trusted_only:
+        raise ValueError("the table holds only its trusted triangle; "
+                         "general-x values need every node")
+
+
 def _validate_state(table: ValueTable, n: int, x: float, y: float) -> None:
+    _require_full(table)
     if not 0 <= n <= table.horizon:
         raise ValueError(f"n = {n} outside table horizon {table.horizon}")
     if not 0.0 <= x <= 1.0:
@@ -343,6 +382,8 @@ class ExtremalPolicy:
         if not 0.0 <= y <= self.grid.y_max:
             raise ValueError(f"y = {y} outside the grid")
         a = float(_interp(self.A[n], self.grid.step, y))
+        if math.isnan(a):
+            raise ValueError(f"no action was computed at n = {n}, y = {y}")
         return min(max(a, 0.0), 1.0)
 
 
@@ -397,7 +438,9 @@ def verify_lemma1(table: ValueTable) -> Lemma1Report:
     actually resolves (``y + 1 <= y_max - n + 1``).  A difference
     counts as a violation below ``-_MONOTONE_TOL`` (1e-9) for the
     monotonicity checks and below ``-_CONVEX_TOL`` (1e-6) for convexity.
+    Raises ``ValueError`` on a ``trusted_only`` table.
     """
+    _require_full(table)
     y_diffs = np.diff(table.V, axis=1)
     y_checks = y_diffs.size
     y_viols = int(np.sum(y_diffs < -_MONOTONE_TOL))

@@ -11,10 +11,10 @@ Every subcommand prints one JSON document to stdout (also written to
 as CSV via ``--csv PATH``.  Identical argv and seed give byte-identical
 outputs: keys are sorted, and nothing is stamped with times or
 hostnames.  The JSON text is what ``json.dumps(payload, sort_keys=True,
-indent=2)`` gives, written by a small encoder: each float is its
-``repr``, taken once per distinct value of an array (the action table
-holds a few hundred), and ``NaN`` and ``Infinity`` appear as ``json``
-writes them.
+indent=2)`` gives, written by a small encoder one table row at a time:
+each float is its ``repr``, taken once per distinct value of an array
+row (an action row holds a few hundred), and ``NaN`` and ``Infinity``
+appear as ``json`` writes them.
 
 Exit codes: 0 = ran and all internal consistency checks passed, 2 =
 usage error, 3 = a consistency check failed.
@@ -23,7 +23,9 @@ usage error, 3 = a consistency check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import sys
 
@@ -211,11 +213,29 @@ def parse_args(argv=None) -> argparse.Namespace:
 # output plumbing
 
 
-def _dump_json(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline,
-    byte for byte, for payloads with string keys; a float64 ``ndarray``
-    may stand where the nested list of its floats would."""
-    return _encode(payload, "") + "\n"
+def _pieces(value, indent: str):
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``,
+    byte for byte, for values with string keys, where a float64
+    ``ndarray`` may stand for the nested list of its floats.  It comes
+    in pieces: the framing of each dict, and one row at a time of an
+    array of two or more dimensions, so that no piece holds a table."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        opening = "{"
+        for key in sorted(value):
+            yield f"{opening}\n{inner}{json.dumps(key)}: "
+            yield from _pieces(value[key], inner)
+            opening = ","
+        yield f"\n{indent}}}"
+    elif (isinstance(value, np.ndarray) and value.dtype == np.float64
+          and value.ndim > 1 and len(value)):
+        opening = "["
+        for row in value:
+            yield f"{opening}\n{inner}{_encode(row, inner)}"
+            opening = ","
+        yield f"\n{indent}]"
+    else:
+        yield _encode(value, indent)
 
 
 def _encode(value, indent: str) -> str:
@@ -229,12 +249,18 @@ def _encode(value, indent: str) -> str:
         return _join([float.__repr__(v) if type(v) is float and v - v == 0.0
                       else _encode(v, inner) for v in value], "[", "]", indent)
     if isinstance(value, np.ndarray) and value.dtype == np.float64:
-        # repr once per distinct bit pattern, so 0.0 and -0.0 stay apart.
-        bits, inverse = np.unique(value.view(np.uint64), return_inverse=True)
-        distinct = [_encode(v, "") for v in bits.view(np.float64).tolist()]
-        texts = np.array(distinct, dtype=object)[inverse.reshape(value.shape)]
+        texts = _distinct_texts(value, lambda v: _encode(v, ""))
         return _nest(texts.tolist(), indent)
     return json.dumps(value)
+
+
+def _distinct_texts(values: np.ndarray, render) -> np.ndarray:
+    """``render`` of every float in ``values``, as an object array of
+    the same shape, calling ``render`` once per distinct bit pattern
+    (so 0.0 and -0.0 stay apart)."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = [render(v) for v in bits.view(np.float64).tolist()]
+    return np.array(distinct, dtype=object)[inverse.reshape(values.shape)]
 
 
 def _join(parts: list[str], opening: str, closing: str, indent: str) -> str:
@@ -253,11 +279,21 @@ def _nest(texts: list, indent: str) -> str:
 
 
 def _emit(payload: dict, json_path: str | None) -> None:
-    text = _dump_json(payload)
-    sys.stdout.write(text)
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    """Write the payload's JSON text to stdout and, when given, to
+    ``json_path``, piece by piece.  The file is opened first, so a path
+    that cannot be opened is an error before anything is printed."""
+    sinks = [sys.stdout]
+    with contextlib.ExitStack() as stack:
+        if json_path is not None:
+            try:
+                sinks.append(stack.enter_context(
+                    open(json_path, "w", encoding="utf-8", newline="")))
+            except OSError as exc:
+                raise ValueError(f"could not write --json file "
+                                 f"'{json_path}': {exc}") from exc
+        for piece in itertools.chain(_pieces(payload, ""), ["\n"]):
+            for sink in sinks:
+                sink.write(piece)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -350,19 +386,25 @@ def _cmd_solve_bellman(args) -> int:
     }
     _emit(payload, args.json)
     if args.csv:
+        # Every field is an int or a float repr, which csv.writer would
+        # write unquoted, so each layer goes out as one block of rows.
+        # A layer's values are all distinct; its actions take a few
+        # hundred values, so each of those is rendered once.
         y_texts = [repr(y) for y in table.y.tolist()]
-        layers = (zip([n] * len(y_texts), y_texts,
-                      map(repr, table.V[n].tolist()),
-                      map(repr, table.A[n].tolist()))
-                  for n in range(table.horizon + 1))
-        _write_csv(args.csv, ["n", "y", "value", "action"],
-                   (row for layer in layers for row in layer))
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            fh.write("n,y,value,action\r\n")
+            for n in range(table.horizon + 1):
+                rows = zip(itertools.repeat(str(n)), y_texts,
+                           map(repr, table.V[n].tolist()),
+                           _distinct_texts(table.A[n], repr).tolist())
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
     return 0
 
 
 def _cmd_compare(args) -> int:
     comparison = compare_bounds(value_iteration(
-        args.f, args.horizon, GridConfig(float(args.horizon), args.step)))
+        args.f, args.horizon, GridConfig(float(args.horizon), args.step),
+        trusted_only=True))
     payload = {
         "command": "compare",
         "function": args.f.spec_string(),
@@ -524,7 +566,9 @@ def run_report(spec: FunctionSpec, horizon: int, step: float, trials: int,
                     failures.append("recursion limit does not match the "
                                     "fixed-point bound")
 
-    table = value_iteration(spec, horizon, grid)
+    # The comparison and the chain read only V[n, 0] and the policy
+    # along the path from the origin: the trusted triangle.
+    table = value_iteration(spec, horizon, grid, trusted_only=True)
     comparison = compare_bounds(table)
     if comparison.enforced and not comparison.within_budget:
         failures.append("exact values exceed the recursion bound beyond "

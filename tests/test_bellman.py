@@ -525,6 +525,95 @@ class TestLatticeBackup:
             min(0.0, min(slacks)))
 
 
+class TestTrustedOnly:
+    """``trusted_only`` backs up layer ``n`` on ``y <= y_max - n`` and one
+    node more; every node it computes equals the full table's."""
+
+    SPECS = ["exp:lambda=0.5", "pow:m=1.5", "pow:m=2", "pow:m=3", "quad",
+             "remark2"]
+
+    @pytest.mark.parametrize("step", [1.0 / 64, 0.3], ids=["1/64", "0.3"])
+    @pytest.mark.parametrize("text", SPECS)
+    def test_computed_nodes_equal_the_full_table(self, text, step):
+        spec = parse_function_spec(text)
+        grid = GridConfig(6.0, step)
+        full = value_iteration(spec, 6, grid)
+        part = value_iteration(spec, 6, grid, trusted_only=True)
+        assert part.trusted_only and not full.trusted_only
+        np.testing.assert_array_equal(part.V[0], full.V[0])
+        np.testing.assert_array_equal(part.A[0], 0.0)
+        for n in range(1, 7):
+            done = ~np.isnan(part.V[n])
+            np.testing.assert_array_equal(done, ~np.isnan(part.A[n]))
+            # A leading run of nodes: the triangle and one node more.
+            count = int(np.sum(part.y <= grid.y_max - n + 1e-9)) + 1
+            assert np.flatnonzero(done).tolist() == list(range(count))
+            assert part.V[n, done].tobytes() == full.V[n, done].tobytes()
+            assert part.A[n, done].tobytes() == full.A[n, done].tobytes()
+        assert compare_bounds(part) == compare_bounds(full)
+
+    def test_grid_above_the_horizon(self):
+        grid = GridConfig(9.0, 1.0 / 64)
+        full = value_iteration(POW_TWO, 6, grid)
+        part = value_iteration(POW_TWO, 6, grid, trusted_only=True)
+        for n in range(7):
+            done = ~np.isnan(part.V[n])
+            assert done.sum() == (len(part.y) if n == 0
+                                  else (9 - n) * 64 + 2)
+            np.testing.assert_array_equal(part.V[n, done], full.V[n, done])
+            np.testing.assert_array_equal(part.A[n, done], full.A[n, done])
+
+    def test_rounded_division_keeps_the_reads_computed(self):
+        # (4 - 1) / (1/75) rounds to 224.99999999999997, so layer 1's own
+        # triangle stops a node short of what layer 2's backups read.
+        grid = GridConfig(4.0, 1.0 / 75)
+        assert math.floor((grid.y_max - 1) / grid.step) == 224
+        full = value_iteration(POW_TWO, 4, grid)
+        part = value_iteration(POW_TWO, 4, grid, trusted_only=True)
+        assert np.sum(~np.isnan(part.V[2])) == 150 + 2
+        assert np.sum(~np.isnan(part.V[1])) == 152 + 75
+        for n in range(5):
+            done = ~np.isnan(part.V[n])
+            np.testing.assert_array_equal(part.V[n, done], full.V[n, done])
+            np.testing.assert_array_equal(part.A[n, done], full.A[n, done])
+
+    @pytest.mark.parametrize("text", SPECS)
+    def test_off_grid_read_uses_the_extra_node(self, text):
+        # Step 0.3: after a = 1 the chain sits at y = 1.0 with H - 1
+        # steps left, between the trusted node 0.9 and the next one, 1.2,
+        # which is the last node that layer computed.
+        spec = parse_function_spec(text)
+        grid = GridConfig(6.0, 0.3)
+        full = value_iteration(spec, 6, grid)
+        part = value_iteration(spec, 6, grid, trusted_only=True)
+        assert np.flatnonzero(~np.isnan(part.A[5]))[-1] == 4
+        # The read at y = 1.0 puts weight 1/3 on node 4.
+        assert 1.0 / grid.step % 1.0 == pytest.approx(1.0 / 3.0)
+        policy = extremal_policy(part)
+        assert policy.action(5, 1.0) == extremal_policy(full).action(5, 1.0)
+        for n in range(1, 7):
+            assert (extremal_chain_law(policy, n)
+                    == extremal_chain_law(extremal_policy(full), n))
+        # Without that node the read would be NaN, which is refused.
+        part.A[5, 4] = np.nan
+        with pytest.raises(ValueError, match="no action"):
+            policy.action(5, 1.0)
+
+    def test_uncomputed_nodes_are_refused(self):
+        grid = GridConfig(6.0, 1.0 / 64)
+        part = value_iteration(EXP_HALF, 6, grid, trusted_only=True)
+        assert np.isnan(part.V[6, 2:]).all() and np.isnan(part.A[6, 2:]).all()
+        assert not np.isnan(part.V[6, :2]).any()
+        with pytest.raises(ValueError, match="trusted triangle"):
+            full_value(part, 1, 0.5, 0.0)
+        with pytest.raises(ValueError, match="trusted triangle"):
+            backup_objective(part, 1, 0.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="trusted triangle"):
+            verify_lemma1(part)
+        with pytest.raises(ValueError, match="no action"):
+            extremal_policy(part).action(6, 3.0)
+
+
 class TestGoldenRefinement:
     """The backup is the lattice scan and nothing else: no refinement
     step runs after it, whatever ``refine_iters`` says."""

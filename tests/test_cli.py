@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from compensator_bounds import cli
+from compensator_bounds.bellman import GridConfig, value_iteration
 from compensator_bounds.cli import main, parse_args
 from compensator_bounds.functions import Family, parse_function_spec
 from compensator_bounds.shift import property_scan
@@ -639,7 +640,7 @@ class TestJsonEncoder:
     ], ids=["signed-zero", "non-finite-and-extremes", "scalars",
             "non-ascii", "empty", "nested", "repeated-draws"])
     def test_matches_the_stdlib(self, payload):
-        assert cli._dump_json(payload) == json.dumps(
+        assert "".join(cli._pieces(payload, "")) + "\n" == json.dumps(
             as_lists(payload), sort_keys=True, indent=2,
             separators=(",", ": ")) + "\n"
 
@@ -660,6 +661,61 @@ class TestJsonEncoder:
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True,
                                  indent=2) + "\n"
+
+
+def table_payload(horizon: int, y_max: float, step: float) -> dict:
+    """What ``solve-bellman`` emits for a pow:m=2 table."""
+    spec = parse_function_spec("pow:m=2")
+    table = value_iteration(spec, horizon, GridConfig(y_max, step))
+    return {"command": "solve-bellman", "format": cli.ARTIFACT_FORMAT,
+            "function": spec.spec_string(), "horizon": horizon,
+            "grid": {"y_max": y_max, "step": step},
+            "values_at_zero": table.V[:, 0].tolist(), "actions": table.A}
+
+
+class TestStreamedEmit:
+    """``_emit`` writes the text piece by piece: the framing of each
+    dict, then one row of a table at a time."""
+
+    PAYLOADS = {
+        "table": lambda: table_payload(3, 3.0, 0.25),
+        "horizon-0": lambda: table_payload(0, 1.0, 0.5),
+        "sparse": lambda: {"empty": [], "none": None, "outer": {
+            "inner": {"deep": {}, "rows": np.array([[0.5, -0.0]])},
+            "list": [{}, [], None]}, "zero_rows": np.zeros((0, 4))},
+    }
+
+    @pytest.mark.parametrize("name", PAYLOADS)
+    def test_matches_the_stdlib(self, name, tmp_path, capsys):
+        payload = self.PAYLOADS[name]()
+        target = tmp_path / "out.json"
+        cli._emit(payload, str(target))
+        out = capsys.readouterr().out
+        assert out == json.dumps(as_lists(payload), sort_keys=True,
+                                 indent=2) + "\n"
+        assert target.read_text(encoding="utf-8") == out
+
+    def test_one_row_per_piece(self):
+        actions = table_payload(3, 3.0, 0.25)["actions"]
+        pieces = list(cli._pieces({"actions": actions}, ""))
+        # The key, one piece per row, and the two closing brackets.
+        assert len(pieces) == 1 + len(actions) + 2
+        for piece in pieces[1:-2]:
+            assert piece.count("\n") == actions.shape[1] + 2
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unopenable_json_path_prints_nothing(self, where, tmp_path,
+                                                 capsys):
+        # The file opens before the first piece is written, so a bad
+        # path is a usage error with empty stdout.
+        target = tmp_path / "no" / "t.json" if where == "missing-dir" \
+            else tmp_path
+        code = main([*BELLMAN_SMALL, "--json", str(target)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("error: could not write --json file")
+        assert not (tmp_path / "no").exists()
 
 
 def hand_artifact(path: Path, **overrides) -> Path:
