@@ -227,6 +227,12 @@ class TestSimulateIntro:
             simulate_intro(EXP_ONE, 0, 100, seed=1)
         with pytest.raises(ValueError, match="n_paths"):
             simulate_intro(EXP_ONE, 10, 1, seed=1)
+        with pytest.raises(ValueError, match="audit_paths"):
+            simulate_intro(EXP_ONE, 5, 10, seed=1, audit_paths=-1)
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                simulate_schedule(EXP_ONE, [0.5, bad], np.arange(3.0), 10,
+                                  seed=1)
 
 
 class TestExtremalChain:
@@ -279,23 +285,23 @@ def same_result(a, b) -> None:
 
 
 class TestStreamedDraw:
-    """The draw is streamed in row chunks of the one Philox stream."""
+    """The kernel evaluates the one Philox stream in chunks of paths."""
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_intro_chunks_match_one_draw(self, rows, monkeypatch):
         n_steps, n_paths = 12, 4001
-        monkeypatch.setattr(chains, "_CHUNK_FLOATS", n_steps * n_paths)
+        monkeypatch.setattr(chains, "_CHUNK_PATHS", n_paths)
         whole = simulate_intro(EXP_ONE, n_steps, n_paths, seed=9)
-        monkeypatch.setattr(chains, "_CHUNK_FLOATS", n_steps * rows)
+        monkeypatch.setattr(chains, "_CHUNK_PATHS", rows)
         chunked = simulate_intro(EXP_ONE, n_steps, n_paths, seed=9)
         same_result(chunked, whole)
 
     def test_extremal_chunks_match_one_draw(self, exp_table_30, monkeypatch):
         sched = policy_schedule(extremal_policy(exp_table_30), 30)
         n_paths = 3001
-        monkeypatch.setattr(chains, "_CHUNK_FLOATS", 30 * n_paths)
+        monkeypatch.setattr(chains, "_CHUNK_PATHS", n_paths)
         whole = simulate_schedule(EXP_HALF, *sched, n_paths, seed=11)
-        monkeypatch.setattr(chains, "_CHUNK_FLOATS", 30 * 7)
+        monkeypatch.setattr(chains, "_CHUNK_PATHS", 7)
         chunked = simulate_schedule(EXP_HALF, *sched, n_paths, seed=11)
         same_result(chunked, whole)
 
@@ -310,6 +316,22 @@ class TestStreamedDraw:
         # One (paths, steps) float64 block would be 24 MB on its own.
         assert peak < n_paths * n_steps * 8 / 4
 
+    def test_peak_does_not_grow_with_the_horizon(self):
+        n_paths = 50_000
+        simulate_intro(EXP_ONE, 60, n_paths, seed=1, audit_paths=0)
+        peak = {}
+        for n_steps in (60, 600):
+            tracemalloc.start()
+            try:
+                simulate_intro(EXP_ONE, n_steps, n_paths, seed=1,
+                               audit_paths=0)
+                _, peak[n_steps] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # Only the schedule's own arrays grow with the steps, a few words
+        # per step; one more draw row per path would add 8 bytes a path.
+        assert peak[600] - peak[60] < 100 * (600 - 60)
+
     def test_doubling_chain_is_the_half_schedule(self):
         a_sched, y_sched = chains.intro_schedule(5)
         np.testing.assert_array_equal(a_sched, [0.5] * 5)
@@ -317,3 +339,90 @@ class TestStreamedDraw:
         with pytest.raises(ValueError, match="at least one step"):
             chains.simulate_schedule(EXP_ONE, *chains.intro_schedule(0),
                                      100, seed=1)
+
+
+def full_draw_hits(seed, a_sched, n_paths) -> np.ndarray:
+    """Absorption steps from one whole ``(n_paths, steps)`` uniform
+    draw: the formula the kernel must reproduce."""
+    jumps = np.random.Generator(np.random.Philox(seed)).random(
+        (n_paths, len(a_sched))) < a_sched
+    return np.where(jumps.any(axis=1), jumps.argmax(axis=1) + 1,
+                    len(a_sched) + 1)
+
+
+def kernel_blocks(key, counters) -> np.ndarray:
+    """Philox blocks at the given (Python int) counters, one row each."""
+    bufs = [np.zeros(len(counters), dtype=np.uint64) for _ in range(9)]
+    for lane in range(4):
+        bufs[lane][:] = [(c >> 64 * lane) & (2 ** 64 - 1) for c in counters]
+    return np.stack(chains._philox_blocks(bufs, key), axis=1)
+
+
+class TestPhiloxKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 40, 2 ** 63])
+    @pytest.mark.parametrize("counter", [0, 2 ** 32 - 3, 2 ** 64 - 3,
+                                         2 ** 128 - 2])
+    def test_blocks_match_numpy(self, seed, counter):
+        key = np.random.Philox(seed).state["state"]["key"]
+        # random_raw's first block is the one at counter + 1; these
+        # counters carry into the upper lanes partway.
+        want = np.random.Philox(key=key, counter=counter).random_raw(16)
+        got = kernel_blocks([int(k) for k in key],
+                            [counter + b for b in range(1, 5)])
+        np.testing.assert_array_equal(got.ravel(), want)
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 60, 61])
+    @pytest.mark.parametrize("schedule", ["half", "edges", "small"])
+    def test_hits_match_the_full_draw(self, n_steps, schedule):
+        a_sched = {
+            "half": np.full(n_steps, 0.5),
+            # Exact 0 and 1 entries: never and always a jump.
+            "edges": np.resize([0.0, 0.3, 1.0, 0.0, 0.7], n_steps),
+            # Paths live about 20 steps, through many blocks.
+            "small": np.full(n_steps, 0.05),
+        }[schedule]
+        n_paths = chains._CHUNK_PATHS + 3
+        np.testing.assert_array_equal(
+            chains._first_hits(8, a_sched, n_paths),
+            full_draw_hits(8, a_sched, n_paths))
+
+    def test_threshold_is_the_uniform_itself(self):
+        # u < a is false at a == u and true one ulp above it.
+        u = np.random.Generator(np.random.Philox(4)).random(3)
+        for a, t_hit in ((u[0], 2), (np.nextafter(u[0], 1.0), 1)):
+            hits = chains._first_hits(4, np.array([a]), 3)
+            assert hits[0] == t_hit
+            np.testing.assert_array_equal(
+                hits, full_draw_hits(4, np.array([a]), 3))
+
+
+class TestAudit:
+    """Each distinct absorption step among the audited paths is rebuilt
+    once; the residual equals the audit of every path."""
+
+    @staticmethod
+    def per_path_residual(sim, a_sched, y_sched, audit_paths) -> float:
+        def kernel(step, x, y):
+            return chains._two_point(a_sched[step], x)
+
+        steps = np.arange(len(a_sched) + 1)
+        residual = 0.0
+        for i in range(min(audit_paths, sim.n_paths)):
+            y_path = doob_decompose((steps >= sim.t_hit[i]).astype(float),
+                                    kernel)
+            closed = y_sched[np.minimum(steps, sim.t_hit[i])]
+            residual = max(residual, float(np.max(np.abs(y_path - closed))))
+        return residual
+
+    @pytest.mark.parametrize("audit_paths", [0, 1, 200, 700])
+    def test_matches_the_per_path_audit(self, audit_paths):
+        n_steps, n_paths = 12, 500
+        # 0.1 is not a binary fraction: the rebuilt running sum drifts
+        # from 0.1 * k by a few ulps.
+        a_sched = np.full(n_steps, 0.1)
+        y_sched = 0.1 * np.arange(n_steps + 1)
+        sim = simulate_schedule(EXP_ONE, a_sched, y_sched, n_paths, seed=2,
+                                audit_paths=audit_paths)
+        want = self.per_path_residual(sim, a_sched, y_sched, audit_paths)
+        assert sim.max_doob_residual == want
+        assert (want > 0.0) == (audit_paths > 0)
