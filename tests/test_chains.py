@@ -364,8 +364,9 @@ class TestPhiloxKernel:
                                          2 ** 128 - 2])
     def test_blocks_match_numpy(self, seed, counter):
         key = np.random.Philox(seed).state["state"]["key"]
-        # random_raw's first block is the one at counter + 1; these
-        # counters carry into the upper lanes partway.
+        # random_raw's first block is the one at counter + 1.  The four
+        # blocks cross 2**32, a split point of the 32-bit half products,
+        # or carry into counter lane 1 (2**64) or lane 2 (2**128).
         want = np.random.Philox(key=key, counter=counter).random_raw(16)
         got = kernel_blocks([int(k) for k in key],
                             [counter + b for b in range(1, 5)])
