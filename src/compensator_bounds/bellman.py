@@ -9,13 +9,13 @@ complementary probability.  The value tables computed here store the
 ``x = 0`` slice on a uniform ``y``-grid with linear interpolation;
 general ``x`` is reconstructed on demand from that slice.
 
-Every backup runs through one maximizer over arrays of states: a scan
-of increments that keeps the first strict maximum, so ties go to the
-smallest increment.  The increments come from the grid alone:
+Every backup maximizes over increments that come from the grid alone:
 ``a_k = min(k * step, 1 - x)`` for ``k = 0 .. ceil(1 / step)``, that is,
-the grid lattice plus ``a = 1`` when ``step`` does not divide 1.  On
-whole-grid ``x = 0`` layers ``f(y + a)`` and ``V_{n-1}(y + a)`` are then
-plain slices, so no ``x = 0`` node reads an interpolated value.  On
+the grid lattice plus ``a = 1`` when ``step`` does not divide 1.  An
+action is the first increment that attains the maximum, so ties go to
+the smallest increment.  On whole-grid ``x = 0`` layers ``f(y + a)`` and
+``V_{n-1}(y + a)`` are plain slices, so no ``x = 0`` node reads an
+interpolated value.  On
 its trusted nodes (below) each such layer is the exact value of the
 control problem whose increments lie on the lattice, and ``V[n, 0]`` is
 ``E f(Y_n)`` for the chain that follows the stored increments: a lower
@@ -114,30 +114,7 @@ def _interp(V: np.ndarray, step: float, q) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the one maximizer
-
-
-def _backup(a_cand: np.ndarray, scan,
-            n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize the backup objective over the increment, elementwise
-    over ``n_states`` states.
-
-    ``a_cand`` holds the increments in ascending order, either one row
-    shared by every state or one column per state; ``scan`` yields the
-    objective at each of them in turn.  The scan keeps the first strict
-    maximum, so ties go to the smallest increment.  Returns
-    ``(values, argmax increments)``.
-    """
-    best_v = np.full(n_states, -np.inf)
-    best_i = np.zeros(n_states, dtype=np.intp)
-    better = np.empty(n_states, dtype=bool)
-    for i, obj in enumerate(scan):
-        np.greater(obj, best_v, out=better)
-        np.copyto(best_v, obj, where=better)
-        np.copyto(best_i, i, where=better)
-    k_pts = len(a_cand)
-    cand = np.broadcast_to(a_cand.reshape(k_pts, -1), (k_pts, n_states))
-    return best_v, cand[best_i, np.arange(n_states)]
+# the x = 0 backup
 
 
 def _lattice_increments(step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,28 +129,51 @@ def _lattice_increments(step: float) -> tuple[np.ndarray, np.ndarray]:
     return offsets, a_cand
 
 
-def _lattice_scan(f_ext: np.ndarray, f_one, V_prev: np.ndarray,
-                  offsets: np.ndarray, a_cand: np.ndarray, count: int):
-    """The ``x = 0`` objective on the first ``count`` grid nodes at
-    each increment in turn, yielded in one reused buffer.
+def _backup(f_ext: np.ndarray, f_one, V_prev: np.ndarray,
+            offsets: np.ndarray, a_cand: np.ndarray, best: np.ndarray,
+            act: np.ndarray | None) -> None:
+    """Back up the first ``len(best)`` nodes of an ``x = 0`` layer into
+    ``best``, and their actions into ``act`` unless it is ``None``.
 
     At ``a = c * step``, ``f(y + a)`` and ``V_prev(y + a)`` are slices:
     of ``f_ext`` (``f`` on the grid extended past its top) and of
     ``V_prev`` padded with its last value (the top-edge clamp).
     ``f_one`` is ``f(y + 1)`` when ``a = 1`` is an extra candidate,
-    else ``None``.
+    else ``None``.  The values are a running ``np.maximum`` over the
+    increments.  A second ascending scan gives each node the first
+    increment whose objective equals its value, the first strict
+    maximum, and stops once every node has one.
     """
+    count = len(best)
     V_pad = np.concatenate((V_prev, np.full(offsets[-1], V_prev[-1])))
     obj = np.empty(count)
     cont = np.empty(count)
-    for c, a in zip(offsets.tolist(), a_cand.tolist()):
-        np.multiply(f_ext[c:c + count], a, out=obj)
-        np.multiply(V_pad[c:c + count], 1.0 - a, out=cont)
-        obj += cont
-        yield obj
-    if f_one is not None:
-        # a = 1 reaches the ceiling for sure: no continuation term.
-        yield f_one[:count]
+
+    def scan():  # the objective at each increment, in one reused buffer
+        for c, a in zip(offsets.tolist(), a_cand.tolist()):
+            np.multiply(f_ext[c:c + count], a, out=obj)
+            np.multiply(V_pad[c:c + count], 1.0 - a, out=cont)
+            np.add(obj, cont, out=obj)
+            yield a, obj
+        if f_one is not None:
+            # a = 1 reaches the ceiling for sure: no continuation term.
+            yield 1.0, f_one[:count]
+
+    best.fill(-np.inf)
+    for _, obj_a in scan():
+        np.maximum(best, obj_a, out=best)
+    if act is None:
+        return
+    left = np.ones(count, dtype=bool)
+    hit = np.empty_like(left)
+    for a, obj_a in scan():
+        np.equal(obj_a, best, out=hit)
+        if hit.any():  # at a few increments per node only
+            hit &= left
+            act[hit] = a
+            left ^= hit
+            if not left.any():
+                return
 
 
 def _trusted_counts(grid: GridConfig, horizon: int,
@@ -195,16 +195,6 @@ def _trusted_counts(grid: GridConfig, horizon: int,
     return counts
 
 
-def _general_scan(f_vec, V_prev: np.ndarray, step: float, x: np.ndarray,
-                  y: np.ndarray, a_cand: np.ndarray):
-    """``(x+a) f(y+a) + (1-(x+a)) V_prev~(y+a)`` at the states
-    ``(x[i], y[i])`` for each row of ``a_cand`` (one increment per
-    state) in turn."""
-    for a in a_cand:
-        q, reach = y + a, x + a
-        yield reach * f_vec(q) + (1.0 - reach) * _interp(V_prev, step, q)
-
-
 # ----------------------------------------------------------------------
 # tables
 
@@ -212,7 +202,8 @@ def _general_scan(f_vec, V_prev: np.ndarray, step: float, x: np.ndarray,
 @dataclass
 class ValueTable:
     """Stacked ``x = 0`` value layers ``V[n]`` and their maximizing
-    increments ``A[n]`` on the grid ``y`` (``A[0]`` is all zeros).
+    increments ``A[n]`` (all zeros at ``n = 0``, ``A`` itself ``None`` in
+    a table built without actions) on the grid ``y``.
 
     Layer ``n`` is accurate for ``y <= y_max - n`` only: reads past the
     top of the grid clamp to the last node.  A ``trusted_only`` table
@@ -224,7 +215,7 @@ class ValueTable:
     grid: GridConfig
     y: np.ndarray
     V: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | None
     trusted_only: bool = False
 
     @property
@@ -238,13 +229,14 @@ class ValueTable:
 def value_iteration(spec: FunctionSpec, horizon: int,
                     grid: GridConfig,
                     solver: SolverConfig | None = None, *,
-                    trusted_only: bool = False) -> ValueTable:
+                    trusted_only: bool = False,
+                    actions: bool = True) -> ValueTable:
     """Backward induction from ``V_0 = f`` up to the given horizon.
 
-    Each layer is the first strict maximum over the increment lattice
-    at every node, so the table makes no ``f`` calls past its setup.
-    ``solver`` is accepted and unread: the grid alone fixes the
-    increments.
+    Each layer is the maximum over the increment lattice at every node,
+    so the table makes no ``f`` calls past its setup.  ``solver`` is
+    accepted and unread.  Without ``actions`` no maximizer is sought,
+    ``A`` is ``None`` and ``V`` is the same bit for bit.
 
     With ``trusted_only``, layer ``n`` backs up only the nodes
     ``y <= y_max - n`` and the few above them that later reads need;
@@ -275,16 +267,18 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     counts = (_trusted_counts(grid, horizon, offsets[-1]) if trusted_only
               else [n_pts] * (horizon + 1))
     V = np.full((horizon + 1, n_pts), np.nan)
-    A = np.full((horizon + 1, n_pts), np.nan)
-    V[0], A[0] = f_vec(y), 0.0
+    A = np.full((horizon + 1, n_pts), np.nan) if actions else None
+    V[0] = f_vec(y)
+    if actions:
+        A[0] = 0.0
 
     f_ext = np.concatenate(
         (V[0], f_vec(grid.y_max + step * np.arange(1, offsets[-1] + 1))))
     f_one = f_vec(y + 1.0) if len(a_cand) > len(offsets) else None
     for n in range(1, horizon + 1):
         count = counts[n]
-        scan = _lattice_scan(f_ext, f_one, V[n - 1], offsets, a_cand, count)
-        V[n, :count], A[n, :count] = _backup(a_cand, scan, count)
+        _backup(f_ext, f_one, V[n - 1], offsets, a_cand, V[n, :count],
+                A[n, :count] if actions else None)
     return ValueTable(spec, grid, y, V, A, trusted_only)
 
 
@@ -326,12 +320,11 @@ def backup_objective(table: ValueTable, n: int, x: float, y: float,
 
 def _full_values(table: ValueTable, n: int, x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
-    """``F_n`` at the states ``(x[i], y[i])``, in one batched backup
-    over the ``x = 0`` increments capped at ``1 - x[i]``.
+    """``F_n`` at the states ``(x[i], y[i])``: the backup objective at
+    every ``x = 0`` increment capped at ``1 - x[i]``, one row per
+    increment, and its maximum over the rows.
 
-    Past a state's cap the capped increments repeat its value, so they
-    never win the strict scan.  States at the ceiling ``x = 1`` take
-    ``f(y)`` without a backup.
+    States at the ceiling ``x = 1`` take ``f(y)`` without a backup.
     """
     f_vec = vector_callable(table.spec)
     if n == 0:
@@ -340,13 +333,13 @@ def _full_values(table: ValueTable, n: int, x: np.ndarray,
     ceiling = x >= 1.0
     vals[ceiling] = f_vec(y[ceiling])
     rows = ~ceiling
-    if not rows.any():
-        return vals
-    a_cand = np.minimum.outer(_lattice_increments(table.grid.step)[1],
-                              1.0 - x[rows])
-    scan = _general_scan(f_vec, table.V[n - 1], table.grid.step, x[rows],
-                         y[rows], a_cand)
-    vals[rows], _ = _backup(a_cand, scan, a_cand.shape[1])
+    if rows.any():
+        x, y = x[rows], y[rows]
+        a = np.minimum.outer(_lattice_increments(table.grid.step)[1], 1.0 - x)
+        q, reach = y + a, x + a
+        obj = (reach * f_vec(q)
+               + (1.0 - reach) * _interp(table.V[n - 1], table.grid.step, q))
+        vals[rows] = obj.max(axis=0)
     return vals
 
 
@@ -389,6 +382,8 @@ class ExtremalPolicy:
 
 def extremal_policy(table: ValueTable) -> ExtremalPolicy:
     """Interpolated lookup of the table's maximizing increments."""
+    if table.A is None:
+        raise ValueError("the table was built without actions")
     return ExtremalPolicy(table.A, table.grid)
 
 

@@ -404,7 +404,7 @@ def _cmd_solve_bellman(args) -> int:
 def _cmd_compare(args) -> int:
     comparison = compare_bounds(value_iteration(
         args.f, args.horizon, GridConfig(float(args.horizon), args.step),
-        trusted_only=True))
+        trusted_only=True, actions=False))
     payload = {
         "command": "compare",
         "function": args.f.spec_string(),
@@ -452,6 +452,11 @@ def _load_policy(path: str, expected: FunctionSpec):
         function = data["function"]
         if not isinstance(function, str):
             raise TypeError(f"function {function!r} is not a spec string")
+        rows = ([data["grid"]["y_max"], data["grid"]["step"]],
+                data["values_at_zero"], *data["actions"])
+        # float() would take "30" and true; type(True) is bool, not int.
+        if not all(set(map(type, row)) <= {float, int} for row in rows):
+            raise TypeError("grid, values_at_zero or actions has a non-number")
         y_max = float(data["grid"]["y_max"])
         step = float(data["grid"]["step"])
         horizon = data["horizon"]

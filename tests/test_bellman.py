@@ -3,6 +3,7 @@ the scalar recursion."""
 
 import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -232,7 +233,9 @@ class TestFullValue:
         def no_backup(*args):
             raise AssertionError("backup at the ceiling")
 
-        monkeypatch.setattr(bellman, "_backup", no_backup)
+        # Every general-state backup reads the previous layer through
+        # _interp; the ceiling reads nothing.
+        monkeypatch.setattr(bellman, "_interp", no_backup)
         for n, y in ((1, 0.0), (5, 2.0), (30, 0.0)):
             assert full_value(exp_table_30, n, 1.0, y) == EXP_HALF.value(y)
 
@@ -492,6 +495,23 @@ class TestLatticeBackup:
                                    rtol=1e-13, atol=1e-13)
         np.testing.assert_array_equal(tab.A[1], 1.0)
 
+    @pytest.mark.parametrize("trusted_only", [False, True],
+                             ids=["full", "trusted"])
+    def test_flat_objective_ties_to_the_smallest_increment(self,
+                                                           trusted_only):
+        # The README example: on pow:m=1 (f(x) = x) every increment of
+        # layer 2 gives y + 1 exactly, so each node keeps a = 0, while
+        # layer 1's objective f(y + a) rises strictly to a = 1.
+        grid = GridConfig(6.0, 1.0 / 64)
+        tab = value_iteration(parse_function_spec("pow:m=1"), 6, grid,
+                              trusted_only=trusted_only)
+        trusted = tab.y <= grid.y_max - 2
+        assert trusted.sum() == 257
+        np.testing.assert_array_equal(tab.A[2, trusted], 0.0)
+        done = ~np.isnan(tab.A[1])
+        np.testing.assert_array_equal(tab.A[1, done], 1.0)
+        assert tab.V[6, 0] == 1.0
+
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
     def test_table_ignores_opt_grid_points(self, spec):
         # The grid alone picks the coarse increments.
@@ -531,25 +551,43 @@ class TestTrustedOnly:
 
     SPECS = ["exp:lambda=0.5", "pow:m=1.5", "pow:m=2", "pow:m=3", "quad",
              "remark2"]
+    STEPS = [("1/64", 1.0 / 64), ("0.3", 0.3), ("1/75", 1.0 / 75)]
+    # The action-tracking tables at two steps, and value-only tables
+    # (actions=False) at three, each against the action-tracking full
+    # table.
+    CASES = [pytest.param(text, step, True, id=f"{text}-{sid}")
+             for text, (sid, step) in product(SPECS, STEPS[:2])]
+    CASES += [pytest.param(text, step, False, id=f"{text}-{sid}-values")
+              for text, (sid, step) in product(SPECS, STEPS)]
 
-    @pytest.mark.parametrize("step", [1.0 / 64, 0.3], ids=["1/64", "0.3"])
-    @pytest.mark.parametrize("text", SPECS)
-    def test_computed_nodes_equal_the_full_table(self, text, step):
+    @pytest.mark.parametrize("text, step, actions", CASES)
+    def test_computed_nodes_equal_the_full_table(self, text, step, actions):
         spec = parse_function_spec(text)
         grid = GridConfig(6.0, step)
         full = value_iteration(spec, 6, grid)
-        part = value_iteration(spec, 6, grid, trusted_only=True)
+        part = value_iteration(spec, 6, grid, trusted_only=True,
+                               actions=actions)
         assert part.trusted_only and not full.trusted_only
+        if not actions:
+            assert part.A is None
+            with pytest.raises(ValueError, match="without actions"):
+                extremal_policy(part)
+            whole = value_iteration(spec, 6, grid, actions=False)
+            assert whole.A is None
+            assert whole.V.tobytes() == full.V.tobytes()
         np.testing.assert_array_equal(part.V[0], full.V[0])
-        np.testing.assert_array_equal(part.A[0], 0.0)
         for n in range(1, 7):
             done = ~np.isnan(part.V[n])
-            np.testing.assert_array_equal(done, ~np.isnan(part.A[n]))
             # A leading run of nodes: the triangle and one node more.
             count = int(np.sum(part.y <= grid.y_max - n + 1e-9)) + 1
             assert np.flatnonzero(done).tolist() == list(range(count))
             assert part.V[n, done].tobytes() == full.V[n, done].tobytes()
-            assert part.A[n, done].tobytes() == full.A[n, done].tobytes()
+            if actions:
+                np.testing.assert_array_equal(done, ~np.isnan(part.A[n]))
+                assert (part.A[n, done].tobytes()
+                        == full.A[n, done].tobytes())
+        if actions:
+            np.testing.assert_array_equal(part.A[0], 0.0)
         assert compare_bounds(part) == compare_bounds(full)
 
     def test_grid_above_the_horizon(self):

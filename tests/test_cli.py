@@ -815,11 +815,22 @@ class TestPolicyArtifact:
     @pytest.mark.parametrize("overrides", [
         {"function": 5},
         {"values_at_zero": [1.0, 1.5, float("nan")]},
-        {"values_at_zero": [1.0, float("inf"), 2.0]}])
+        {"values_at_zero": [1.0, float("inf"), 2.0]},
+        {"grid": {"y_max": "2", "step": 0.5}},
+        {"grid": {"y_max": 2.0, "step": True}},
+        {"grid": {"y_max": None, "step": 0.5}},
+        {"values_at_zero": [1.0, True, 2.0]},
+        {"values_at_zero": [1.0, "1.5", 2.0]},
+        {"actions": [[0.0] * 5, [1.0] * 5, ["0.5"] * 5]},
+        {"actions": [[0.0] * 5, [True] * 5, [0.5] * 5]},
+        {"actions": [[0.0] * 5, [1.0] * 5, [None] * 5]}])
     def test_malformed_entries(self, overrides, tmp_path, capsys,
                                no_sampling):
         # A numeric function tag used to die with an AttributeError
         # (exit 1), and a NaN table value was printed as table_value.
+        # float() takes "2" and true, so a string y_max, a true table
+        # value (printed as table_value 1.0) and a string action all
+        # used to exit 0.
         path = hand_artifact(tmp_path / "a.json", **overrides)
         code, err = self.simulate(path, capsys)
         assert code == 2
