@@ -11,15 +11,15 @@ general ``x`` is reconstructed on demand from that slice.
 
 Every backup maximizes over increments that come from the grid alone:
 ``a_k = min(k * step, 1 - x)`` for ``k = 0 .. ceil(1 / step)``, that is,
-the grid lattice plus ``a = 1`` when ``step`` does not divide 1.  An
-action is the first increment that attains the maximum, so ties go to
+the grid lattice plus ``a = 1`` when ``step`` does not divide 1.  The
+tables hold values only; ``extremal_policy`` derives the actions from
+them, each the first increment that attains the maximum, so ties go to
 the smallest increment.  On whole-grid ``x = 0`` layers ``f(y + a)`` and
 ``V_{n-1}(y + a)`` are plain slices, so no ``x = 0`` node reads an
-interpolated value.  On
-its trusted nodes (below) each such layer is the exact value of the
-control problem whose increments lie on the lattice, and ``V[n, 0]`` is
-``E f(Y_n)`` for the chain that follows the stored increments: a lower
-bound on the supremum over all increments.
+interpolated value.  On its trusted nodes (below) each such layer is the
+exact value of the control problem whose increments lie on the lattice,
+and ``V[n, 0]`` is ``E f(Y_n)`` for the chain that follows those
+actions: a lower bound on the supremum over all increments.
 
 Reads past the top of the grid clamp to the last value, so the layer for
 ``n`` steps to go is only trustworthy for ``y <= y_max - n``; build
@@ -129,51 +129,37 @@ def _lattice_increments(step: float) -> tuple[np.ndarray, np.ndarray]:
     return offsets, a_cand
 
 
-def _backup(f_ext: np.ndarray, f_one, V_prev: np.ndarray,
-            offsets: np.ndarray, a_cand: np.ndarray, best: np.ndarray,
-            act: np.ndarray | None) -> None:
-    """Back up the first ``len(best)`` nodes of an ``x = 0`` layer into
-    ``best``, and their actions into ``act`` unless it is ``None``.
+def _lattice(spec: FunctionSpec, grid: GridConfig) -> tuple:
+    """``(offsets, a_cand, f_ext, f_one)``: the increments at ``x = 0``
+    and the ``f`` reads of their backups.  ``f_ext`` is ``f`` on the
+    grid extended ``offsets[-1]`` cells past its top; ``f_one`` is
+    ``f(y + 1)`` when ``a = 1`` is an extra candidate, else ``None``."""
+    offsets, a_cand = _lattice_increments(grid.step)
+    f_vec = vector_callable(spec)
+    y = grid.points()
+    top = grid.y_max + grid.step * np.arange(1, offsets[-1] + 1)
+    f_ext = np.concatenate((f_vec(y), f_vec(top)))
+    f_one = f_vec(y + 1.0) if len(a_cand) > len(offsets) else None
+    return offsets, a_cand, f_ext, f_one
 
-    At ``a = c * step``, ``f(y + a)`` and ``V_prev(y + a)`` are slices:
-    of ``f_ext`` (``f`` on the grid extended past its top) and of
-    ``V_prev`` padded with its last value (the top-edge clamp).
-    ``f_one`` is ``f(y + 1)`` when ``a = 1`` is an extra candidate,
-    else ``None``.  The values are a running ``np.maximum`` over the
-    increments.  A second ascending scan gives each node the first
-    increment whose objective equals its value, the first strict
-    maximum, and stops once every node has one.
-    """
-    count = len(best)
+
+def _objectives(lattice: tuple, V_prev: np.ndarray, count: int):
+    """``(a, obj)`` at each increment, ascending: the backup objective
+    of an ``x = 0`` layer's first ``count`` nodes, in one reused buffer,
+    from slices of ``f_ext`` and of ``V_prev`` padded with its last
+    value (the top-edge clamp)."""
+    offsets, a_cand, f_ext, f_one = lattice
     V_pad = np.concatenate((V_prev, np.full(offsets[-1], V_prev[-1])))
     obj = np.empty(count)
     cont = np.empty(count)
-
-    def scan():  # the objective at each increment, in one reused buffer
-        for c, a in zip(offsets.tolist(), a_cand.tolist()):
-            np.multiply(f_ext[c:c + count], a, out=obj)
-            np.multiply(V_pad[c:c + count], 1.0 - a, out=cont)
-            np.add(obj, cont, out=obj)
-            yield a, obj
-        if f_one is not None:
-            # a = 1 reaches the ceiling for sure: no continuation term.
-            yield 1.0, f_one[:count]
-
-    best.fill(-np.inf)
-    for _, obj_a in scan():
-        np.maximum(best, obj_a, out=best)
-    if act is None:
-        return
-    left = np.ones(count, dtype=bool)
-    hit = np.empty_like(left)
-    for a, obj_a in scan():
-        np.equal(obj_a, best, out=hit)
-        if hit.any():  # at a few increments per node only
-            hit &= left
-            act[hit] = a
-            left ^= hit
-            if not left.any():
-                return
+    for c, a in zip(offsets.tolist(), a_cand.tolist()):
+        np.multiply(f_ext[c:c + count], a, out=obj)
+        np.multiply(V_pad[c:c + count], 1.0 - a, out=cont)
+        np.add(obj, cont, out=obj)
+        yield a, obj
+    if f_one is not None:
+        # a = 1 reaches the ceiling for sure: no continuation term.
+        yield 1.0, f_one[:count]
 
 
 def _trusted_counts(grid: GridConfig, horizon: int,
@@ -201,21 +187,19 @@ def _trusted_counts(grid: GridConfig, horizon: int,
 
 @dataclass
 class ValueTable:
-    """Stacked ``x = 0`` value layers ``V[n]`` and their maximizing
-    increments ``A[n]`` (all zeros at ``n = 0``, ``A`` itself ``None`` in
-    a table built without actions) on the grid ``y``.
+    """Stacked ``x = 0`` value layers ``V[n]`` on the grid ``y``; the
+    maximizing increments come from ``extremal_policy``.
 
     Layer ``n`` is accurate for ``y <= y_max - n`` only: reads past the
     top of the grid clamp to the last node.  A ``trusted_only`` table
-    computed no more than that (plus the nodes its own reads need) and
-    holds NaN in ``V`` and ``A`` everywhere else.
+    computed no more than that (plus the nodes its own reads need), a
+    leading run of each layer, and holds NaN in ``V`` everywhere else.
     """
 
     spec: FunctionSpec
     grid: GridConfig
     y: np.ndarray
     V: np.ndarray
-    A: np.ndarray | None
     trusted_only: bool = False
 
     @property
@@ -229,14 +213,13 @@ class ValueTable:
 def value_iteration(spec: FunctionSpec, horizon: int,
                     grid: GridConfig,
                     solver: SolverConfig | None = None, *,
-                    trusted_only: bool = False,
-                    actions: bool = True) -> ValueTable:
+                    trusted_only: bool = False) -> ValueTable:
     """Backward induction from ``V_0 = f`` up to the given horizon.
 
     Each layer is the maximum over the increment lattice at every node,
     so the table makes no ``f`` calls past its setup.  ``solver`` is
-    accepted and unread.  Without ``actions`` no maximizer is sought,
-    ``A`` is ``None`` and ``V`` is the same bit for bit.
+    accepted and unread.  Only values are computed; ``extremal_policy``
+    finds the maximizers.
 
     With ``trusted_only``, layer ``n`` backs up only the nodes
     ``y <= y_max - n`` and the few above them that later reads need;
@@ -259,27 +242,18 @@ def value_iteration(spec: FunctionSpec, horizon: int,
             raise ValueError(f"{spec.spec_string()} overflows float64 "
                              f"on [0, y_max + 1] = [0, {grid.y_max + 1.0}]")
 
-    y = grid.points()
-    step = grid.step
-    f_vec = vector_callable(spec)
     n_pts = grid.n_points
-    offsets, a_cand = _lattice_increments(step)
-    counts = (_trusted_counts(grid, horizon, offsets[-1]) if trusted_only
+    lattice = _lattice(spec, grid)
+    counts = (_trusted_counts(grid, horizon, lattice[0][-1]) if trusted_only
               else [n_pts] * (horizon + 1))
     V = np.full((horizon + 1, n_pts), np.nan)
-    A = np.full((horizon + 1, n_pts), np.nan) if actions else None
-    V[0] = f_vec(y)
-    if actions:
-        A[0] = 0.0
-
-    f_ext = np.concatenate(
-        (V[0], f_vec(grid.y_max + step * np.arange(1, offsets[-1] + 1))))
-    f_one = f_vec(y + 1.0) if len(a_cand) > len(offsets) else None
+    V[0] = lattice[2][:n_pts]
     for n in range(1, horizon + 1):
-        count = counts[n]
-        _backup(f_ext, f_one, V[n - 1], offsets, a_cand, V[n, :count],
-                A[n, :count] if actions else None)
-    return ValueTable(spec, grid, y, V, A, trusted_only)
+        best = V[n, :counts[n]]  # a running max over the increments
+        best.fill(-np.inf)
+        for _, obj in _objectives(lattice, V[n - 1], counts[n]):
+            np.maximum(best, obj, out=best)
+    return ValueTable(spec, grid, grid.points(), V, trusted_only)
 
 
 # ----------------------------------------------------------------------
@@ -381,10 +355,32 @@ class ExtremalPolicy:
 
 
 def extremal_policy(table: ValueTable) -> ExtremalPolicy:
-    """Interpolated lookup of the table's maximizing increments."""
-    if table.A is None:
-        raise ValueError("the table was built without actions")
-    return ExtremalPolicy(table.A, table.grid)
+    """Interpolated lookup of the table's maximizing increments.
+
+    Each computed node of layer ``n`` takes the first increment, in
+    ascending order, whose objective (the one ``value_iteration`` took
+    the max of, bit for bit) equals ``V[n]`` there, so ties go to the
+    smallest.  ``A[0]`` is all zeros; nodes a ``trusted_only`` table
+    did not compute, a trailing run of NaN in ``V``, stay NaN in ``A``.
+    """
+    V = table.V
+    A = np.full(V.shape, np.nan)
+    A[0] = 0.0
+    lattice = _lattice(table.spec, table.grid)
+    for n in range(1, table.horizon + 1):
+        count = np.count_nonzero(~np.isnan(V[n]))
+        act, best = A[n, :count], V[n, :count]
+        left = np.ones(count, dtype=bool)
+        hit = np.empty_like(left)
+        for a, obj in _objectives(lattice, V[n - 1], count):
+            np.equal(obj, best, out=hit)
+            if hit.any():  # at a few increments per node only
+                hit &= left
+                act[hit] = a
+                left ^= hit
+                if not left.any():
+                    break
+    return ExtremalPolicy(A, table.grid)
 
 
 # ----------------------------------------------------------------------

@@ -92,27 +92,23 @@ def _step_arg(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive count, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
-    return value
+def _int_arg(floor: int, noun: str):
+    """An argparse type for integers ``>= floor``, called ``noun`` in
+    its errors."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a {noun}, got {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"expected a {noun}, got {value}")
+        return value
+    return parse
 
 
-def _seed_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative seed, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative seed, got {value}")
-    return value
+_positive_int = _int_arg(1, "positive count")
+_seed_arg = _int_arg(0, "non-negative seed")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -278,29 +274,34 @@ def _nest(texts: list, indent: str) -> str:
     return _join(texts, "[", "]", indent)
 
 
-def _emit(payload: dict, json_path: str | None) -> None:
-    """Write the payload's JSON text to stdout and, when given, to
-    ``json_path``, piece by piece.  The file is opened first, so a path
-    that cannot be opened is an error before anything is printed."""
-    sinks = [sys.stdout]
+@contextlib.contextmanager
+def _emit(payload: dict, args):
+    """Write the payload's JSON text to stdout and ``args.json`` piece
+    by piece, then yield the ``args.csv`` file for the tabular trace,
+    each file ``None`` when not given.  Both open first, so a path that
+    cannot be opened is an error before anything is printed."""
+    files = dict.fromkeys(("json", "csv"))
     with contextlib.ExitStack() as stack:
-        if json_path is not None:
+        for flag in files:
+            path = getattr(args, flag, None)
             try:
-                sinks.append(stack.enter_context(
-                    open(json_path, "w", encoding="utf-8", newline="")))
+                if path is not None:
+                    files[flag] = stack.enter_context(
+                        open(path, "w", encoding="utf-8", newline=""))
             except OSError as exc:
-                raise ValueError(f"could not write --json file "
-                                 f"'{json_path}': {exc}") from exc
+                raise ValueError(f"could not write --{flag} file "
+                                 f"'{path}': {exc}") from exc
+        sinks = [f for f in (sys.stdout, files["json"]) if f is not None]
         for piece in itertools.chain(_pieces(payload, ""), ["\n"]):
             for sink in sinks:
                 sink.write(piece)
+        yield files["csv"]
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _bound_value(value: float) -> float | str:
@@ -321,8 +322,8 @@ def _comparison_fields(comparison, horizon: int, step: float) -> dict:
     }
 
 
-def _write_comparison_csv(path: str, rows) -> None:
-    _write_csv(path, ["n", "c_n", "b_n", "gap"],
+def _write_comparison_csv(fh, rows) -> None:
+    _write_csv(fh, ["n", "c_n", "b_n", "gap"],
                [(n, repr(c), repr(b), repr(g)) for n, c, b, g in rows])
 
 
@@ -341,7 +342,8 @@ def _cmd_bound(args) -> int:
                             else float(result.cross_check_max)),
         "cross_check_ok": result.cross_check_ok,
     }
-    _emit(payload, args.json)
+    with _emit(payload, args):
+        pass
     breach = (result.cross_check_ok is False
               and is_class_s_family(args.f))
     return 3 if breach else 0
@@ -361,19 +363,19 @@ def _cmd_solve_recursion(args) -> int:
         "b": [float(v) for v in trace.b],
         "a_star": [float(v) for v in trace.a_star],
     }
-    _emit(payload, args.json)
-    if args.csv:
-        rows = [(0, repr(float(trace.b[0])), "")]
-        rows += [(n, repr(float(b)), repr(float(a)))
-                 for n, (b, a) in enumerate(zip(trace.b[1:], trace.a_star),
-                                            start=1)]
-        _write_csv(args.csv, ["n", "b_n", "a_star_n"], rows)
+    with _emit(payload, args) as fh:
+        if fh is not None:
+            rows = [(0, repr(float(trace.b[0])), "")]
+            rows += [(n, repr(float(b)), repr(float(a))) for n, b, a
+                     in zip(itertools.count(1), trace.b[1:], trace.a_star)]
+            _write_csv(fh, ["n", "b_n", "a_star_n"], rows)
     return 0
 
 
 def _cmd_solve_bellman(args) -> int:
     table = value_iteration(args.f, args.horizon,
                             GridConfig(float(args.horizon), args.step))
+    actions = extremal_policy(table).A
     payload = {
         "command": "solve-bellman",
         "format": ARTIFACT_FORMAT,
@@ -382,38 +384,38 @@ def _cmd_solve_bellman(args) -> int:
         "grid": {"y_max": float(table.grid.y_max),
                  "step": float(table.grid.step)},
         "values_at_zero": table.V[:, 0].tolist(),
-        "actions": table.A,
+        "actions": actions,
     }
-    _emit(payload, args.json)
-    if args.csv:
+    with _emit(payload, args) as fh:
+        if fh is None:
+            return 0
         # Every field is an int or a float repr, which csv.writer would
         # write unquoted, so each layer goes out as one block of rows.
         # A layer's values are all distinct; its actions take a few
         # hundred values, so each of those is rendered once.
         y_texts = [repr(y) for y in table.y.tolist()]
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("n,y,value,action\r\n")
-            for n in range(table.horizon + 1):
-                rows = zip(itertools.repeat(str(n)), y_texts,
-                           map(repr, table.V[n].tolist()),
-                           _distinct_texts(table.A[n], repr).tolist())
-                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        fh.write("n,y,value,action\r\n")
+        for n in range(table.horizon + 1):
+            rows = zip(itertools.repeat(str(n)), y_texts,
+                       map(repr, table.V[n].tolist()),
+                       _distinct_texts(actions[n], repr).tolist())
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
     return 0
 
 
 def _cmd_compare(args) -> int:
     comparison = compare_bounds(value_iteration(
         args.f, args.horizon, GridConfig(float(args.horizon), args.step),
-        trusted_only=True, actions=False))
+        trusted_only=True))
     payload = {
         "command": "compare",
         "function": args.f.spec_string(),
         "max_abs_gap": float(comparison.max_abs_gap),
         **_comparison_fields(comparison, args.horizon, args.step),
     }
-    _emit(payload, args.json)
-    if args.csv:
-        _write_comparison_csv(args.csv, comparison.rows)
+    with _emit(payload, args) as fh:
+        if fh is not None:
+            _write_comparison_csv(fh, comparison.rows)
     return 3 if comparison.enforced and not comparison.within_budget else 0
 
 
@@ -434,7 +436,8 @@ def _cmd_test_shift(args) -> int:
         },
         "injected_gap": float(report.injected_gap),
     }
-    _emit(payload, args.json)
+    with _emit(payload, args):
+        pass
     expected_clean = is_class_s_family(args.f)
     return 3 if expected_clean and report.violations > 0 else 0
 
@@ -529,10 +532,10 @@ def _cmd_simulate(args) -> int:
         "within_4se": bool(abs(sim.mean_f - exact) <= 4.0 * sim.std_error),
         "max_doob_residual": sim.max_doob_residual,
     }
-    _emit(payload, args.json)
-    if args.csv:
-        _write_csv(args.csv, ["path_id", "k", "X", "Y", "M"],
-                   _dump_path_rows(sim, y_sched))
+    with _emit(payload, args) as fh:
+        if fh is not None:
+            _write_csv(fh, ["path_id", "k", "X", "Y", "M"],
+                       _dump_path_rows(sim, y_sched))
     return 0
 
 
@@ -631,9 +634,9 @@ def run_report(spec: FunctionSpec, horizon: int, step: float, trials: int,
 def _cmd_report(args) -> int:
     payload, code = run_report(args.f, horizon=args.horizon, step=args.step,
                                trials=args.trials, seed=args.seed)
-    _emit(payload, args.json)
-    if args.csv:
-        _write_comparison_csv(args.csv, payload["comparison"]["rows"])
+    with _emit(payload, args) as fh:
+        if fh is not None:
+            _write_comparison_csv(fh, payload["comparison"]["rows"])
     return code
 
 

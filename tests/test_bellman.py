@@ -120,7 +120,8 @@ class TestValueIteration:
         tab = value_iteration(spec, 1, GridConfig(4.0, 1.0 / 128))
         np.testing.assert_allclose(tab.V[1], spec.value(tab.y + 1.0),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(tab.A[1], 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(extremal_policy(tab).A[1], 1.0, rtol=0,
+                                   atol=1e-9)
 
     def test_growth_values_start_at_f_of_one(self, exp_table_30):
         vals = [exp_table_30.value_at_zero(n) for n in (0, 1)]
@@ -141,7 +142,8 @@ class TestValueIteration:
         a = value_iteration(EXP_HALF, 4, grid)
         b = value_iteration(EXP_HALF, 4, grid)
         np.testing.assert_array_equal(a.V, b.V)
-        np.testing.assert_array_equal(a.A, b.A)
+        np.testing.assert_array_equal(extremal_policy(a).A,
+                                      extremal_policy(b).A)
 
     def test_horizon_forty_window(self, exp_table_40):
         # The exact 40-step growth sits a little below its limit of 2.
@@ -166,7 +168,7 @@ class TestValueIteration:
         tab = value_iteration(FunctionSpec(Family.EXPONENTIAL, 33.5), 20,
                               GridConfig(20.0, 1.0 / 64))
         assert np.all(np.isfinite(tab.V))
-        assert np.all(np.isfinite(tab.A))
+        assert np.all(np.isfinite(extremal_policy(tab).A))
 
 
 def _seeded_states(count=60, horizon=6, y_top=4.0):
@@ -493,7 +495,7 @@ class TestLatticeBackup:
         np.testing.assert_allclose(tab.V[1], best, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(tab.V[1], spec.value(tab.y + 1.0),
                                    rtol=1e-13, atol=1e-13)
-        np.testing.assert_array_equal(tab.A[1], 1.0)
+        np.testing.assert_array_equal(extremal_policy(tab).A[1], 1.0)
 
     @pytest.mark.parametrize("trusted_only", [False, True],
                              ids=["full", "trusted"])
@@ -507,9 +509,10 @@ class TestLatticeBackup:
                               trusted_only=trusted_only)
         trusted = tab.y <= grid.y_max - 2
         assert trusted.sum() == 257
-        np.testing.assert_array_equal(tab.A[2, trusted], 0.0)
-        done = ~np.isnan(tab.A[1])
-        np.testing.assert_array_equal(tab.A[1, done], 1.0)
+        A = extremal_policy(tab).A
+        np.testing.assert_array_equal(A[2, trusted], 0.0)
+        done = ~np.isnan(A[1])
+        np.testing.assert_array_equal(A[1, done], 1.0)
         assert tab.V[6, 0] == 1.0
 
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
@@ -520,7 +523,8 @@ class TestLatticeBackup:
                   for k in (2, 16, 2048)]
         for tab in tables[1:]:
             np.testing.assert_array_equal(tab.V, tables[0].V)
-            np.testing.assert_array_equal(tab.A, tables[0].A)
+            np.testing.assert_array_equal(extremal_policy(tab).A,
+                                          extremal_policy(tables[0]).A)
 
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO])
     def test_batched_report_equals_per_state_calls(self, spec):
@@ -552,54 +556,44 @@ class TestTrustedOnly:
     SPECS = ["exp:lambda=0.5", "pow:m=1.5", "pow:m=2", "pow:m=3", "quad",
              "remark2"]
     STEPS = [("1/64", 1.0 / 64), ("0.3", 0.3), ("1/75", 1.0 / 75)]
-    # The action-tracking tables at two steps, and value-only tables
-    # (actions=False) at three, each against the action-tracking full
-    # table.
-    CASES = [pytest.param(text, step, True, id=f"{text}-{sid}")
-             for text, (sid, step) in product(SPECS, STEPS[:2])]
-    CASES += [pytest.param(text, step, False, id=f"{text}-{sid}-values")
-              for text, (sid, step) in product(SPECS, STEPS)]
+    # Every spec and step twice: the values, and the derived actions.
+    CASES = [pytest.param(text, step, field, id=f"{text}-{sid}{suffix}")
+             for text, (sid, step), (field, suffix)
+             in product(SPECS, STEPS, [("A", ""), ("V", "-values")])]
 
-    @pytest.mark.parametrize("text, step, actions", CASES)
-    def test_computed_nodes_equal_the_full_table(self, text, step, actions):
+    @pytest.mark.parametrize("text, step, field", CASES)
+    def test_computed_nodes_equal_the_full_table(self, text, step, field):
         spec = parse_function_spec(text)
         grid = GridConfig(6.0, step)
         full = value_iteration(spec, 6, grid)
-        part = value_iteration(spec, 6, grid, trusted_only=True,
-                               actions=actions)
+        part = value_iteration(spec, 6, grid, trusted_only=True)
         assert part.trusted_only and not full.trusted_only
-        if not actions:
-            assert part.A is None
-            with pytest.raises(ValueError, match="without actions"):
-                extremal_policy(part)
-            whole = value_iteration(spec, 6, grid, actions=False)
-            assert whole.A is None
-            assert whole.V.tobytes() == full.V.tobytes()
-        np.testing.assert_array_equal(part.V[0], full.V[0])
-        for n in range(1, 7):
-            done = ~np.isnan(part.V[n])
-            # A leading run of nodes: the triangle and one node more.
-            count = int(np.sum(part.y <= grid.y_max - n + 1e-9)) + 1
+        if field == "V":
+            whole, trusted = full.V, part.V
+        else:
+            whole, trusted = extremal_policy(full).A, extremal_policy(part).A
+        assert not np.isnan(whole).any()
+        for n in range(7):
+            # Layer 0 is whole; above it a leading run of nodes, the
+            # triangle and one node more, and NaN on every other node.
+            count = (len(part.y) if n == 0
+                     else int(np.sum(part.y <= grid.y_max - n + 1e-9)) + 1)
+            done = ~np.isnan(trusted[n])
             assert np.flatnonzero(done).tolist() == list(range(count))
-            assert part.V[n, done].tobytes() == full.V[n, done].tobytes()
-            if actions:
-                np.testing.assert_array_equal(done, ~np.isnan(part.A[n]))
-                assert (part.A[n, done].tobytes()
-                        == full.A[n, done].tobytes())
-        if actions:
-            np.testing.assert_array_equal(part.A[0], 0.0)
+            assert trusted[n, done].tobytes() == whole[n, done].tobytes()
         assert compare_bounds(part) == compare_bounds(full)
 
     def test_grid_above_the_horizon(self):
         grid = GridConfig(9.0, 1.0 / 64)
         full = value_iteration(POW_TWO, 6, grid)
         part = value_iteration(POW_TWO, 6, grid, trusted_only=True)
+        full_A, part_A = extremal_policy(full).A, extremal_policy(part).A
         for n in range(7):
             done = ~np.isnan(part.V[n])
             assert done.sum() == (len(part.y) if n == 0
                                   else (9 - n) * 64 + 2)
             np.testing.assert_array_equal(part.V[n, done], full.V[n, done])
-            np.testing.assert_array_equal(part.A[n, done], full.A[n, done])
+            np.testing.assert_array_equal(part_A[n, done], full_A[n, done])
 
     def test_rounded_division_keeps_the_reads_computed(self):
         # (4 - 1) / (1/75) rounds to 224.99999999999997, so layer 1's own
@@ -610,10 +604,11 @@ class TestTrustedOnly:
         part = value_iteration(POW_TWO, 4, grid, trusted_only=True)
         assert np.sum(~np.isnan(part.V[2])) == 150 + 2
         assert np.sum(~np.isnan(part.V[1])) == 152 + 75
+        full_A, part_A = extremal_policy(full).A, extremal_policy(part).A
         for n in range(5):
             done = ~np.isnan(part.V[n])
             np.testing.assert_array_equal(part.V[n, done], full.V[n, done])
-            np.testing.assert_array_equal(part.A[n, done], full.A[n, done])
+            np.testing.assert_array_equal(part_A[n, done], full_A[n, done])
 
     @pytest.mark.parametrize("text", SPECS)
     def test_off_grid_read_uses_the_extra_node(self, text):
@@ -624,23 +619,24 @@ class TestTrustedOnly:
         grid = GridConfig(6.0, 0.3)
         full = value_iteration(spec, 6, grid)
         part = value_iteration(spec, 6, grid, trusted_only=True)
-        assert np.flatnonzero(~np.isnan(part.A[5]))[-1] == 4
+        policy = extremal_policy(part)
+        assert np.flatnonzero(~np.isnan(policy.A[5]))[-1] == 4
         # The read at y = 1.0 puts weight 1/3 on node 4.
         assert 1.0 / grid.step % 1.0 == pytest.approx(1.0 / 3.0)
-        policy = extremal_policy(part)
         assert policy.action(5, 1.0) == extremal_policy(full).action(5, 1.0)
         for n in range(1, 7):
             assert (extremal_chain_law(policy, n)
                     == extremal_chain_law(extremal_policy(full), n))
         # Without that node the read would be NaN, which is refused.
-        part.A[5, 4] = np.nan
+        policy.A[5, 4] = np.nan
         with pytest.raises(ValueError, match="no action"):
             policy.action(5, 1.0)
 
     def test_uncomputed_nodes_are_refused(self):
         grid = GridConfig(6.0, 1.0 / 64)
         part = value_iteration(EXP_HALF, 6, grid, trusted_only=True)
-        assert np.isnan(part.V[6, 2:]).all() and np.isnan(part.A[6, 2:]).all()
+        assert np.isnan(part.V[6, 2:]).all()
+        assert np.isnan(extremal_policy(part).A[6, 2:]).all()
         assert not np.isnan(part.V[6, :2]).any()
         with pytest.raises(ValueError, match="trusted triangle"):
             full_value(part, 1, 0.5, 0.0)
@@ -665,6 +661,7 @@ class TestGoldenRefinement:
         tab = value_iteration(spec, 4, GridConfig(8.0, 1.0 / 64),
                               SolverConfig(refine_iters=iters))
         step = tab.grid.step
+        A = extremal_policy(tab).A
 
         def oracle(n, x, y):
             cand = [min(k * step, 1.0 - x) for k in range(64 + 1)]
@@ -683,7 +680,7 @@ class TestGoldenRefinement:
             j = int(nodes.integers(0, 4 * 64 + 1))
             expect, expect_a = oracle(n, 0.0, j * step)
             assert tab.V[n][j] == pytest.approx(expect, rel=1e-14, abs=0)
-            assert tab.A[n][j] == expect_a
+            assert A[n][j] == expect_a
 
     @pytest.mark.parametrize("iters", [0, 1, 2, 60])
     def test_one_evaluation_per_contraction(self, monkeypatch, iters):

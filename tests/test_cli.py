@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+from argparse import Namespace
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +13,11 @@ import numpy as np
 import pytest
 
 from compensator_bounds import cli
-from compensator_bounds.bellman import GridConfig, value_iteration
+from compensator_bounds.bellman import (
+    GridConfig,
+    extremal_policy,
+    value_iteration,
+)
 from compensator_bounds.cli import main, parse_args
 from compensator_bounds.functions import Family, parse_function_spec
 from compensator_bounds.shift import property_scan
@@ -252,7 +257,6 @@ class TestSolveRecursion:
         payload = json.loads(out)
         assert parse_function_spec(payload["function"]).param == 0.25
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("text, step", [
         ("exp:lambda=710", 1), ("exp:lambda=800", 1), ("pow:m=1100", 2),
     ])
@@ -380,7 +384,6 @@ class TestTestShift:
         assert code == 0
         assert json.loads(out)["violations"] == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("text", ["exp:lambda=300", "pow:m=500"])
     def test_overflowing_f_is_usage_error(self, text, capsys):
         code = main(["test-shift", "--f", text, "--trials", "10"])
@@ -670,7 +673,8 @@ def table_payload(horizon: int, y_max: float, step: float) -> dict:
     return {"command": "solve-bellman", "format": cli.ARTIFACT_FORMAT,
             "function": spec.spec_string(), "horizon": horizon,
             "grid": {"y_max": y_max, "step": step},
-            "values_at_zero": table.V[:, 0].tolist(), "actions": table.A}
+            "values_at_zero": table.V[:, 0].tolist(),
+            "actions": extremal_policy(table).A}
 
 
 class TestStreamedEmit:
@@ -689,7 +693,8 @@ class TestStreamedEmit:
     def test_matches_the_stdlib(self, name, tmp_path, capsys):
         payload = self.PAYLOADS[name]()
         target = tmp_path / "out.json"
-        cli._emit(payload, str(target))
+        with cli._emit(payload, Namespace(json=str(target))):
+            pass
         out = capsys.readouterr().out
         assert out == json.dumps(as_lists(payload), sort_keys=True,
                                  indent=2) + "\n"
@@ -716,6 +721,29 @@ class TestStreamedEmit:
         assert out.out == ""
         assert out.err.startswith("error: could not write --json file")
         assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["solve-recursion", "--f", "exp:lambda=0.5"],
+        ["compare", "--f", "exp:lambda=0.5", "--horizon", "4",
+         "--step", "1/64"],
+        BELLMAN_SMALL,
+        ["report", "--f", "quad", "--horizon", "3", "--step", "1/64",
+         "--trials", "100"],
+        ["simulate", "--f", "quad", "--chain", "intro", "--n", "3",
+         "--paths", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_unopenable_csv_path_prints_nothing(self, argv, where, tmp_path,
+                                                capsys):
+        # --csv opens with --json, before the first piece is written; it
+        # once failed with a traceback after the whole JSON was printed.
+        target = tmp_path / "no" / "t.csv" if where == "missing-dir" \
+            else tmp_path
+        code = main([*argv, "--csv", str(target)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("error: could not write --csv file")
 
 
 def hand_artifact(path: Path, **overrides) -> Path:

@@ -319,7 +319,6 @@ class TestPropertyScan:
         assert report.violations == 0
         assert report.min_gap < VIOLATION_THRESHOLD
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_f_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             property_scan(FunctionSpec(Family.EXPONENTIAL, 300.0), 10, seed=1)
