@@ -44,7 +44,6 @@ __all__ = [
     "BoundComparison",
     "grid_error_budget",
     "value_iteration",
-    "backup_objective",
     "full_value",
     "extremal_policy",
     "ExtremalPolicy",
@@ -225,8 +224,8 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     ``y <= y_max - n`` and the few above them that later reads need;
     those nodes equal the full table's bit for bit, and every other
     node holds NaN.  That is all ``V[n, 0]`` and the policy read from
-    the origin use, and ``full_value``, ``backup_objective`` and
-    ``verify_lemma1`` refuse such a table.
+    the origin use, and ``full_value`` and ``verify_lemma1`` refuse such
+    a table.
 
     Raises ``ValueError`` when ``f`` is not finite on ``[0, y_max + 1]``.
     """
@@ -266,32 +265,6 @@ def _require_full(table: ValueTable) -> None:
                          "general-x values need every node")
 
 
-def _validate_state(table: ValueTable, n: int, x: float, y: float) -> None:
-    _require_full(table)
-    if not 0 <= n <= table.horizon:
-        raise ValueError(f"n = {n} outside table horizon {table.horizon}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x = {x} outside [0, 1]")
-    if not 0.0 <= y <= table.grid.y_max:
-        raise ValueError(f"y = {y} outside the grid [0, {table.grid.y_max}]")
-
-
-def backup_objective(table: ValueTable, n: int, x: float, y: float,
-                     a: float) -> float:
-    """The two-point backup integrand: reach the ceiling with
-    probability ``x + a`` and collect ``f(y + a)``, otherwise continue
-    from ``(0, y + a)`` with ``n - 1`` steps to go."""
-    _validate_state(table, n, x, y)
-    if n == 0:
-        raise ValueError("n must be >= 1 for a backup")
-    if not 0.0 <= a <= 1.0 - x + 1e-15:
-        raise ValueError(f"increment a = {a} outside [0, {1.0 - x}]")
-    spec = table.spec
-    reach = x + a
-    cont = float(_interp(table.V[n - 1], table.grid.step, y + a))
-    return reach * spec.value(y + a) + (1.0 - reach) * cont
-
-
 def _full_values(table: ValueTable, n: int, x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
     """``F_n`` at the states ``(x[i], y[i])``: the backup objective at
@@ -326,7 +299,13 @@ def full_value(table: ValueTable, n: int, x: float, y: float) -> float:
     the stored layer exactly; ``x = 1`` and ``n = 0`` collapse to
     ``f(y)``.
     """
-    _validate_state(table, n, x, y)
+    _require_full(table)
+    if not 0 <= n <= table.horizon:
+        raise ValueError(f"n = {n} outside table horizon {table.horizon}")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x = {x} outside [0, 1]")
+    if not 0.0 <= y <= table.grid.y_max:
+        raise ValueError(f"y = {y} outside the grid [0, {table.grid.y_max}]")
     return float(_full_values(table, n, np.array([float(x)]),
                               np.array([float(y)]))[0])
 
@@ -414,10 +393,6 @@ class Lemma1Report:
     def total_violations(self) -> int:
         return (self.y_monotone_violations + self.x_monotone_violations
                 + self.x_convex_violations)
-
-    @property
-    def ok(self) -> bool:
-        return self.total_violations == 0
 
 
 def verify_lemma1(table: ValueTable) -> Lemma1Report:

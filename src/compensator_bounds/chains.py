@@ -30,10 +30,8 @@ __all__ = [
     "intro_schedule",
     "policy_schedule",
     "schedule_law",
-    "intro_chain_law",
     "extremal_chain_law",
     "exact_expectation",
-    "intro_kernel",
     "doob_decompose",
     "SimulationResult",
     "simulate_schedule",
@@ -132,20 +130,9 @@ def schedule_law(a_sched, y_sched) -> ChainLaw:
     return ChainLaw(tuple(atoms))
 
 
-def intro_chain_law(n_steps: int) -> ChainLaw:
-    """Exact terminal law of the doubling chain after ``n_steps``.
-
-    Absorption at step ``k`` has probability ``2**-k`` and compensator
-    ``k/2``; the never-absorbed remainder carries ``2**-n`` at ``n/2``.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    return schedule_law(*intro_schedule(n_steps))
-
-
-def extremal_chain_law(policy, horizon: int | None = None) -> ChainLaw:
-    """Exact terminal law of the chain driven by a value-table policy."""
-    horizon = policy.horizon if horizon is None else horizon
+def extremal_chain_law(policy, horizon: int) -> ChainLaw:
+    """Exact terminal law of the chain driven by a value-table policy
+    over ``horizon`` steps."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     return schedule_law(*policy_schedule(policy, horizon))
@@ -160,22 +147,9 @@ def exact_expectation(spec: FunctionSpec, law: ChainLaw) -> float:
 # pathwise compensators
 
 
-def _two_point(a: float, x: float):
-    """Transition law from value ``x`` when the ceiling is reached with
-    probability ``a``; the ceiling absorbs."""
-    if x >= 1.0 - 1e-12:
-        return ((1.0, 1.0),)
-    return ((1.0, a), (0.0, 1.0 - a))
-
-
-def intro_kernel(step: int, x: float, y: float):
-    """One-step transition law of the doubling chain from value ``x``."""
-    return _two_point(0.5, x)
-
-
-def doob_decompose(x_path, kernel, y0: float = 0.0) -> np.ndarray:
-    """Compensator along one path: running sum of conditional increment
-    means under ``kernel(step, x, y) -> ((next_x, prob), ...)``.
+def doob_decompose(x_path, kernel) -> np.ndarray:
+    """Compensator along one path, from 0: running sum of conditional
+    increment means under ``kernel(step, x) -> ((next_x, prob), ...)``.
 
     Rejects kernels whose conditional mean ever drops below the current
     value -- the decomposition only applies to submartingales.
@@ -183,10 +157,9 @@ def doob_decompose(x_path, kernel, y0: float = 0.0) -> np.ndarray:
     x = np.asarray(x_path, dtype=float)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("x_path must be a nonempty 1-d sequence")
-    y = np.empty(len(x))
-    y[0] = y0
+    y = np.zeros(len(x))
     for t in range(len(x) - 1):
-        transitions = kernel(t, float(x[t]), float(y[t]))
+        transitions = kernel(t, float(x[t]))
         total = math.fsum(p for _, p in transitions)
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(
@@ -358,8 +331,12 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
     mean_f = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_paths))
 
-    def kernel(step, x, y):
-        return _two_point(a_sched[step], x)
+    def kernel(step, x):
+        # Jump to the ceiling with probability a_sched[step]; the
+        # ceiling absorbs.
+        if x >= 1.0 - 1e-12:
+            return ((1.0, 1.0),)
+        return ((1.0, a_sched[step]), (0.0, 1.0 - a_sched[step]))
 
     residual = 0.0
     steps = np.arange(n_steps + 1)

@@ -27,6 +27,7 @@ import contextlib
 import csv
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -279,7 +280,8 @@ def _emit(payload: dict, args):
     """Write the payload's JSON text to stdout and ``args.json`` piece
     by piece, then yield the ``args.csv`` file for the tabular trace,
     each file ``None`` when not given.  Both open first, so a path that
-    cannot be opened is an error before anything is printed."""
+    cannot be opened, or one file named by both flags, is an error
+    before anything is printed."""
     files = dict.fromkeys(("json", "csv"))
     with contextlib.ExitStack() as stack:
         for flag in files:
@@ -291,6 +293,11 @@ def _emit(payload: dict, args):
             except OSError as exc:
                 raise ValueError(f"could not write --{flag} file "
                                  f"'{path}': {exc}") from exc
+        # Two handles on one file would interleave the two texts.
+        if None not in files.values() and os.path.samestat(
+                *(os.fstat(f.fileno()) for f in files.values())):
+            raise ValueError(f"--json '{args.json}' and --csv "
+                             f"'{args.csv}' name the same file")
         sinks = [f for f in (sys.stdout, files["json"]) if f is not None]
         for piece in itertools.chain(_pieces(payload, ""), ["\n"]):
             for sink in sinks:

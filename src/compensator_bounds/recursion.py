@@ -32,9 +32,7 @@ __all__ = [
     "RecursionStatus",
     "RecursionTrace",
     "FixedPointResult",
-    "mixture_objective",
     "mixture_objective_deriv",
-    "optimal_step",
     "iterate",
     "recursion_sequence",
     "fixed_point_bound",
@@ -76,23 +74,13 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def _check_increment(a) -> None:
+def mixture_objective_deriv(spec: FunctionSpec, a, b: float):
+    """d/da of the one-step objective
+    ``a f(a) + (1 - a) f(a + f^{-1}(b))`` at increment ``a`` given the
+    previous bound ``b >= f(0)``; vectorized over ``a`` in ``[0, 1]``."""
     # Negated so that NaN, for which every comparison is False, fails too.
     if not np.all((np.asarray(a) >= 0.0) & (np.asarray(a) <= 1.0)):
         raise ValueError("increment a must lie in [0, 1]")
-
-
-def mixture_objective(spec: FunctionSpec, a, b: float):
-    """The one-step objective at increment ``a`` given previous bound
-    ``b >= f(0)``; vectorized over ``a`` in ``[0, 1]``."""
-    _check_increment(a)
-    offset = spec.inverse(b)
-    return a * spec.value(a) + (1.0 - a) * spec.value(a + offset)
-
-
-def mixture_objective_deriv(spec: FunctionSpec, a, b: float):
-    """d/da of :func:`mixture_objective`; vectorized over ``a``."""
-    _check_increment(a)
     offset = spec.inverse(b)
     shifted = a + offset
     return (spec.value(a) + a * spec.deriv(a)
@@ -120,17 +108,6 @@ def _make_stepper(spec: FunctionSpec):
         return value, a
 
     return step
-
-
-def optimal_step(spec: FunctionSpec, b: float) -> tuple[float, float]:
-    """Maximize the one-step objective over ``a in [0, 1]``.
-
-    The maximizer comes from :func:`~.functions.step_argmax`, so ties go
-    to the smallest ``a``.  Returns ``(value, argmax)`` with
-    ``value >= b`` guaranteed (the objective equals ``b`` at ``a = 0``);
-    ``value`` is ``inf`` when ``f`` overflows.
-    """
-    return _make_stepper(spec)(b)
 
 
 class RecursionStatus(Enum):
@@ -185,7 +162,9 @@ def _step_loop(spec: FunctionSpec, n_steps: int,
 
 def iterate(spec: FunctionSpec,
             cfg: SolverConfig = DEFAULT_CONFIG) -> RecursionTrace:
-    """Run ``b_{n+1} = optimal_step(b_n)`` from ``b_0 = f(0)``.
+    """Run the recursion from ``b_0 = f(0)``: ``b_{n+1}`` is the maximum
+    over ``a`` of the one-step objective at ``b = b_n``, and ties go to
+    the smallest ``a``.
 
     Stops with ``CONVERGED`` once successive values differ by less than
     ``cfg.b_tolerance``, with ``DIVERGED`` once a value exceeds

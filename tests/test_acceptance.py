@@ -22,7 +22,8 @@ from compensator_bounds.bellman import (
 from compensator_bounds.chains import (
     exact_expectation,
     extremal_chain_law,
-    intro_chain_law,
+    intro_schedule,
+    schedule_law,
     simulate_intro,
 )
 from compensator_bounds.cli import main
@@ -31,7 +32,6 @@ from compensator_bounds.recursion import (
     RecursionStatus,
     SolverConfig,
     iterate,
-    mixture_objective,
     mixture_objective_deriv,
 )
 
@@ -171,12 +171,12 @@ def test_criterion_07_doubling_chain_expectations():
         r = math.exp(0.5) / 2.0
         oracle = math.fsum(r ** k for k in range(1, 61)) + r ** 60
         exp_one = FunctionSpec(Family.EXPONENTIAL, 1.0)
-        exact = exact_expectation(exp_one, intro_chain_law(60))
+        exact = exact_expectation(exp_one, schedule_law(*intro_schedule(60)))
         assert abs(exact - oracle) <= 1e-4, \
             f"exact {exact} vs oracle {oracle}"
 
         spec14 = FunctionSpec(Family.EXPONENTIAL, 1.4)
-        values = [exact_expectation(spec14, intro_chain_law(n))
+        values = [exact_expectation(spec14, schedule_law(*intro_schedule(n)))
                   for n in range(20, 42)]
         ratios = [b / a for a, b in zip(values, values[1:])]
         assert min(ratios) >= 1.001, f"min growth ratio {min(ratios)}"
@@ -220,7 +220,7 @@ def test_criterion_10_cross_module_consistency():
     def checks():
         spec = FunctionSpec(Family.EXPONENTIAL, 0.5)
         table = value_iteration(spec, 30, GridConfig(30.0, 1.0 / 512))
-        law = extremal_chain_law(extremal_policy(table))
+        law = extremal_chain_law(extremal_policy(table), 30)
         diff = abs(exact_expectation(spec, law) - table.value_at_zero(30))
         assert diff <= grid_error_budget(1.0 / 512), f"diff {diff}"
 
@@ -232,6 +232,11 @@ def test_criterion_10_cross_module_consistency():
         ]
         h = 1e-6
         rng = np.random.default_rng(1234)
+
+        def mixture_objective(fspec, a, b):
+            return (a * fspec.value(a)
+                    + (1.0 - a) * fspec.value(a + fspec.inverse(b)))
+
         for fspec, b_lo, b_hi in ranges:
             a = rng.uniform(h, 1.0 - h, size=1000)
             b = rng.uniform(b_lo, b_hi, size=1000)

@@ -21,8 +21,7 @@ from compensator_bounds.chains import (
     doob_decompose,
     exact_expectation,
     extremal_chain_law,
-    intro_chain_law,
-    intro_kernel,
+    intro_schedule,
     policy_schedule,
     schedule_law,
     simulate_intro,
@@ -36,6 +35,24 @@ EXP_HALF = FunctionSpec(Family.EXPONENTIAL, 0.5)
 # E e^{Y_60} for the doubling chain, frozen from the geometric series
 # sum_{k=1}^{n} r^k + r^n with r = e^{1/2} / 2.
 E60_DOUBLING = 4.693450263670712
+
+
+def doubling_law(n: int) -> ChainLaw:
+    """Exact terminal law of the doubling chain after ``n`` steps."""
+    return schedule_law(*intro_schedule(n))
+
+
+def two_point(a: float, x: float):
+    """Transition law from value ``x`` when the ceiling is reached with
+    probability ``a``; the ceiling absorbs."""
+    if x >= 1.0:
+        return ((1.0, 1.0),)
+    return ((1.0, a), (0.0, 1.0 - a))
+
+
+def doubling_kernel(step: int, x: float):
+    """One-step transition law of the doubling chain from value ``x``."""
+    return two_point(0.5, x)
 
 
 def geometric_oracle(lam: float, n: int) -> float:
@@ -63,7 +80,7 @@ class TestChainLaw:
             ChainLaw((LawAtom(0.0, 0.0, 0.0), LawAtom(0.0, 1.0, 1.0)))
 
     def test_array_views(self):
-        law = intro_chain_law(4)
+        law = doubling_law(4)
         np.testing.assert_array_equal(law.y_values,
                                       [0.5, 1.0, 1.5, 2.0, 2.0])
         assert law.probabilities.sum() == 1.0
@@ -82,11 +99,11 @@ class TestChainLaw:
 
 class TestIntroLaw:
     def test_degenerate_start(self):
-        law = intro_chain_law(0)
+        law = doubling_law(0)
         assert law.atoms == (LawAtom(0.0, 0.0, 1.0),)
 
     def test_small_law_exact(self):
-        law = intro_chain_law(3)
+        law = doubling_law(3)
         assert law.atoms == (
             LawAtom(1.0, 0.5, 0.5),
             LawAtom(1.0, 1.0, 0.25),
@@ -97,59 +114,51 @@ class TestIntroLaw:
     @pytest.mark.parametrize("n", [1, 7, 30, 80])
     def test_mass_is_exactly_one(self, n):
         # Dyadic probabilities add without rounding.
-        assert intro_chain_law(n).probabilities.sum() == 1.0
+        assert doubling_law(n).probabilities.sum() == 1.0
 
     @pytest.mark.parametrize("n", [5, 20, 60])
     def test_matches_geometric_oracle(self, n):
-        got = exact_expectation(EXP_ONE, intro_chain_law(n))
+        got = exact_expectation(EXP_ONE, doubling_law(n))
         assert got == pytest.approx(geometric_oracle(1.0, n), rel=1e-14)
 
     def test_frozen_value_at_sixty(self):
-        got = exact_expectation(EXP_ONE, intro_chain_law(60))
+        got = exact_expectation(EXP_ONE, doubling_law(60))
         assert got == pytest.approx(E60_DOUBLING, abs=1e-13)
 
     def test_near_limit_at_sixty(self):
         r = math.exp(0.5) / 2.0
         limit = r / (1.0 - r)
-        got = exact_expectation(EXP_ONE, intro_chain_law(60))
+        got = exact_expectation(EXP_ONE, doubling_law(60))
         assert abs(got - limit) < 1e-4
 
     def test_supercritical_keeps_growing(self):
         # For lam = 1.4 the expectation has no finite limit: each extra
         # step multiplies it by at least r = e^{0.7}/2 ~ 1.007.
         spec = FunctionSpec(Family.EXPONENTIAL, 1.4)
-        values = [exact_expectation(spec, intro_chain_law(n))
+        values = [exact_expectation(spec, doubling_law(n))
                   for n in range(20, 41)]
         ratios = [b / a for a, b in zip(values, values[1:])]
         assert min(ratios) >= 1.02
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_steps"):
-            intro_chain_law(-1)
-
 
 class TestDoobDecompose:
     def test_intro_path_by_hand(self):
-        y = doob_decompose([0.0, 0.0, 1.0, 1.0], intro_kernel)
+        y = doob_decompose([0.0, 0.0, 1.0, 1.0], doubling_kernel)
         np.testing.assert_array_equal(y, [0.0, 0.5, 1.0, 1.0])
 
     def test_absorbed_path_freezes(self):
-        y = doob_decompose([0.0, 1.0, 1.0, 1.0, 1.0], intro_kernel)
+        y = doob_decompose([0.0, 1.0, 1.0, 1.0, 1.0], doubling_kernel)
         np.testing.assert_array_equal(y, [0.0, 0.5, 0.5, 0.5, 0.5])
 
-    def test_start_offset(self):
-        y = doob_decompose([0.0, 1.0], intro_kernel, y0=2.0)
-        np.testing.assert_array_equal(y, [2.0, 2.5])
-
     def test_rejects_supermartingale_kernel(self):
-        def drifting_down(step, x, y):
+        def drifting_down(step, x):
             return ((0.0, 1.0),)
 
         with pytest.raises(ValueError, match="submartingale"):
             doob_decompose([1.0, 0.0], drifting_down)
 
     def test_rejects_bad_kernel_mass(self):
-        def leaky(step, x, y):
+        def leaky(step, x):
             return ((1.0, 0.4),)
 
         with pytest.raises(ValueError, match="sum to"):
@@ -157,12 +166,12 @@ class TestDoobDecompose:
 
     def test_rejects_empty_path(self):
         with pytest.raises(ValueError, match="nonempty"):
-            doob_decompose([], intro_kernel)
+            doob_decompose([], doubling_kernel)
 
     @settings(derandomize=True, max_examples=25)
     @given(st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=12))
     def test_compensator_never_decreases(self, path):
-        y = doob_decompose(path, intro_kernel)
+        y = doob_decompose(path, doubling_kernel)
         assert y[0] == 0.0
         assert np.all(np.diff(y) >= 0.0)
 
@@ -170,7 +179,7 @@ class TestDoobDecompose:
 class TestSimulateIntro:
     def test_mean_within_four_standard_errors(self):
         sim = simulate_intro(EXP_ONE, 60, 100_000, seed=20260823)
-        exact = exact_expectation(EXP_ONE, intro_chain_law(60))
+        exact = exact_expectation(EXP_ONE, doubling_law(60))
         assert abs(sim.mean_f - exact) <= 4.0 * sim.std_error
         assert sim.std_error > 0.0
 
@@ -205,7 +214,7 @@ class TestSimulateIntro:
     def test_error_shrinks_at_root_n_rate(self):
         # RMSE over ten seeds should drop by about 4x when the path
         # count grows 16x (the lam = 1/2 statistic has light tails).
-        exact = exact_expectation(EXP_HALF, intro_chain_law(60))
+        exact = exact_expectation(EXP_HALF, doubling_law(60))
         rmse = {}
         for n_paths in (1000, 16000):
             sq = [(simulate_intro(EXP_HALF, 60, n_paths, seed=7000 + s,
@@ -238,13 +247,13 @@ class TestSimulateIntro:
 class TestExtremalChain:
     def test_law_matches_table_value(self, exp_table_30):
         policy = extremal_policy(exp_table_30)
-        law = extremal_chain_law(policy)
+        law = extremal_chain_law(policy, 30)
         expect = exact_expectation(EXP_HALF, law)
         target = exp_table_30.value_at_zero(30)
         assert abs(expect - target) <= grid_error_budget(1.0 / 512)
 
     def test_law_structure(self, exp_table_30):
-        law = extremal_chain_law(extremal_policy(exp_table_30))
+        law = extremal_chain_law(extremal_policy(exp_table_30), 30)
         assert abs(law.probabilities.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(law.y_values) > 0.0)
         # The last step jumps with probability one, so no unabsorbed
@@ -260,7 +269,7 @@ class TestExtremalChain:
 
     def test_simulation_agrees_with_law(self, exp_table_30):
         policy = extremal_policy(exp_table_30)
-        law = extremal_chain_law(policy)
+        law = extremal_chain_law(policy, 30)
         exact = exact_expectation(EXP_HALF, law)
         sim = simulate_schedule(EXP_HALF, *policy_schedule(policy, 30),
                                 20_000, seed=11)
@@ -403,8 +412,8 @@ class TestAudit:
 
     @staticmethod
     def per_path_residual(sim, a_sched, y_sched, audit_paths) -> float:
-        def kernel(step, x, y):
-            return chains._two_point(a_sched[step], x)
+        def kernel(step, x):
+            return two_point(a_sched[step], x)
 
         steps = np.arange(len(a_sched) + 1)
         residual = 0.0

@@ -722,8 +722,8 @@ class TestStreamedEmit:
         assert out.err.startswith("error: could not write --json file")
         assert not (tmp_path / "no").exists()
 
-    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-    @pytest.mark.parametrize("argv", [
+    # Every subcommand that takes --csv.
+    CSV_ARGVS = [
         ["solve-recursion", "--f", "exp:lambda=0.5"],
         ["compare", "--f", "exp:lambda=0.5", "--horizon", "4",
          "--step", "1/64"],
@@ -732,7 +732,10 @@ class TestStreamedEmit:
          "--trials", "100"],
         ["simulate", "--f", "quad", "--chain", "intro", "--n", "3",
          "--paths", "100"],
-    ], ids=lambda argv: argv[0])
+    ]
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("argv", CSV_ARGVS, ids=lambda argv: argv[0])
     def test_unopenable_csv_path_prints_nothing(self, argv, where, tmp_path,
                                                 capsys):
         # --csv opens with --json, before the first piece is written; it
@@ -744,6 +747,23 @@ class TestStreamedEmit:
         assert code == 2
         assert out.out == ""
         assert out.err.startswith("error: could not write --csv file")
+
+    @pytest.mark.parametrize("spelling", ["literal", "dotdot"])
+    @pytest.mark.parametrize("argv", CSV_ARGVS, ids=lambda argv: argv[0])
+    def test_one_file_for_json_and_csv_prints_nothing(self, argv, spelling,
+                                                      tmp_path, capsys):
+        # Two handles on one file once interleaved the CSV and the JSON
+        # into a file that was neither, and exited 0.
+        (tmp_path / "d").mkdir()
+        target = tmp_path / "x"
+        json_path = target if spelling == "literal" \
+            else tmp_path / "d" / ".." / "x"
+        code = main([*argv, "--json", str(json_path), "--csv", str(target)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("error: --json")
+        assert "name the same file" in out.err
 
 
 def hand_artifact(path: Path, **overrides) -> Path:
