@@ -446,7 +446,6 @@ def verify_lemma1(table: ValueTable) -> Lemma1Report:
 class BoundComparison:
     """Exact growth values against the scalar recursion, per step."""
 
-    spec: FunctionSpec
     rows: tuple[tuple[int, float, float, float], ...]  # (n, c_n, b_n, gap)
     budget: float
     max_gap: float
@@ -477,5 +476,5 @@ def compare_bounds(table: ValueTable) -> BoundComparison:
         max_gap = max(max_gap, gap)
         rows.append((n, c_n, b_n, gap))
     enforced = is_class_s_family(spec)
-    return BoundComparison(spec, tuple(rows), budget, max_gap,
-                           enforced, max_gap <= budget)
+    return BoundComparison(tuple(rows), budget, max_gap, enforced,
+                           max_gap <= budget)

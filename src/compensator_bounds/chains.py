@@ -6,8 +6,9 @@ stays at 0 with its compensator raised to ``y_{t+1} = y_t + a_t``.  The
 *doubling chain* is the constant schedule ``a_t = 1/2``; the
 *table-driven chain* takes ``a = policy.action(n, y)`` from a computed
 value table with ``n`` steps left.  The unabsorbed state is
-deterministic, so one builder gives the exact finite-support law of
-either chain, which validates the one sampler.  The sampler reads path
+deterministic, so one running product gives the exact finite-support
+law of either chain, as two arrays of support points and
+probabilities, which validates the one sampler.  The sampler reads path
 ``i``'s uniforms from row ``i`` of one ``Generator(Philox(seed))`` draw,
 but a path is absorbed after a few steps, so it evaluates the Philox
 counter blocks itself and only those that hold a live path's next
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .functions import FunctionSpec, vector_callable
 
 __all__ = [
-    "LawAtom",
     "ChainLaw",
     "intro_schedule",
     "policy_schedule",
@@ -53,44 +54,12 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class LawAtom:
-    """One support point of a terminal law: the chain value ``x``, the
-    accumulated compensator ``y``, and its probability."""
+class ChainLaw(NamedTuple):
+    """Finite-support terminal law of the compensator ``Y_n``: two
+    float64 arrays, the support points and their probabilities."""
 
-    x: float
-    y: float
-    prob: float
-
-
-@dataclass(frozen=True)
-class ChainLaw:
-    """Finite-support joint law of ``(X_n, Y_n)``."""
-
-    atoms: tuple[LawAtom, ...]
-
-    def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("law needs at least one atom")
-        total = 0.0
-        for atom in self.atoms:
-            if not 0.0 <= atom.x <= 1.0:
-                raise ValueError(f"chain value {atom.x} outside [0, 1]")
-            if atom.y < 0.0:
-                raise ValueError(f"compensator value {atom.y} is negative")
-            if not 0.0 < atom.prob <= 1.0:
-                raise ValueError(f"probability {atom.prob} outside (0, 1]")
-            total += atom.prob
-        if abs(total - 1.0) > _PROB_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-    @property
-    def y_values(self) -> np.ndarray:
-        return np.array([a.y for a in self.atoms])
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([a.prob for a in self.atoms])
+    y_values: np.ndarray
+    probabilities: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -114,20 +83,25 @@ def policy_schedule(policy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return a_sched, y_sched
 
 
+def _increments(a_sched) -> np.ndarray:
+    """The schedule's increments as a float64 array, each in ``[0, 1]``."""
+    a_sched = np.asarray(a_sched, dtype=float)
+    if not np.all((a_sched >= 0.0) & (a_sched <= 1.0)):
+        raise ValueError("schedule increments must lie in [0, 1]")
+    return a_sched
+
+
 def schedule_law(a_sched, y_sched) -> ChainLaw:
-    """Exact terminal law on a schedule: one absorbed atom per step with
-    a positive absorption probability, plus the unabsorbed remainder
-    when it has one."""
-    atoms: list[LawAtom] = []
-    p_live = 1.0
-    for t, a in enumerate(a_sched):
-        p_absorb = p_live * a
-        if p_absorb > 0.0:
-            atoms.append(LawAtom(1.0, float(y_sched[t + 1]), float(p_absorb)))
-        p_live *= 1.0 - a
-    if p_live > 0.0:
-        atoms.append(LawAtom(0.0, float(y_sched[len(a_sched)]), float(p_live)))
-    return ChainLaw(tuple(atoms))
+    """Exact terminal law on a schedule: absorption at step ``t`` puts
+    ``prod(1 - a[:t]) * a[t]`` on ``y[t + 1]``, the unabsorbed remainder
+    ``prod(1 - a)`` on ``y[-1]``; the product runs in step order, and
+    only positive probabilities are kept."""
+    a_sched = _increments(a_sched)
+    y_sched = np.asarray(y_sched, dtype=float)
+    live = np.cumprod(np.concatenate(([1.0], 1.0 - a_sched)))
+    prob = np.append(live[:-1] * a_sched, live[-1])
+    keep = prob > 0.0
+    return ChainLaw(np.append(y_sched[1:], y_sched[-1])[keep], prob[keep])
 
 
 def extremal_chain_law(policy, horizon: int) -> ChainLaw:
@@ -289,7 +263,6 @@ class SimulationResult:
     distinct step among the audited paths is rebuilt once.
     """
 
-    spec: FunctionSpec
     n_steps: int
     n_paths: int
     seed: int
@@ -307,12 +280,10 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
     ``Generator(Philox(seed)).random((n_paths, steps))`` draw.  Only the
     Philox blocks that hold a live path's next uniform are computed,
     with the same bits.  The first ``audit_paths`` paths are audited."""
-    a_sched = np.asarray(a_sched, dtype=float)
+    a_sched = _increments(a_sched)
     n_steps = len(a_sched)
     if n_steps < 1:
         raise ValueError("the schedule needs at least one step")
-    if not np.all((a_sched >= 0.0) & (a_sched <= 1.0)):
-        raise ValueError("schedule increments must lie in [0, 1]")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     if audit_paths < 0:
@@ -345,8 +316,8 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
         y_path = doob_decompose(x_path, kernel)
         closed = y_sched[np.minimum(steps, t)]
         residual = max(residual, float(np.max(np.abs(y_path - closed))))
-    return SimulationResult(spec, n_steps, n_paths, seed, mean_f,
-                            std_error, residual, t_hit)
+    return SimulationResult(n_steps, n_paths, seed, mean_f, std_error,
+                            residual, t_hit)
 
 
 def simulate_intro(spec: FunctionSpec, n_steps: int, n_paths: int,

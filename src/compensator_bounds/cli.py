@@ -28,6 +28,7 @@ import csv
 import itertools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -281,23 +282,29 @@ def _emit(payload: dict, args):
     by piece, then yield the ``args.csv`` file for the tabular trace,
     each file ``None`` when not given.  Both open first, so a path that
     cannot be opened, or one file named by both flags, is an error
-    before anything is printed."""
+    before anything is printed or any existing file is truncated."""
     files = dict.fromkeys(("json", "csv"))
     with contextlib.ExitStack() as stack:
         for flag in files:
             path = getattr(args, flag, None)
             try:
-                if path is not None:
-                    files[flag] = stack.enter_context(
-                        open(path, "w", encoding="utf-8", newline=""))
+                if path is not None:  # "w" without O_TRUNC, until checked
+                    files[flag] = stack.enter_context(open(
+                        path, "w", encoding="utf-8", newline="",
+                        opener=lambda p, fl: os.open(p, fl & ~os.O_TRUNC,
+                                                     0o666)))
             except OSError as exc:
                 raise ValueError(f"could not write --{flag} file "
                                  f"'{path}': {exc}") from exc
+        stats = {f: os.fstat(f.fileno())
+                 for f in files.values() if f is not None}
         # Two handles on one file would interleave the two texts.
-        if None not in files.values() and os.path.samestat(
-                *(os.fstat(f.fileno()) for f in files.values())):
+        if len(stats) == 2 and os.path.samestat(*stats.values()):
             raise ValueError(f"--json '{args.json}' and --csv "
                              f"'{args.csv}' name the same file")
+        for f, st in stats.items():  # "w" truncates regular files only
+            if stat.S_ISREG(st.st_mode):
+                f.truncate()
         sinks = [f for f in (sys.stdout, files["json"]) if f is not None]
         for piece in itertools.chain(_pieces(payload, ""), ["\n"]):
             for sink in sinks:

@@ -126,7 +126,6 @@ class RecursionTrace:
     divergence threshold.
     """
 
-    spec: FunctionSpec
     b: tuple[float, ...]
     a_star: tuple[float, ...]
     status: RecursionStatus
@@ -179,7 +178,7 @@ def iterate(spec: FunctionSpec,
 
     b_seq, a_seq, end = _step_loop(spec, cfg.max_iterations, status)
     return RecursionTrace(
-        spec, tuple(b_seq), tuple(a_seq), end,
+        tuple(b_seq), tuple(a_seq), end,
         limit=b_seq[-1] if end is RecursionStatus.CONVERGED else None,
         diverged_at=len(a_seq) if end is RecursionStatus.DIVERGED else None)
 

@@ -134,7 +134,6 @@ class ScanReport:
     Every field is the same whatever the scan's chunk size.
     """
 
-    spec: FunctionSpec
     trials: int
     seed: int
     violations: int
@@ -389,7 +388,6 @@ def property_scan(spec: FunctionSpec, trials: int, seed: int) -> ScanReport:
     else:
         argmin_shift, argmin_rv = _random_instance(seed, argmin_trial)
     return ScanReport(
-        spec=spec,
         trials=trials,
         seed=seed,
         violations=violations,

@@ -17,7 +17,6 @@ from compensator_bounds.bellman import (
 )
 from compensator_bounds.chains import (
     ChainLaw,
-    LawAtom,
     doob_decompose,
     exact_expectation,
     extremal_chain_law,
@@ -40,6 +39,37 @@ E60_DOUBLING = 4.693450263670712
 def doubling_law(n: int) -> ChainLaw:
     """Exact terminal law of the doubling chain after ``n`` steps."""
     return schedule_law(*intro_schedule(n))
+
+
+def loop_law(a_sched, y_sched) -> tuple[np.ndarray, np.ndarray]:
+    """The per-step loop that once built ``schedule_law``, kept as its
+    oracle: ``(y, prob)`` of each step with a positive absorption
+    probability, then of the unabsorbed remainder when it has one."""
+    y_values, probs = [], []
+    p_live = 1.0
+    for t, a in enumerate(a_sched):
+        p_absorb = p_live * a
+        if p_absorb > 0.0:
+            y_values.append(float(y_sched[t + 1]))
+            probs.append(float(p_absorb))
+        p_live *= 1.0 - a
+    if p_live > 0.0:
+        y_values.append(float(y_sched[len(a_sched)]))
+        probs.append(float(p_live))
+    return np.array(y_values), np.array(probs)
+
+
+def random_schedule(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A seeded schedule with zero increments, increments scaled by
+    1e-3, one 1e-13 step and, for odd seeds, a final ``a = 1``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 120))
+    a = rng.random(n) * rng.choice([1.0, 1e-3], n)
+    a[rng.random(n) < 0.2] = 0.0
+    a[rng.integers(n)] = 1e-13
+    if seed % 2:
+        a[-1] = 1.0
+    return a, np.concatenate(([0.0], np.cumsum(a)))
 
 
 def two_point(a: float, x: float):
@@ -68,48 +98,70 @@ def exp_table_30():
 
 class TestChainLaw:
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one atom"):
-            ChainLaw(())
-        with pytest.raises(ValueError, match="sum to"):
-            ChainLaw((LawAtom(0.0, 0.0, 0.7),))
-        with pytest.raises(ValueError, match="outside"):
-            ChainLaw((LawAtom(1.5, 0.0, 1.0),))
-        with pytest.raises(ValueError, match="negative"):
-            ChainLaw((LawAtom(0.0, -1.0, 1.0),))
-        with pytest.raises(ValueError, match="probability"):
-            ChainLaw((LawAtom(0.0, 0.0, 0.0), LawAtom(0.0, 1.0, 1.0)))
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                schedule_law([0.5, bad], np.arange(3.0))
+        # A negative compensator is outside every f's domain.
+        with pytest.raises(ValueError, match=">= 0"):
+            exact_expectation(EXP_ONE, schedule_law([0.5], [-1.0, -0.5]))
 
     def test_array_views(self):
         law = doubling_law(4)
+        assert law._fields == ("y_values", "probabilities")
+        assert law.y_values.dtype == law.probabilities.dtype == np.float64
         np.testing.assert_array_equal(law.y_values,
                                       [0.5, 1.0, 1.5, 2.0, 2.0])
         assert law.probabilities.sum() == 1.0
 
     def test_tiny_increment_keeps_its_atom(self):
         # Every step with a positive increment absorbs into its own atom,
-        # even 1e-13 above the previous one.
+        # even 1e-13 above the previous one, and the unabsorbed
+        # remainder is the last.
         a = np.array([0.5, 1e-13, 0.5])
         y = np.concatenate(([0.0], np.cumsum(a)))
         law = schedule_law(a, y)
-        assert [atom.x for atom in law.atoms] == [1.0, 1.0, 1.0, 0.0]
+        assert np.prod(1.0 - a) > 0.0
         np.testing.assert_array_equal(law.y_values, y[[1, 2, 3, 3]])
         assert law.probabilities[1] == 0.5 * 1e-13
         assert law.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+class TestLawOracle:
+    """``schedule_law`` gives the step loop's atoms bit for bit."""
+
+    @staticmethod
+    def assert_same_law(a_sched, y_sched) -> None:
+        law = schedule_law(a_sched, y_sched)
+        y_values, probs = loop_law(a_sched, y_sched)
+        np.testing.assert_array_equal(law.y_values, y_values)
+        np.testing.assert_array_equal(law.probabilities, probs)
+        assert (exact_expectation(EXP_ONE, law)
+                == float(np.dot(probs, EXP_ONE.value(y_values))))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_schedules(self, seed):
+        self.assert_same_law(*random_schedule(seed))
+
+    @pytest.mark.parametrize("n", [0, 1, 60])
+    def test_doubling_schedule(self, n):
+        self.assert_same_law(*intro_schedule(n))
+
+    def test_policy_schedule(self, exp_table_30):
+        self.assert_same_law(
+            *policy_schedule(extremal_policy(exp_table_30), 30))
+
+
 class TestIntroLaw:
     def test_degenerate_start(self):
         law = doubling_law(0)
-        assert law.atoms == (LawAtom(0.0, 0.0, 1.0),)
+        np.testing.assert_array_equal(law.y_values, [0.0])
+        np.testing.assert_array_equal(law.probabilities, [1.0])
 
     def test_small_law_exact(self):
         law = doubling_law(3)
-        assert law.atoms == (
-            LawAtom(1.0, 0.5, 0.5),
-            LawAtom(1.0, 1.0, 0.25),
-            LawAtom(1.0, 1.5, 0.125),
-            LawAtom(0.0, 1.5, 0.125),
-        )
+        np.testing.assert_array_equal(law.y_values, [0.5, 1.0, 1.5, 1.5])
+        np.testing.assert_array_equal(law.probabilities,
+                                      [0.5, 0.25, 0.125, 0.125])
 
     @pytest.mark.parametrize("n", [1, 7, 30, 80])
     def test_mass_is_exactly_one(self, n):
@@ -253,12 +305,15 @@ class TestExtremalChain:
         assert abs(expect - target) <= grid_error_budget(1.0 / 512)
 
     def test_law_structure(self, exp_table_30):
-        law = extremal_chain_law(extremal_policy(exp_table_30), 30)
+        policy = extremal_policy(exp_table_30)
+        law = extremal_chain_law(policy, 30)
         assert abs(law.probabilities.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(law.y_values) > 0.0)
         # The last step jumps with probability one, so no unabsorbed
-        # remainder survives.
-        assert all(atom.x == 1.0 for atom in law.atoms)
+        # remainder survives: one atom per step, each an absorption.
+        a_sched, _ = policy_schedule(policy, 30)
+        assert a_sched[-1] == 1.0 and np.prod(1.0 - a_sched) == 0.0
+        assert len(law.y_values) == 30
 
     def test_shorter_horizon_override(self, exp_table_30):
         policy = extremal_policy(exp_table_30)

@@ -765,6 +765,34 @@ class TestStreamedEmit:
         assert out.err.startswith("error: --json")
         assert "name the same file" in out.err
 
+    @pytest.mark.parametrize("case", ["same-file", "unopenable-csv"])
+    def test_refusal_leaves_an_existing_file_as_it_was(self, case, tmp_path,
+                                                       capsys):
+        # Nothing is truncated before both files have opened and passed
+        # the same-file check; a refusal once left the file empty.
+        (tmp_path / "d").mkdir()
+        target = tmp_path / "x"
+        target.write_bytes(b"12345678")
+        csv_path = target if case == "same-file" else tmp_path / "no" / "y"
+        code = main(["solve-recursion", "--f", "quad", "--json",
+                     str(tmp_path / "d" / ".." / "x"), "--csv",
+                     str(csv_path)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert target.read_bytes() == b"12345678"
+
+    def test_accepted_files_replace_longer_contents(self, tmp_path, capsys):
+        json_path, csv_path = tmp_path / "x.json", tmp_path / "x.csv"
+        for path in (json_path, csv_path):
+            path.write_bytes(b"#" * 100_000)
+        code, stdout = run_cli(["solve-recursion", "--f", "quad", "--json",
+                                str(json_path), "--csv", str(csv_path)],
+                               capsys)
+        assert code == 0
+        assert json_path.read_text(encoding="utf-8") == stdout
+        assert "#" not in csv_path.read_text(encoding="utf-8")
+
 
 def hand_artifact(path: Path, **overrides) -> Path:
     """A small valid value-table artifact (H=2, 5 grid points), with
