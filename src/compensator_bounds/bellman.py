@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import FunctionSpec, is_class_s_family, vector_callable
+from .functions import FunctionSpec, is_class_s_family
 from .recursion import SolverConfig, recursion_sequence
 
 __all__ = [
@@ -134,7 +134,7 @@ def _lattice(spec: FunctionSpec, grid: GridConfig) -> tuple:
     grid extended ``offsets[-1]`` cells past its top; ``f_one`` is
     ``f(y + 1)`` when ``a = 1`` is an extra candidate, else ``None``."""
     offsets, a_cand = _lattice_increments(grid.step)
-    f_vec = vector_callable(spec)
+    f_vec = spec.forms.f
     y = grid.points()
     top = grid.y_max + grid.step * np.arange(1, offsets[-1] + 1)
     f_ext = np.concatenate((f_vec(y), f_vec(top)))
@@ -273,7 +273,7 @@ def _full_values(table: ValueTable, n: int, x: np.ndarray,
 
     States at the ceiling ``x = 1`` take ``f(y)`` without a backup.
     """
-    f_vec = vector_callable(table.spec)
+    f_vec = table.spec.forms.f
     if n == 0:
         return f_vec(y)
     vals = np.empty(len(y))

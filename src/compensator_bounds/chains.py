@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functions import FunctionSpec, vector_callable
+from .functions import FunctionSpec
 
 __all__ = [
     "ChainLaw",
@@ -298,7 +298,7 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
     # Counter-based bit generator: a fixed seed pins every uniform,
     # independent of platform threading and of the chunk size.
     t_hit = _first_hits(seed, a_sched, n_paths)
-    values = vector_callable(spec)(y_sched)[np.minimum(t_hit, n_steps)]
+    values = spec.forms.f(y_sched)[np.minimum(t_hit, n_steps)]
     mean_f = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_paths))
 

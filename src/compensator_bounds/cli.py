@@ -281,8 +281,9 @@ def _emit(payload: dict, args):
     """Write the payload's JSON text to stdout and ``args.json`` piece
     by piece, then yield the ``args.csv`` file for the tabular trace,
     each file ``None`` when not given.  Both open first, so a path that
-    cannot be opened, or one file named by both flags, is an error
-    before anything is printed or any existing file is truncated."""
+    cannot be opened, one file named by both flags, or a ``--csv`` on
+    stdout's file, is an error before anything is printed or any
+    existing file is truncated."""
     files = dict.fromkeys(("json", "csv"))
     with contextlib.ExitStack() as stack:
         for flag in files:
@@ -302,6 +303,13 @@ def _emit(payload: dict, args):
         if len(stats) == 2 and os.path.samestat(*stats.values()):
             raise ValueError(f"--json '{args.json}' and --csv "
                              f"'{args.csv}' name the same file")
+        # A CSV on stdout's file would overwrite the JSON text; --json
+        # writes the same bytes there.  A StringIO has no descriptor.
+        with contextlib.suppress(AttributeError, OSError):
+            out = os.fstat(sys.stdout.fileno())
+            if files["csv"] and os.path.samestat(stats[files["csv"]], out):
+                raise ValueError(f"--csv '{args.csv}' names the file "
+                                 f"that stdout writes to")
         for f, st in stats.items():  # "w" truncates regular files only
             if stat.S_ISREG(st.st_mode):
                 f.truncate()

@@ -12,19 +12,19 @@ All solvers in this package are parameterized by an increasing function
   the shift inequality that everything else here relies on.
 
 Each family is one record in ``_FAMILIES``: its parameter key and
-validity rule, ``f(0)``, whether it belongs to the shift class, and the
-closed forms of ``f`` (array and scalar), ``f'``, ``f^{-1}``,
-the root ``B`` of the fixed-point equation ``B = f(0) + f'(f^{-1}(B))``
-and the maximizer of the recursion's one-step objective.  A
-:class:`FunctionSpec` bundles a family with its parameter, evaluates
-those forms, and round-trips through the little ``family:key=value``
-string syntax used on the command line.
+validity rule, ``f(0)``, whether it belongs to the shift class, and one
+builder that binds a parameter into a :class:`_Forms` record: ``f``,
+``f'``, ``f^{-1}``, the one-step maximizer and the fixed point ``B``.
+A :class:`FunctionSpec` holds a family, its parameter and those forms,
+evaluates them with domain checks, and round-trips through the little
+``family:key=value`` string syntax used on the command line.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -34,10 +34,6 @@ __all__ = [
     "Family",
     "FunctionSpec",
     "parse_function_spec",
-    "scalar_callable",
-    "vector_callable",
-    "step_argmax",
-    "fixed_point_root",
     "is_class_s_family",
 ]
 
@@ -58,65 +54,33 @@ class Family(enum.Enum):
 class _Forms(NamedTuple):
     """Closed forms of one family member, its parameter bound in.
 
-    ``f`` and ``deriv`` take numpy arrays; ``f_scalar`` and ``inverse``
-    take plain floats.
+    ``f`` and ``deriv`` take numpy arrays, ``f_scalar`` and ``inverse``
+    plain floats.  None checks its domain (``[0, inf)``, and ``[f(0),
+    inf)`` for ``inverse``): hot loops read them and keep to it, and
+    :class:`FunctionSpec`'s methods are the checked evaluators.
+    ``argmax(b, o)`` maximizes the recursion's one-step objective
+    ``a f(a) + (1 - a) f(a + o)`` over ``[0, 1]``, with ``o = f^{-1}(b)``
+    and ties to the smallest ``a``: the slope's root in closed form for
+    ``exp``, ``quad`` and ``pow`` with ``m`` 2 or 3, the best candidate
+    for ``remark2``, and a bisection of the slope, which can raise
+    OverflowError, for the other ``pow``.  ``root`` is the root ``B`` of
+    ``B = f(0) + f'(f^{-1}(B))``, ``inf`` where there is none or it
+    overflows float64.
     """
 
     f: Callable
     f_scalar: Callable
     deriv: Callable
     inverse: Callable
-
-
-def _exp_forms(lam: float) -> _Forms:
-    return _Forms(
-        f=lambda x: np.exp(lam * x),
-        f_scalar=lambda x: math.exp(lam * x),
-        deriv=lambda x: lam * np.exp(lam * x),
-        # np.log, not math.log: they differ in the last bit for some y,
-        # which shows in the recursion output.
-        inverse=lambda y: np.log(y) / lam,
-    )
-
-
-def _pow_forms(m: float) -> _Forms:
-    return _Forms(
-        f=lambda x: x ** m,
-        f_scalar=lambda x: x ** m,
-        deriv=lambda x: m * x ** (m - 1.0),
-        inverse=lambda y: y ** (1.0 / m),
-    )
-
-
-def _quad_forms(_: None) -> _Forms:
-    return _Forms(
-        f=lambda x: x + 0.5 * x * x,
-        f_scalar=lambda x: x + 0.5 * x * x,
-        deriv=lambda x: 1.0 + x,
-        # -1 + sqrt(1 + 2y), rewritten to avoid cancellation at small y.
-        inverse=lambda y: 2.0 * y / (1.0 + math.sqrt(1.0 + 2.0 * y)),
-    )
-
-
-def _remark2_forms(_: None) -> _Forms:
-    # At the splice x = 1 the left one-sided derivatives are used.
-    return _Forms(
-        f=lambda x: np.where(x <= 1.0, x, 0.5 * (1.0 + x * x)),
-        f_scalar=lambda x: x if x <= 1.0 else 0.5 * (1.0 + x * x),
-        deriv=lambda x: np.where(x <= 1.0, 1.0, x),
-        inverse=lambda y: y if y <= 1.0 else math.sqrt(2.0 * y - 1.0),
-    )
-
-
-# Maximizers argmax(b, o) over a in [0, 1] of the recursion's one-step
-# objective a f(a) + (1 - a) f(a + o), with o = f^{-1}(b).
+    argmax: Callable
+    root: float
 
 
 def _clip_unit(a: float) -> float:
     return min(max(a, 0.0), 1.0)
 
 
-def _exp_argmax(lam: float):
+def _exp_forms(lam: float) -> _Forms:
     def argmax(b, o):
         # The slope in a has the sign of lam (a (1 - b) + b) + 1 - b,
         # which is positive throughout at b = 1 and falls in a beyond.
@@ -124,7 +88,17 @@ def _exp_argmax(lam: float):
             return 1.0
         return _clip_unit((1.0 - (1.0 - lam) * b) / (lam * (b - 1.0)))
 
-    return argmax
+    return _Forms(
+        f=lambda x: np.exp(lam * x),
+        f_scalar=lambda x: math.exp(lam * x),
+        deriv=lambda x: lam * np.exp(lam * x),
+        # np.log, not math.log: they differ in the last bit for some y,
+        # which shows in the recursion output.
+        inverse=lambda y: np.log(y) / lam,
+        argmax=argmax,
+        # 1 + lam B = B.
+        root=1.0 / (1.0 - lam) if lam < 1.0 else math.inf,
+    )
 
 
 def _pow2_argmax(b, o):
@@ -147,7 +121,7 @@ def _pow3_argmax(b, o):
     return _clip_unit(2.0 * qc / (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)))
 
 
-def _pow_argmax(m: float):
+def _pow_forms(m: float) -> _Forms:
     def slope(a, o):
         return ((m + 1.0) * a ** m - (a + o) ** m
                 + m * (1.0 - a) * (a + o) ** (m - 1.0))
@@ -171,7 +145,20 @@ def _pow_argmax(m: float):
             lo, hi = (mid, hi) if slope(mid, o) > 0.0 else (lo, mid)
         return lo
 
-    return {2.0: _pow2_argmax, 3.0: _pow3_argmax}.get(m, argmax)
+    # m B^{(m-1)/m} = B, so B^{1/m} = m.  Float m ** m raises instead of
+    # returning inf, from m = 144 on.
+    try:
+        root = m ** m
+    except OverflowError:
+        root = math.inf
+    return _Forms(
+        f=lambda x: x ** m,
+        f_scalar=lambda x: x ** m,
+        deriv=lambda x: m * x ** (m - 1.0),
+        inverse=lambda y: y ** (1.0 / m),
+        argmax={2.0: _pow2_argmax, 3.0: _pow3_argmax}.get(m, argmax),
+        root=root,
+    )
 
 
 def _quad_argmax(b, o):
@@ -181,38 +168,50 @@ def _quad_argmax(b, o):
     return _clip_unit((1.0 - 0.5 * o * o) / (2.0 * o - 1.0))
 
 
-def _remark2_argmax(_: None):
-    f = _remark2_forms(None).f_scalar
-
-    def argmax(b, o):
-        # Up to the splice (a <= 1 - o) the objective is a (1 - o) + o,
-        # best at an end of that piece.  Beyond it the slope is
-        # -3a^2/2 + (3 - 2o) a - (1 - o)^2/2, whose roots are the other
-        # candidates.  max keeps the first, smallest a of tied values.
-        cands = [0.0, _clip_unit(1.0 - o), 1.0]
-        p, c = 3.0 - 2.0 * o, -0.5 * (1.0 - o) ** 2
-        disc = p * p + 6.0 * c
-        if disc >= 0.0:
-            q = -0.5 * (p + math.copysign(math.sqrt(disc), p))
-            cands += [_clip_unit(q / -1.5), _clip_unit(c / q)]
-        return max(sorted(cands),
-                   key=lambda a: a * f(a) + (1.0 - a) * f(a + o))
-
-    return argmax
+def _quad_forms(_: None) -> _Forms:
+    return _Forms(
+        f=lambda x: x + 0.5 * x * x,
+        f_scalar=lambda x: x + 0.5 * x * x,
+        deriv=lambda x: 1.0 + x,
+        # -1 + sqrt(1 + 2y), rewritten to avoid cancellation at small y.
+        inverse=lambda y: 2.0 * y / (1.0 + math.sqrt(1.0 + 2.0 * y)),
+        argmax=_quad_argmax,
+        # 1 + f^{-1}(B) = B, so B^2 = 1 + 2B.
+        root=1.0 + math.sqrt(2.0),
+    )
 
 
-def _exp_root(lam: float) -> float:
-    # 1 + lam B = B.
-    return 1.0 / (1.0 - lam) if lam < 1.0 else math.inf
+def _remark2_scalar(x):
+    return x if x <= 1.0 else 0.5 * (1.0 + x * x)
 
 
-def _pow_root(m: float) -> float:
-    # m B^{(m-1)/m} = B, so B^{1/m} = m.  Float m ** m raises instead of
-    # returning inf, from m = 144 on.
-    try:
-        return m ** m
-    except OverflowError:
-        return math.inf
+def _remark2_argmax(b, o):
+    # Up to the splice (a <= 1 - o) the objective is a (1 - o) + o, best
+    # at an end of that piece.  Beyond it the slope is
+    # -3a^2/2 + (3 - 2o) a - (1 - o)^2/2, whose roots are the other
+    # candidates.  max keeps the first, smallest a of tied values.
+    cands = [0.0, _clip_unit(1.0 - o), 1.0]
+    p, c = 3.0 - 2.0 * o, -0.5 * (1.0 - o) ** 2
+    disc = p * p + 6.0 * c
+    if disc >= 0.0:
+        q = -0.5 * (p + math.copysign(math.sqrt(disc), p))
+        cands += [_clip_unit(q / -1.5), _clip_unit(c / q)]
+    return max(sorted(cands), key=lambda a: (
+        a * _remark2_scalar(a) + (1.0 - a) * _remark2_scalar(a + o)))
+
+
+def _remark2_forms(_: None) -> _Forms:
+    # At the splice x = 1 the left one-sided derivatives are used.
+    return _Forms(
+        f=lambda x: np.where(x <= 1.0, x, 0.5 * (1.0 + x * x)),
+        f_scalar=_remark2_scalar,
+        deriv=lambda x: np.where(x <= 1.0, 1.0, x),
+        inverse=lambda y: y if y <= 1.0 else math.sqrt(2.0 * y - 1.0),
+        argmax=_remark2_argmax,
+        # Not the recursion's limit 41/32: below the splice
+        # f'(f^{-1}(B)) = 1, and past it sqrt(2B - 1) = B only at 1.
+        root=1.0,
+    )
 
 
 class _Record(NamedTuple):
@@ -220,10 +219,7 @@ class _Record(NamedTuple):
 
     ``key`` names the parameter (``None`` for parameter-free families),
     ``valid`` accepts a parameter value and ``rule`` says in words what
-    it accepts; ``forms`` builds the closed forms for one parameter and
-    ``root`` gives the closed-form fixed point ``B`` for one parameter.
-    ``argmax`` builds for one parameter the maximizer ``argmax(b, o)``
-    of the recursion's one-step objective.
+    it accepts; ``forms`` builds the closed forms for one parameter.
     """
 
     key: str | None
@@ -232,26 +228,16 @@ class _Record(NamedTuple):
     f_zero: float
     class_s: bool
     forms: Callable[[float | None], _Forms]
-    root: Callable[[float | None], float]
-    argmax: Callable[[float | None], Callable]
 
 
 _FAMILIES = {
     Family.EXPONENTIAL: _Record("lambda", "> 0", lambda p: p > 0.0,
-                                1.0, True, _exp_forms, _exp_root,
-                                _exp_argmax),
+                                1.0, True, _exp_forms),
     Family.POWER: _Record("m", ">= 1", lambda p: p >= 1.0,
-                          0.0, True, _pow_forms, _pow_root,
-                          _pow_argmax),
-    # 1 + f^{-1}(B) = B, so B^2 = 1 + 2B.
-    Family.QUAD: _Record(None, None, None, 0.0, True, _quad_forms,
-                         lambda _: 1.0 + math.sqrt(2.0),
-                         lambda _: _quad_argmax),
-    # Outside the shift class: the curvature-to-slope ratio jumps up at
-    # the splice.  Its root is 1, not the recursion's limit 41/32: below
-    # the splice f'(f^{-1}(B)) = 1, and past it sqrt(2B - 1) = B only at 1.
-    Family.REMARK2: _Record(None, None, None, 0.0, False, _remark2_forms,
-                            lambda _: 1.0, _remark2_argmax),
+                          0.0, True, _pow_forms),
+    Family.QUAD: _Record(None, None, None, 0.0, True, _quad_forms),
+    # Outside the shift class: f''/f' jumps up at the splice.
+    Family.REMARK2: _Record(None, None, None, 0.0, False, _remark2_forms),
 }
 
 
@@ -268,14 +254,14 @@ class FunctionSpec:
     """An increasing test function ``f`` on ``[0, inf)``.
 
     ``param`` is the exponential rate for ``exp``, the exponent for
-    ``pow``, and ``None`` for the parameter-free families.  Instances
-    are immutable and hashable; equality and hash depend on
-    ``(family, param)`` only.
+    ``pow``, and ``None`` for the parameter-free families; ``forms``
+    holds the unchecked closed forms.  Instances are immutable and
+    hashable; equality and hash depend on ``(family, param)`` only.
     """
 
     family: Family
     param: float | None = None
-    _forms: _Forms = field(init=False, repr=False, compare=False)
+    forms: _Forms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rec = _FAMILIES[self.family]
@@ -284,12 +270,21 @@ class FunctionSpec:
                 raise ValueError(
                     f"{self.family.value} takes no parameter, "
                     f"got {self.param}")
-        elif self.param is not None and not math.isfinite(self.param):
-            raise ValueError(f"{rec.key} must be finite, got {self.param}")
-        elif self.param is None or not rec.valid(self.param):
+        # bool is an int, so it would pass as a number and print as True.
+        elif (isinstance(self.param, bool)
+              or not isinstance(self.param, numbers.Real)):
             raise ValueError(
-                f"{rec.key} must be {rec.rule}, got {self.param}")
-        object.__setattr__(self, "_forms", rec.forms(self.param))
+                f"{rec.key} must be a real number, got {self.param!r}")
+        else:
+            # A plain float, so that spec_string's repr parses back.
+            object.__setattr__(self, "param", float(self.param))
+            if not math.isfinite(self.param):
+                raise ValueError(
+                    f"{rec.key} must be finite, got {self.param}")
+            if not rec.valid(self.param):
+                raise ValueError(
+                    f"{rec.key} must be {rec.rule}, got {self.param}")
+        object.__setattr__(self, "forms", rec.forms(self.param))
 
     # ------------------------------------------------------------------
     # evaluation
@@ -297,14 +292,14 @@ class FunctionSpec:
     def value(self, x):
         """``f(x)``; accepts scalars or numpy arrays, domain ``x >= 0``."""
         _domain_check(x)
-        out = self._forms.f(np.asarray(x, dtype=float))
+        out = self.forms.f(np.asarray(x, dtype=float))
         return float(out) if np.ndim(x) == 0 else out
 
     def deriv(self, x):
         """``f'(x)``.  At the ``remark2`` splice point the left slope is
         used (the two one-sided slopes agree there anyway)."""
         _domain_check(x)
-        out = self._forms.deriv(np.asarray(x, dtype=float))
+        out = self.forms.deriv(np.asarray(x, dtype=float))
         return float(out) if np.ndim(x) == 0 else out
 
     @property
@@ -328,7 +323,7 @@ class FunctionSpec:
             if y >= f0 - _INVERSE_CLAMP * max(1.0, abs(f0)):
                 return 0.0
             raise ValueError(f"inverse target {y} below f(0) = {f0}")
-        return float(self._forms.inverse(y))
+        return float(self.forms.inverse(y))
 
     # ------------------------------------------------------------------
     # the mini-language
@@ -377,38 +372,6 @@ def parse_function_spec(text: str) -> FunctionSpec:
         raise ValueError(
             f"could not parse number '{raw}' for '{key_needed}'") from None
     return FunctionSpec(family, param)
-
-
-def scalar_callable(spec: FunctionSpec):
-    """A plain-Python evaluator of ``f`` for hot scalar loops.
-
-    Skips domain checks and array dispatch; callers are responsible for
-    keeping arguments in ``[0, inf)``.
-    """
-    return spec._forms.f_scalar
-
-
-def vector_callable(spec: FunctionSpec):
-    """Array evaluator of ``f`` without domain checks, for hot loops."""
-    return spec._forms.f
-
-
-def step_argmax(spec: FunctionSpec):
-    """The maximizer ``argmax(b, o)`` over ``[0, 1]`` of the recursion's
-    one-step objective, with ``o = f^{-1}(b)``; ties go to the smallest
-    increment.  The slope's root in closed form, clipped to ``[0, 1]``,
-    for ``exp``, ``quad`` and ``pow`` with ``m`` 2 or 3; the best of the
-    ends, the splice and the slope's roots for ``remark2``; a bisection
-    of the slope, which can raise OverflowError, for the other ``pow``."""
-    return _FAMILIES[spec.family].argmax(spec.param)
-
-
-def fixed_point_root(spec: FunctionSpec) -> float:
-    """The root ``B`` of ``B = f(0) + f'(f^{-1}(B))`` in closed form:
-    ``1/(1 - lambda)`` for ``exp`` (``inf`` at ``lambda >= 1``), ``m^m``
-    for ``pow`` (``inf`` where that overflows float64), ``1 + sqrt(2)``
-    for ``quad`` and 1 for ``remark2``."""
-    return _FAMILIES[spec.family].root(spec.param)
 
 
 def is_class_s_family(spec: FunctionSpec) -> bool:

@@ -20,12 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .functions import (
-    FunctionSpec,
-    fixed_point_root,
-    scalar_callable,
-    step_argmax,
-)
+from .functions import FunctionSpec
 
 __all__ = [
     "SolverConfig",
@@ -91,8 +86,7 @@ def _make_stepper(spec: FunctionSpec):
     """A reusable single-step maximizer ``b -> (value, argmax)``: the
     family record's maximizer, where the objective is evaluated once.
     A maximizer or value that overflows gives the value ``inf``."""
-    argmax = step_argmax(spec)
-    f = scalar_callable(spec)
+    argmax, f = spec.forms.argmax, spec.forms.f_scalar
 
     def step(b: float) -> tuple[float, float]:
         offset = spec.inverse(b)
@@ -223,7 +217,7 @@ def fixed_point_bound(spec: FunctionSpec) -> FixedPointResult:
     divergence.  At a finite root the one-step slope is cross-checked on
     a 512-point grid; at ``a = 0`` that slope is the equation's residual.
     """
-    root = fixed_point_root(spec)
+    root = spec.forms.root
     if root > _DIVERGENCE_THRESHOLD:
         return FixedPointResult(math.inf)
     grid = np.linspace(0.0, 1.0, _CROSS_CHECK_GRID)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import FunctionSpec, vector_callable
+from .functions import FunctionSpec
 
 __all__ = [
     "DiscreteRV",
@@ -333,7 +333,7 @@ def _chunk_gaps(spec: FunctionSpec, seed: int, start: int,
         values[0, :len(rv.atoms)], probs[0, :len(rv.atoms)] = (rv.values,
                                                                rv.probs)
 
-    f = vector_callable(spec)
+    f = spec.forms.f
     mean_f = _row_expectations(probs, f(values))
     lhs = _row_expectations(probs, f(shifts[:, None] + values))
     offsets = np.array([spec.inverse(m) for m in mean_f])

@@ -763,25 +763,24 @@ class TestGoldenRefinement:
             assert A[n][j] == expect_a
 
     @pytest.mark.parametrize("iters", [0, 1, 2, 60])
-    def test_one_evaluation_per_contraction(self, monkeypatch, iters):
+    def test_one_evaluation_per_contraction(self, iters):
         # No contractions, so no evaluations: a layer reads f only from
         # the slices its setup built.
         calls = []
-        real = bellman.vector_callable
+        spec = FunctionSpec(Family.EXPONENTIAL, 0.5)
+        f = spec.forms.f
 
-        def counting(spec):
-            f = real(spec)
+        def counted(q):
+            calls.append(1)
+            return f(q)
 
-            def counted(q):
-                calls.append(1)
-                return f(q)
-            return counted
-
-        monkeypatch.setattr(bellman, "vector_callable", counting)
+        # A fresh spec, so swapping its frozen field touches no other.
+        object.__setattr__(spec, "forms", spec.forms._replace(f=counted))
         grid = GridConfig(4.0, 1.0 / 64)
         solver = SolverConfig(refine_iters=iters)
-        value_iteration(EXP_HALF, 0, grid, solver)
+        value_iteration(spec, 0, grid, solver)
         setup = len(calls)
         calls.clear()
-        value_iteration(EXP_HALF, 4, grid, solver)
+        value_iteration(spec, 4, grid, solver)
+        assert setup > 0
         assert len(calls) == setup

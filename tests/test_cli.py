@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface: exit codes, JSON
 schema conformance, CSV shape, and byte-identical reruns."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from argparse import Namespace
 from pathlib import Path
 
@@ -781,6 +786,45 @@ class TestStreamedEmit:
         assert code == 2
         assert out.out == ""
         assert target.read_bytes() == b"12345678"
+
+    @staticmethod
+    def run_to_file(argv, out_path):
+        """Run the CLI in a child whose stdout is the file ``out_path``."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        with open(out_path, "wb") as out:
+            return subprocess.run(
+                [sys.executable, "-m", "compensator_bounds.cli", *argv],
+                stdout=out, stderr=subprocess.PIPE, env=env).returncode
+
+    @pytest.mark.parametrize("spelling", ["dev-stdout", "path"])
+    def test_csv_on_stdout_prints_nothing(self, spelling, tmp_path):
+        # The CSV once overwrote the start of the JSON text, with exit 0.
+        out = tmp_path / "out"
+        csv_path = "/dev/stdout" if spelling == "dev-stdout" else str(out)
+        code = self.run_to_file(["solve-recursion", "--f", "quad", "--json",
+                                 os.devnull, "--csv", csv_path], out)
+        assert code == 2
+        assert out.read_bytes() == b""
+
+    def test_json_on_stdout_writes_the_same_bytes(self, tmp_path):
+        plain, doubled = tmp_path / "plain", tmp_path / "doubled"
+        assert self.run_to_file(["bound", "--f", "quad"], plain) == 0
+        assert self.run_to_file(["bound", "--f", "quad", "--json",
+                                 str(doubled)], doubled) == 0
+        assert doubled.read_bytes() == plain.read_bytes()
+
+    def test_csv_beside_a_stdout_without_descriptor(self, tmp_path):
+        # A StringIO has no fileno(); the benchmark's worker runs the CLI
+        # under one.
+        csv_path = tmp_path / "paths.csv"
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(["simulate", "--f", "quad", "--chain", "intro",
+                         "--n", "3", "--paths", "100", "--csv",
+                         str(csv_path)])
+        assert code == 0
+        assert json.loads(buffer.getvalue())["command"] == "simulate"
+        assert csv_path.read_text(encoding="utf-8").startswith("path_id,")
 
     def test_accepted_files_replace_longer_contents(self, tmp_path, capsys):
         json_path, csv_path = tmp_path / "x.json", tmp_path / "x.csv"

@@ -15,7 +15,6 @@ from compensator_bounds.functions import (
     _FAMILIES,
     Family,
     FunctionSpec,
-    fixed_point_root,
     is_class_s_family,
     parse_function_spec,
 )
@@ -225,7 +224,11 @@ def test_every_family_has_a_complete_record(family):
     rec = _FAMILIES[family]
     text = family.value if rec.key is None else f"{family.value}:{rec.key}=2"
     spec = parse_function_spec(text)
-    assert all(callable(form) for form in rec.forms(spec.param))
+    forms = rec.forms(spec.param)
+    *funcs, root = forms
+    assert all(callable(form) for form in funcs)
+    assert type(root) is float and root >= spec.f_zero
+    assert spec.forms.root == root
     assert spec.f_zero == spec.value(0.0)
     assert is_class_s_family(spec) is rec.class_s
     for x in (0.5, 1.5):
@@ -243,7 +246,7 @@ class TestFixedPointRoot:
         # family's f, f' and f^{-1}, shares no code with the record's
         # closed-form root.
         spec = parse_function_spec(text)
-        root = fixed_point_root(spec)
+        root = spec.forms.root
         residual = spec.value(0.0) + spec.deriv(spec.inverse(root)) - root
         assert abs(residual) <= 1e-9 * max(1.0, root)
 
@@ -289,6 +292,23 @@ class TestParse:
         # gaps and infinite means downstream.
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             FunctionSpec(family, param)
+
+    @pytest.mark.parametrize("param", [np.float64(2.0), np.float32(2.0),
+                                       np.int64(2), 2],
+                             ids=["float64", "float32", "int64", "int"])
+    def test_numpy_and_int_parameters_round_trip(self, param):
+        # np.float64's repr is "np.float64(2.0)" under numpy 2, which the
+        # parser rejected; the parameter is stored as a plain float.
+        spec = FunctionSpec(Family.POWER, param)
+        assert spec.spec_string() == "pow:m=2.0"
+        assert type(spec.param) is float
+        assert parse_function_spec(spec.spec_string()) == spec
+
+    @pytest.mark.parametrize("param", [True, "2", 1j, [2.0]],
+                             ids=["bool", "str", "complex", "list"])
+    def test_non_real_parameters(self, param):
+        with pytest.raises(ValueError, match="m must be a real number"):
+            FunctionSpec(Family.POWER, param)
 
     def test_parameter_on_bare_family(self):
         with pytest.raises(ValueError, match="no parameter"):

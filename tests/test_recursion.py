@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from compensator_bounds.functions import Family, FunctionSpec, step_argmax
+from compensator_bounds.functions import Family, FunctionSpec
 from compensator_bounds.recursion import (
     RecursionStatus,
     SolverConfig,
@@ -182,9 +182,9 @@ class TestOptimalStep:
         assert a_star == 0.0
         # The maximizer itself, not only the value >= b guard, says 0;
         # likewise at the fixed point o = m of pow:m=4.
-        assert step_argmax(POW_ONE)(1.0, 1.0) == 0.0
+        assert POW_ONE.forms.argmax(1.0, 1.0) == 0.0
         pow4 = FunctionSpec(Family.POWER, 4.0)
-        assert step_argmax(pow4)(256.0, 4.0) == 0.0
+        assert pow4.forms.argmax(256.0, 4.0) == 0.0
         # At remark2's limit b = 41/32 the objective peaks at a = 0 and
         # at a = 1/4 with the same value, exactly in float.
         assert _make_stepper(REMARK2)(41.0 / 32.0) == (41.0 / 32.0, 0.0)
@@ -249,9 +249,9 @@ class TestClosedFormStep:
             assert (recursion_sequence(spec, 8, light)
                     == recursion_sequence(spec, 8)), spec
 
-    def test_every_family_has_a_one_step_argmax(self):
+    def test_every_family_has_a_one_step_maximizer(self):
         for spec in self.SPECS:
-            a_star = step_argmax(spec)(2.0, spec.inverse(2.0))
+            a_star = spec.forms.argmax(2.0, spec.inverse(2.0))
             assert 0.0 <= a_star <= 1.0, spec
 
 
