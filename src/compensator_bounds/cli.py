@@ -6,25 +6,27 @@ Subcommands map one-to-one onto the library modules: ``bound`` and
 inequality scan, ``simulate`` for the chains, and ``report`` for a
 combined battery with CI-friendly exit codes.
 
-Every subcommand prints one JSON document to stdout (also written to
-``--json PATH`` when given) and, where a tabular trace exists, writes it
-as CSV via ``--csv PATH``.  Identical argv and seed give byte-identical
-outputs: keys are sorted, and nothing is stamped with times or
-hostnames.  The JSON text is what ``json.dumps(payload, sort_keys=True,
-indent=2)`` gives, written by a small encoder one table row at a time:
-each float is its ``repr``, taken once per distinct value of an array
-row (an action row holds a few hundred), and ``NaN`` and ``Infinity``
-appear as ``json`` writes them.
+Each subcommand returns its exit code, its payload and, where a tabular
+trace exists, a CSV header with a lazy iterable of text rows.  ``_emit``
+alone writes them: one JSON document to stdout (and to ``--json PATH``
+when given), then the trace, as ``csv.writer`` would, to ``--csv PATH``.
+Identical argv and seed give byte-identical outputs: keys are sorted,
+and nothing is stamped with times or hostnames.  The JSON text is what
+``json.dumps(payload, sort_keys=True, indent=2)`` gives, written by a
+small encoder one table row at a time: each float is its ``repr``,
+taken once per distinct value of an array row (an action row holds a
+few hundred), and ``NaN`` and ``Infinity`` appear as ``json`` writes
+them.
 
-Exit codes: 0 = ran and all internal consistency checks passed, 2 =
-usage error, 3 = a consistency check failed.
+Exit codes: 0 = ran and all internal consistency checks passed, 1 =
+stdout's reader closed it early, 2 = usage error, 3 = a consistency
+check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import os
@@ -276,14 +278,13 @@ def _nest(texts: list, indent: str) -> str:
     return _join(texts, "[", "]", indent)
 
 
-@contextlib.contextmanager
-def _emit(payload: dict, args):
+def _emit(payload: dict, args, header=(), rows=()) -> None:
     """Write the payload's JSON text to stdout and ``args.json`` piece
-    by piece, then yield the ``args.csv`` file for the tabular trace,
-    each file ``None`` when not given.  Both open first, so a path that
-    cannot be opened, one file named by both flags, or a ``--csv`` on
-    stdout's file, is an error before anything is printed or any
-    existing file is truncated."""
+    by piece, then the ``header`` and ``rows`` of the tabular trace to
+    ``args.csv``; without ``args.csv``, ``rows`` is never iterated.
+    Both files open first, so a path that cannot be opened, one file
+    named by both flags, or a ``--csv`` on stdout's file, is an error
+    before anything is printed or any existing file is truncated."""
     files = dict.fromkeys(("json", "csv"))
     with contextlib.ExitStack() as stack:
         for flag in files:
@@ -317,13 +318,15 @@ def _emit(payload: dict, args):
         for piece in itertools.chain(_pieces(payload, ""), ["\n"]):
             for sink in sinks:
                 sink.write(piece)
-        yield files["csv"]
-
-
-def _write_csv(fh, header: list[str], rows) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(rows)
+        # A reader that closed stdout early shows here, not at exit.
+        sys.stdout.flush()
+        if files["csv"] is None:
+            return
+        # Every field is an int or a float repr, which the csv module
+        # would write unquoted, so the lines go out in joined blocks.
+        lines = map(",".join, itertools.chain([header], rows))
+        while block := list(itertools.islice(lines, 2048)):
+            files["csv"].write("\r\n".join(block) + "\r\n")
 
 
 def _bound_value(value: float) -> float | str:
@@ -344,16 +347,17 @@ def _comparison_fields(comparison, horizon: int, step: float) -> dict:
     }
 
 
-def _write_comparison_csv(fh, rows) -> None:
-    _write_csv(fh, ["n", "c_n", "b_n", "gap"],
-               [(n, repr(c), repr(b), repr(g)) for n, c, b, g in rows])
+def _comparison_trace(rows) -> tuple:
+    """The CSV header and rows of ``compare`` and ``report``."""
+    return ("n", "c_n", "b_n", "gap"), (
+        (str(n), repr(c), repr(b), repr(g)) for n, c, b, g in rows)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     result = fixed_point_bound(args.f)
     payload = {
         "command": "bound",
@@ -364,14 +368,12 @@ def _cmd_bound(args) -> int:
                             else float(result.cross_check_max)),
         "cross_check_ok": result.cross_check_ok,
     }
-    with _emit(payload, args):
-        pass
     breach = (result.cross_check_ok is False
               and is_class_s_family(args.f))
-    return 3 if breach else 0
+    return (3 if breach else 0), payload
 
 
-def _cmd_solve_recursion(args) -> int:
+def _cmd_solve_recursion(args):
     cfg = SolverConfig(b_tolerance=args.tol, max_iterations=args.max_iter)
     trace = iterate(args.f, cfg)
     payload = {
@@ -385,16 +387,23 @@ def _cmd_solve_recursion(args) -> int:
         "b": [float(v) for v in trace.b],
         "a_star": [float(v) for v in trace.a_star],
     }
-    with _emit(payload, args) as fh:
-        if fh is not None:
-            rows = [(0, repr(float(trace.b[0])), "")]
-            rows += [(n, repr(float(b)), repr(float(a))) for n, b, a
-                     in zip(itertools.count(1), trace.b[1:], trace.a_star)]
-            _write_csv(fh, ["n", "b_n", "a_star_n"], rows)
-    return 0
+    rows = zip(map(str, itertools.count()), map(repr, payload["b"]),
+               itertools.chain([""], map(repr, payload["a_star"])))
+    return 0, payload, ("n", "b_n", "a_star_n"), rows
 
 
-def _cmd_solve_bellman(args) -> int:
+def _table_layers(table, actions):
+    """The ``n,y,value,action`` rows of each layer.  A layer's values
+    are all distinct; its actions take a few hundred values, so each of
+    those is rendered once."""
+    y_texts = [repr(y) for y in table.y.tolist()]
+    for n in range(table.horizon + 1):
+        yield zip(itertools.repeat(str(n)), y_texts,
+                  map(repr, table.V[n].tolist()),
+                  _distinct_texts(actions[n], repr).tolist())
+
+
+def _cmd_solve_bellman(args):
     table = value_iteration(args.f, args.horizon,
                             GridConfig(float(args.horizon), args.step))
     actions = extremal_policy(table).A
@@ -408,24 +417,11 @@ def _cmd_solve_bellman(args) -> int:
         "values_at_zero": table.V[:, 0].tolist(),
         "actions": actions,
     }
-    with _emit(payload, args) as fh:
-        if fh is None:
-            return 0
-        # Every field is an int or a float repr, which csv.writer would
-        # write unquoted, so each layer goes out as one block of rows.
-        # A layer's values are all distinct; its actions take a few
-        # hundred values, so each of those is rendered once.
-        y_texts = [repr(y) for y in table.y.tolist()]
-        fh.write("n,y,value,action\r\n")
-        for n in range(table.horizon + 1):
-            rows = zip(itertools.repeat(str(n)), y_texts,
-                       map(repr, table.V[n].tolist()),
-                       _distinct_texts(actions[n], repr).tolist())
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
-    return 0
+    return (0, payload, ("n", "y", "value", "action"),
+            itertools.chain.from_iterable(_table_layers(table, actions)))
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     comparison = compare_bounds(value_iteration(
         args.f, args.horizon, GridConfig(float(args.horizon), args.step),
         trusted_only=True))
@@ -435,13 +431,11 @@ def _cmd_compare(args) -> int:
         "max_abs_gap": float(comparison.max_abs_gap),
         **_comparison_fields(comparison, args.horizon, args.step),
     }
-    with _emit(payload, args) as fh:
-        if fh is not None:
-            _write_comparison_csv(fh, comparison.rows)
-    return 3 if comparison.enforced and not comparison.within_budget else 0
+    code = 3 if comparison.enforced and not comparison.within_budget else 0
+    return code, payload, *_comparison_trace(comparison.rows)
 
 
-def _cmd_test_shift(args) -> int:
+def _cmd_test_shift(args):
     report = property_scan(args.f, args.trials, args.seed)
     payload = {
         "command": "test-shift",
@@ -458,10 +452,8 @@ def _cmd_test_shift(args) -> int:
         },
         "injected_gap": float(report.injected_gap),
     }
-    with _emit(payload, args):
-        pass
     expected_clean = is_class_s_family(args.f)
-    return 3 if expected_clean and report.violations > 0 else 0
+    return (3 if expected_clean and report.violations > 0 else 0), payload
 
 
 def _load_policy(path: str, expected: FunctionSpec):
@@ -512,18 +504,16 @@ def _load_policy(path: str, expected: FunctionSpec):
     return ExtremalPolicy(actions, grid), values_at_zero
 
 
-def _dump_path_rows(result, y_sched) -> list[tuple]:
-    rows = []
+def _dump_path_rows(result, y_sched):
     for i in range(min(len(result.t_hit), _DUMP_PATHS)):
         t = int(result.t_hit[i])
         for k in range(result.n_steps + 1):
             x = 1.0 if k >= t else 0.0
             y = float(y_sched[min(k, t)])
-            rows.append((i, k, repr(x), repr(y), repr(x - y)))
-    return rows
+            yield str(i), str(k), repr(x), repr(y), repr(x - y)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     if args.chain == "intro":
         a_sched, y_sched = intro_schedule(args.n)
         fields = {"chain": "intro", "n_steps": args.n}
@@ -554,11 +544,8 @@ def _cmd_simulate(args) -> int:
         "within_4se": bool(abs(sim.mean_f - exact) <= 4.0 * sim.std_error),
         "max_doob_residual": sim.max_doob_residual,
     }
-    with _emit(payload, args) as fh:
-        if fh is not None:
-            _write_csv(fh, ["path_id", "k", "X", "Y", "M"],
-                       _dump_path_rows(sim, y_sched))
-    return 0
+    return (0, payload, ("path_id", "k", "X", "Y", "M"),
+            _dump_path_rows(sim, y_sched))
 
 
 # ----------------------------------------------------------------------
@@ -653,13 +640,10 @@ def run_report(spec: FunctionSpec, horizon: int, step: float, trials: int,
     return payload, (0 if not failures else 3)
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     payload, code = run_report(args.f, horizon=args.horizon, step=args.step,
                                trials=args.trials, seed=args.seed)
-    with _emit(payload, args) as fh:
-        if fh is not None:
-            _write_comparison_csv(fh, payload["comparison"]["rows"])
-    return code
+    return code, payload, *_comparison_trace(payload["comparison"]["rows"])
 
 
 _HANDLERS = {
@@ -676,10 +660,19 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code, payload, *trace = _HANDLERS[args.command](args)
+        _emit(payload, args, *trace)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout left early.  Pointing stdout at the null
+        # device keeps the interpreter's exit flush from raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -276,8 +276,13 @@ class FunctionSpec:
             raise ValueError(
                 f"{rec.key} must be a real number, got {self.param!r}")
         else:
-            # A plain float, so that spec_string's repr parses back.
-            object.__setattr__(self, "param", float(self.param))
+            # A plain float, so that spec_string's repr parses back; an
+            # int or Fraction past the float range counts as infinite.
+            try:
+                param = float(self.param)
+            except OverflowError:
+                param = math.inf if self.param > 0 else -math.inf
+            object.__setattr__(self, "param", param)
             if not math.isfinite(self.param):
                 raise ValueError(
                     f"{rec.key} must be finite, got {self.param}")

@@ -698,8 +698,7 @@ class TestStreamedEmit:
     def test_matches_the_stdlib(self, name, tmp_path, capsys):
         payload = self.PAYLOADS[name]()
         target = tmp_path / "out.json"
-        with cli._emit(payload, Namespace(json=str(target))):
-            pass
+        cli._emit(payload, Namespace(json=str(target)))
         out = capsys.readouterr().out
         assert out == json.dumps(as_lists(payload), sort_keys=True,
                                  indent=2) + "\n"
@@ -836,6 +835,112 @@ class TestStreamedEmit:
         assert code == 0
         assert json_path.read_text(encoding="utf-8") == stdout
         assert "#" not in csv_path.read_text(encoding="utf-8")
+
+
+    def test_unrequested_trace_is_never_rendered(self, capsys):
+        def rows():
+            raise AssertionError("a CSV row was rendered")
+            yield
+        cli._emit({"a": 1}, Namespace(json=None, csv=None), ("a",), rows())
+        assert capsys.readouterr().out == '{\n  "a": 1\n}\n'
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # The reader leaves after the first of about a million bytes; a
+        # BrokenPipeError traceback once went to stderr.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "compensator_bounds.cli",
+             "solve-recursion", "--f", "quad"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert stderr == b""
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    """The rows of a CSV file, after checking that every line ends in
+    CRLF, as the csv module writes them."""
+    data = path.read_bytes()
+    assert data.endswith(b"\r\n")
+    assert data.count(b"\n") == data.count(b"\r\n") == data.count(b"\r")
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCsvOracle:
+    """Every ``--csv`` file, read back with the stdlib ``csv`` module,
+    holds the numbers of its JSON payload field by field."""
+
+    def run(self, argv, tmp_path, capsys):
+        out_csv = tmp_path / f"{argv[0]}.csv"
+        code, out = run_cli([*argv, "--csv", str(out_csv)], capsys)
+        assert code == 0
+        return json.loads(out), read_csv(out_csv)
+
+    def test_solve_recursion(self, tmp_path, capsys):
+        payload, rows = self.run(["solve-recursion", "--f", "exp:lambda=0.5"],
+                                 tmp_path, capsys)
+        assert rows[0] == ["n", "b_n", "a_star_n"]
+        assert len(rows) == len(payload["b"]) + 1
+        assert rows[1][2] == ""
+        for n, (col_n, b, a) in enumerate(rows[1:]):
+            assert int(col_n) == n
+            assert float(b) == payload["b"][n]
+            if n:
+                assert float(a) == payload["a_star"][n - 1]
+
+    @pytest.mark.parametrize("argv, rows_of", [
+        (["compare", "--f", "exp:lambda=0.5", "--horizon", "4",
+          "--step", "1/64"], lambda p: p["rows"]),
+        (["report", "--f", "quad", "--horizon", "3", "--step", "1/64",
+          "--trials", "100"], lambda p: p["comparison"]["rows"]),
+    ], ids=["compare", "report"])
+    def test_comparison_rows(self, argv, rows_of, tmp_path, capsys):
+        payload, rows = self.run(argv, tmp_path, capsys)
+        assert rows[0] == ["n", "c_n", "b_n", "gap"]
+        expected = rows_of(payload)
+        assert len(rows) == len(expected) + 1
+        for row, want in zip(rows[1:], expected):
+            assert int(row[0]) == want[0]
+            assert [float(v) for v in row[1:]] == want[1:]
+
+    def test_solve_bellman(self, tmp_path, capsys):
+        payload, rows = self.run(BELLMAN_SMALL, tmp_path, capsys)
+        assert rows[0] == ["n", "y", "value", "action"]
+        actions = np.array(payload["actions"])
+        assert len(rows) == actions.size + 1
+        body = np.array([[float(v) for v in row] for row in rows[1:]])
+        n, y, value, action = np.moveaxis(
+            body.reshape(*actions.shape, 4), 2, 0)
+        assert np.array_equal(action, actions)
+        assert np.array_equal(value[:, 0], payload["values_at_zero"])
+        assert np.array_equal(y[:, 0], np.zeros(len(actions)))
+        assert (y == y[0]).all()
+        assert (n == np.arange(len(actions))[:, None]).all()
+
+    @pytest.mark.parametrize("chain", ["intro", "extremal"])
+    def test_simulate(self, chain, tmp_path, capsys):
+        if chain == "intro":
+            argv = ["simulate", "--f", "exp:lambda=0.5", "--chain", "intro",
+                    "--n", "6", "--paths", "300", "--seed", "2"]
+            steps = 6
+        else:
+            table = tmp_path / "table.json"
+            run_cli([*BELLMAN_SMALL, "--json", str(table)], capsys)
+            argv = ["simulate", "--f", "exp:lambda=0.5", "--chain",
+                    "extremal", "--policy", str(table), "--paths", "300",
+                    "--seed", "2"]
+            steps = 4
+        _, rows = self.run(argv, tmp_path, capsys)
+        assert rows[0] == ["path_id", "k", "X", "Y", "M"]
+        assert len(rows) == 1 + 100 * (steps + 1)
+        for j, row in enumerate(rows[1:]):
+            assert (int(row[0]), int(row[1])) == divmod(j, steps + 1)
+            x, y, m = map(float, row[2:])
+            assert x in (0.0, 1.0)
+            assert m == x - y
 
 
 def hand_artifact(path: Path, **overrides) -> Path:

@@ -6,6 +6,7 @@ rather than against the implementation's own formulas.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,6 +291,17 @@ class TestParse:
     def test_non_finite_parameters(self, family, key, param):
         # inf passed the range rules (inf > 0, inf >= 1) and gave NaN
         # gaps and infinite means downstream.
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            FunctionSpec(family, param)
+
+    @pytest.mark.parametrize("family, key", [
+        (Family.EXPONENTIAL, "lambda"), (Family.POWER, "m")])
+    @pytest.mark.parametrize("param", [10**400, Fraction(10**400),
+                                       -10**400],
+                             ids=["int", "fraction", "negative-int"])
+    def test_parameters_past_the_float_range(self, family, key, param):
+        # float() raised OverflowError on these; the CLI's "1e400" parses
+        # to inf and gets the same error.
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             FunctionSpec(family, param)
 

@@ -50,10 +50,9 @@ def test_benchmark_library_calls_resolve():
     assert shift.shift_gap(f, 0.5, rv) >= 0.0
 
 
-def test_every_public_name_has_a_caller():
-    # A public name that only tests reach is dead surface.  Its callers
-    # are loaded names and attributes in the package and the benchmark
-    # (not its tests); docstrings hold no AST names, so they do not count.
+def loaded_names() -> set[str]:
+    """Loaded names and attributes in the package and the benchmark (not
+    its tests); docstrings hold no AST names, so they do not count."""
     sources = [*(ROOT / "src" / "compensator_bounds").glob("*.py"),
                *(p for p in (ROOT / "bench").glob("*.py")
                  if not p.name.startswith("test_"))]
@@ -64,7 +63,25 @@ def test_every_public_name_has_a_caller():
                 called.add(node.id)
             elif isinstance(node, ast.Attribute):
                 called.add(node.attr)
+    return called
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that only tests reach is dead surface.
+    called = loaded_names()
     uncalled = [f"{name}.{public}" for name in LAYERS
                 for public in getattr(compensator_bounds, name).__all__
                 if public not in called]
+    assert uncalled == []
+
+
+def test_every_module_level_function_has_a_caller():
+    # Private helpers too: a writer left behind after its last caller
+    # moved elsewhere would still import and pass every test.
+    called = loaded_names()
+    uncalled = [f"{path.stem}.{node.name}"
+                for path in (ROOT / "src" / "compensator_bounds").glob("*.py")
+                for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name not in called]
     assert uncalled == []
