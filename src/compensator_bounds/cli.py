@@ -7,16 +7,17 @@ inequality scan, ``simulate`` for the chains, and ``report`` for a
 combined battery with CI-friendly exit codes.
 
 Each subcommand returns its exit code, its payload and, where a tabular
-trace exists, a CSV header with a lazy iterable of text rows.  ``_emit``
-alone writes them: one JSON document to stdout (and to ``--json PATH``
-when given), then the trace, as ``csv.writer`` would, to ``--csv PATH``.
-Identical argv and seed give byte-identical outputs: keys are sorted,
-and nothing is stamped with times or hostnames.  The JSON text is what
-``json.dumps(payload, sort_keys=True, indent=2)`` gives, written by a
-small encoder one table row at a time: each float is its ``repr``,
-taken once per distinct value of an array row (an action row holds a
-few hundred), and ``NaN`` and ``Infinity`` appear as ``json`` writes
-them.
+trace exists, a CSV header with a lazy iterable of text rows.  ``main``
+adds the ``command`` and ``function`` keys to every payload, and
+``_emit`` alone writes it: one JSON document to stdout (and to ``--json
+PATH`` when given, unless that is stdout's own file), then the trace, as
+``csv.writer`` would, to ``--csv PATH``.  Identical argv and seed give
+byte-identical outputs: keys are sorted, and nothing is stamped with
+times or hostnames.  The JSON text is what ``json.dumps(payload,
+sort_keys=True, indent=2)`` gives, written by one walker, ``_pieces``,
+one table row at a time: each float is its ``repr``, taken once per
+distinct value of an array row (an action row holds a few hundred), and
+``NaN`` and ``Infinity`` appear as ``json`` writes them.
 
 Exit codes: 0 = ran and all internal consistency checks passed, 1 =
 stdout's reader closed it early, 2 = usage error, 3 = a consistency
@@ -63,7 +64,7 @@ from .shift import property_scan
 # loaded once the CLI is.
 from . import optimize  # noqa: F401
 
-__all__ = ["main", "parse_args", "run_report"]
+__all__ = ["main", "parse_args"]
 
 ARTIFACT_FORMAT = "compensator-bounds/value-table-v1"
 # Paths written to ``simulate --csv``.
@@ -218,8 +219,12 @@ def _pieces(value, indent: str):
     byte for byte, for values with string keys, where a float64
     ``ndarray`` may stand for the nested list of its floats.  It comes
     in pieces: the framing of each dict, and one row at a time of an
-    array of two or more dimensions, so that no piece holds a table."""
+    array of two or more dimensions, so that no piece holds a table.
+    A list, tuple or 1-D array is one piece: a finite float is its
+    ``repr``, an array row is rendered once per distinct value, and any
+    other item is this text again."""
     inner = indent + "  "
+    array = isinstance(value, np.ndarray) and value.dtype == np.float64
     if isinstance(value, dict) and value:
         opening = "{"
         for key in sorted(value):
@@ -227,31 +232,26 @@ def _pieces(value, indent: str):
             yield from _pieces(value[key], inner)
             opening = ","
         yield f"\n{indent}}}"
-    elif (isinstance(value, np.ndarray) and value.dtype == np.float64
-          and value.ndim > 1 and len(value)):
+    elif array and value.ndim > 1 and len(value):
         opening = "["
         for row in value:
-            yield f"{opening}\n{inner}{_encode(row, inner)}"
+            yield f"{opening}\n{inner}" + "".join(_pieces(row, inner))
             opening = ","
         yield f"\n{indent}]"
+    elif array or isinstance(value, (list, tuple)):
+        def text(item):
+            if type(item) is float and item - item == 0.0:
+                return float.__repr__(item)
+            return "".join(_pieces(item, inner))
+        # The inline test spares a call per float of the 20000-long
+        # lists of solve-recursion, about 10% of their encoding.
+        texts = (_distinct_texts(value, text).tolist() if array else
+                 [float.__repr__(v) if type(v) is float and v - v == 0.0
+                  else text(v) for v in value])
+        yield (f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
+               if texts else "[]")
     else:
-        yield _encode(value, indent)
-
-
-def _encode(value, indent: str) -> str:
-    if type(value) is float and value - value == 0.0:
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        return _join([f"{json.dumps(key)}: {_encode(value[key], inner)}"
-                      for key in sorted(value)], "{", "}", indent)
-    if isinstance(value, (list, tuple)):
-        return _join([float.__repr__(v) if type(v) is float and v - v == 0.0
-                      else _encode(v, inner) for v in value], "[", "]", indent)
-    if isinstance(value, np.ndarray) and value.dtype == np.float64:
-        texts = _distinct_texts(value, lambda v: _encode(v, ""))
-        return _nest(texts.tolist(), indent)
-    return json.dumps(value)
+        yield json.dumps(value)
 
 
 def _distinct_texts(values: np.ndarray, render) -> np.ndarray:
@@ -263,28 +263,15 @@ def _distinct_texts(values: np.ndarray, render) -> np.ndarray:
     return np.array(distinct, dtype=object)[inverse.reshape(values.shape)]
 
 
-def _join(parts: list[str], opening: str, closing: str, indent: str) -> str:
-    if not parts:
-        return opening + closing
-    inner = indent + "  "
-    return (f"{opening}\n{inner}" + f",\n{inner}".join(parts)
-            + f"\n{indent}{closing}")
-
-
-def _nest(texts: list, indent: str) -> str:
-    """Nested lists of ready JSON texts, laid out as a list of lists."""
-    if texts and not isinstance(texts[0], str):
-        texts = [_nest(t, indent + "  ") for t in texts]
-    return _join(texts, "[", "]", indent)
-
-
 def _emit(payload: dict, args, header=(), rows=()) -> None:
     """Write the payload's JSON text to stdout and ``args.json`` piece
     by piece, then the ``header`` and ``rows`` of the tabular trace to
     ``args.csv``; without ``args.csv``, ``rows`` is never iterated.
     Both files open first, so a path that cannot be opened, one file
     named by both flags, or a ``--csv`` on stdout's file, is an error
-    before anything is printed or any existing file is truncated."""
+    before anything is printed or any existing file is truncated.  A
+    ``--json`` on stdout's file is closed unwritten, so the text goes
+    out once, through stdout."""
     files = dict.fromkeys(("json", "csv"))
     with contextlib.ExitStack() as stack:
         for flag in files:
@@ -304,13 +291,20 @@ def _emit(payload: dict, args, header=(), rows=()) -> None:
         if len(stats) == 2 and os.path.samestat(*stats.values()):
             raise ValueError(f"--json '{args.json}' and --csv "
                              f"'{args.csv}' name the same file")
-        # A CSV on stdout's file would overwrite the JSON text; --json
-        # writes the same bytes there.  A StringIO has no descriptor.
+        # A CSV on stdout's file would overwrite the JSON text.  A --json
+        # there closes unwritten, since stdout writes the same bytes: a
+        # second write would double them in a pipe, and its truncate()
+        # would drop what a ">>" redirection kept.  A StringIO has no
+        # descriptor.
         with contextlib.suppress(AttributeError, OSError):
             out = os.fstat(sys.stdout.fileno())
             if files["csv"] and os.path.samestat(stats[files["csv"]], out):
                 raise ValueError(f"--csv '{args.csv}' names the file "
                                  f"that stdout writes to")
+            if files["json"] and os.path.samestat(stats[files["json"]], out):
+                files["json"].close()
+                del stats[files["json"]]
+                files["json"] = None
         for f, st in stats.items():  # "w" truncates regular files only
             if stat.S_ISREG(st.st_mode):
                 f.truncate()
@@ -331,6 +325,34 @@ def _emit(payload: dict, args, header=(), rows=()) -> None:
 
 def _bound_value(value: float) -> float | str:
     return "unbounded" if np.isinf(value) else float(value)
+
+
+def _grid(args) -> GridConfig:
+    """The grid of ``solve-bellman``, ``compare`` and ``report``: from 0
+    to ``--horizon`` in steps of ``--step``."""
+    return GridConfig(float(args.horizon), args.step)
+
+
+def _recursion_fields(trace) -> dict:
+    """The verdict of a recursion trace, shared by ``solve-recursion``
+    and ``report``."""
+    return {
+        "status": trace.status.value,
+        "iterations": len(trace.b) - 1,
+        "final": float(trace.final),
+        "limit": None if trace.limit is None else float(trace.limit),
+    }
+
+
+def _scan_fields(scan) -> dict:
+    """The counts of a shift scan, shared by ``test-shift`` and
+    ``report``."""
+    return {
+        "trials": scan.trials,
+        "seed": scan.seed,
+        "violations": scan.violations,
+        "min_gap": float(scan.min_gap),
+    }
 
 
 def _comparison_fields(comparison, horizon: int, step: float) -> dict:
@@ -360,8 +382,6 @@ def _comparison_trace(rows) -> tuple:
 def _cmd_bound(args):
     result = fixed_point_bound(args.f)
     payload = {
-        "command": "bound",
-        "function": args.f.spec_string(),
         "value": _bound_value(result.value),
         "unbounded": bool(result.unbounded),
         "cross_check_max": (None if result.cross_check_max is None
@@ -377,12 +397,7 @@ def _cmd_solve_recursion(args):
     cfg = SolverConfig(b_tolerance=args.tol, max_iterations=args.max_iter)
     trace = iterate(args.f, cfg)
     payload = {
-        "command": "solve-recursion",
-        "function": args.f.spec_string(),
-        "status": trace.status.value,
-        "iterations": len(trace.b) - 1,
-        "final": float(trace.final),
-        "limit": None if trace.limit is None else float(trace.limit),
+        **_recursion_fields(trace),
         "diverged_at": trace.diverged_at,
         "b": [float(v) for v in trace.b],
         "a_star": [float(v) for v in trace.a_star],
@@ -404,13 +419,10 @@ def _table_layers(table, actions):
 
 
 def _cmd_solve_bellman(args):
-    table = value_iteration(args.f, args.horizon,
-                            GridConfig(float(args.horizon), args.step))
+    table = value_iteration(args.f, args.horizon, _grid(args))
     actions = extremal_policy(table).A
     payload = {
-        "command": "solve-bellman",
         "format": ARTIFACT_FORMAT,
-        "function": args.f.spec_string(),
         "horizon": table.horizon,
         "grid": {"y_max": float(table.grid.y_max),
                  "step": float(table.grid.step)},
@@ -423,11 +435,8 @@ def _cmd_solve_bellman(args):
 
 def _cmd_compare(args):
     comparison = compare_bounds(value_iteration(
-        args.f, args.horizon, GridConfig(float(args.horizon), args.step),
-        trusted_only=True))
+        args.f, args.horizon, _grid(args), trusted_only=True))
     payload = {
-        "command": "compare",
-        "function": args.f.spec_string(),
         "max_abs_gap": float(comparison.max_abs_gap),
         **_comparison_fields(comparison, args.horizon, args.step),
     }
@@ -438,12 +447,7 @@ def _cmd_compare(args):
 def _cmd_test_shift(args):
     report = property_scan(args.f, args.trials, args.seed)
     payload = {
-        "command": "test-shift",
-        "function": args.f.spec_string(),
-        "trials": report.trials,
-        "seed": report.seed,
-        "violations": report.violations,
-        "min_gap": float(report.min_gap),
+        **_scan_fields(report),
         "argmin": {
             "trial": report.argmin_trial,
             "shift": float(report.argmin_shift),
@@ -532,8 +536,6 @@ def _cmd_simulate(args):
     sim = simulate_schedule(args.f, a_sched, y_sched, args.paths, args.seed)
     exact = exact_expectation(args.f, schedule_law(a_sched, y_sched))
     payload = {
-        "command": "simulate",
-        "function": args.f.spec_string(),
         **fields,
         "paths": sim.n_paths,
         "seed": sim.seed,
@@ -552,15 +554,13 @@ def _cmd_simulate(args):
 # combined report
 
 
-def run_report(spec: FunctionSpec, horizon: int, step: float, trials: int,
-               seed: int) -> tuple[dict, int]:
+def _cmd_report(args):
     """Run the whole battery for one function and collect the verdicts.
-
-    Returns the JSON-ready payload and the exit code (0 when every
-    consistency check passed or the finding was expected, 3 otherwise).
-    """
+    The exit code is 0 when every consistency check passed or the
+    finding was expected, 3 otherwise."""
+    spec, horizon = args.f, args.horizon
     # Checked before any work, so a bad grid fails at once.
-    grid = GridConfig(float(horizon), step)
+    grid = _grid(args)
     failures: list[str] = []
     class_s = is_class_s_family(spec)
 
@@ -591,7 +591,7 @@ def run_report(spec: FunctionSpec, horizon: int, step: float, trials: int,
         failures.append("exact values exceed the recursion bound beyond "
                         "the grid budget")
 
-    scan = property_scan(spec, trials, seed)
+    scan = property_scan(spec, args.trials, args.seed)
     if class_s and scan.violations > 0:
         failures.append("shift-inequality violations found for a "
                         "shift-class function")
@@ -607,27 +607,15 @@ def run_report(spec: FunctionSpec, horizon: int, step: float, trials: int,
                         "the table value")
 
     payload = {
-        "command": "report",
-        "function": spec.spec_string(),
         "class_s": class_s,
         "bound": {
             "value": _bound_value(fp.value),
             "cross_check_ok": fp.cross_check_ok,
         },
-        "recursion": {
-            "status": trace.status.value,
-            "iterations": len(trace.b) - 1,
-            "final": float(trace.final),
-            "limit": None if trace.limit is None else float(trace.limit),
-        },
-        "comparison": _comparison_fields(comparison, horizon, step),
-        "shift_scan": {
-            "trials": scan.trials,
-            "seed": scan.seed,
-            "violations": scan.violations,
-            "min_gap": float(scan.min_gap),
-            "violations_expected": not class_s,
-        },
+        "recursion": _recursion_fields(trace),
+        "comparison": _comparison_fields(comparison, horizon, args.step),
+        "shift_scan": {**_scan_fields(scan),
+                       "violations_expected": not class_s},
         "chain_check": {
             "exact_expectation": float(chain_exact),
             "table_value": table_value,
@@ -637,13 +625,7 @@ def run_report(spec: FunctionSpec, horizon: int, step: float, trials: int,
         "failures": failures,
         "status": "all-pass" if not failures else "breach",
     }
-    return payload, (0 if not failures else 3)
-
-
-def _cmd_report(args):
-    payload, code = run_report(args.f, horizon=args.horizon, step=args.step,
-                               trials=args.trials, seed=args.seed)
-    return code, payload, *_comparison_trace(payload["comparison"]["rows"])
+    return (3 if failures else 0), payload, *_comparison_trace(comparison.rows)
 
 
 _HANDLERS = {
@@ -661,7 +643,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         code, payload, *trace = _HANDLERS[args.command](args)
-        _emit(payload, args, *trace)
+        _emit({"command": args.command, "function": args.f.spec_string(),
+               **payload}, args, *trace)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -609,6 +609,24 @@ class TestPinnedTableOutputs:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "a09d8e1de6c614033f2a5a905bdc99d7e61b86bad6f579f0a1f31e4319f47c95")
 
+    def test_chain_through_interpolated_policy_reads(self, tmp_path, capsys):
+        # Step 1/75 puts the reachable y = 0.32, 0.64, ... off the grid,
+        # so the extremal chain's increments come from interpolated
+        # policy reads; swapping their two weights moves the fifth
+        # increment from 0.50667 to 0.49333 and leaves the artifact as
+        # it was.
+        table_json = tmp_path / "t.json"
+        code, _ = run_cli(["solve-bellman", "--f", "remark2", "--horizon", "6",
+                           "--step", "1/75", "--json", str(table_json)],
+                          capsys)
+        assert code == 0
+        code, out = run_cli(["simulate", "--chain", "extremal",
+                             "--f", "remark2", "--policy", str(table_json),
+                             "--paths", "1000"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "3155358a76790cb7ac173ff0087deeb04cb2d6506c7568459cc437dcece58919")
+
     def test_readme_scale_table(self, capsys):
         code, out = run_cli(["solve-bellman", "--f", "exp:lambda=0.5",
                              "--horizon", "30", "--step", "1/512"], capsys)
@@ -645,8 +663,10 @@ class TestJsonEncoder:
         {"table": np.arange(24.0).reshape(2, 3, 4) / 7,
          "pair": (1, (2.5, "x")), "grid": {"b": {"a": [1.5]}, "a": 2}},
         {"draws": np.random.default_rng(5).integers(-3, 4, (6, 11)) / 8},
+        {"rows": [{"b": [np.nan, -0.0], "a": 1.5}, [[math.inf, 2.5], ()]]},
     ], ids=["signed-zero", "non-finite-and-extremes", "scalars",
-            "non-ascii", "empty", "nested", "repeated-draws"])
+            "non-ascii", "empty", "nested", "repeated-draws",
+            "dict-in-list"])
     def test_matches_the_stdlib(self, payload):
         assert "".join(cli._pieces(payload, "")) + "\n" == json.dumps(
             as_lists(payload), sort_keys=True, indent=2,
@@ -787,13 +807,19 @@ class TestStreamedEmit:
         assert target.read_bytes() == b"12345678"
 
     @staticmethod
-    def run_to_file(argv, out_path):
-        """Run the CLI in a child whose stdout is the file ``out_path``."""
+    def run_child(argv, stdout):
+        """Run the CLI in a child process with ``stdout`` as its stdout."""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        with open(out_path, "wb") as out:
-            return subprocess.run(
-                [sys.executable, "-m", "compensator_bounds.cli", *argv],
-                stdout=out, stderr=subprocess.PIPE, env=env).returncode
+        return subprocess.run(
+            [sys.executable, "-m", "compensator_bounds.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    @classmethod
+    def run_to_file(cls, argv, out_path, mode="wb"):
+        """Run the CLI in a child whose stdout is the file ``out_path``,
+        opened in ``mode``."""
+        with open(out_path, mode) as out:
+            return cls.run_child(argv, out).returncode
 
     @pytest.mark.parametrize("spelling", ["dev-stdout", "path"])
     def test_csv_on_stdout_prints_nothing(self, spelling, tmp_path):
@@ -811,6 +837,31 @@ class TestStreamedEmit:
         assert self.run_to_file(["bound", "--f", "quad", "--json",
                                  str(doubled)], doubled) == 0
         assert doubled.read_bytes() == plain.read_bytes()
+
+    BOUND_ON_STDOUT = ["bound", "--f", "quad", "--json", "/dev/stdout"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="no /dev/stdout")
+    def test_json_on_a_stdout_pipe_writes_once(self):
+        # Both handles once wrote the document into the pipe, and the
+        # reader got it twice.
+        plain = self.run_child(["bound", "--f", "quad"], subprocess.PIPE)
+        proc = self.run_child(self.BOUND_ON_STDOUT, subprocess.PIPE)
+        assert proc.returncode == 0
+        assert proc.stdout == plain.stdout
+        assert json.loads(proc.stdout)["command"] == "bound"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="no /dev/stdout")
+    def test_json_on_an_appended_stdout_keeps_the_earlier_bytes(self,
+                                                                tmp_path):
+        # The --json handle's truncate() once cut the file back to the
+        # document alone, dropping what was there before ">>".
+        plain, appended = tmp_path / "plain", tmp_path / "appended"
+        assert self.run_to_file(["bound", "--f", "quad"], plain) == 0
+        appended.write_bytes(b"hello\n")
+        assert self.run_to_file(self.BOUND_ON_STDOUT, appended, "ab") == 0
+        assert appended.read_bytes() == b"hello\n" + plain.read_bytes()
 
     def test_csv_beside_a_stdout_without_descriptor(self, tmp_path):
         # A StringIO has no fileno(); the benchmark's worker runs the CLI
