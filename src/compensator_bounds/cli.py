@@ -269,19 +269,28 @@ def _emit(payload: dict, args, header=(), rows=()) -> None:
     ``args.csv``; without ``args.csv``, ``rows`` is never iterated.
     Both files open first, so a path that cannot be opened, one file
     named by both flags, or a ``--csv`` on stdout's file, is an error
-    before anything is printed or any existing file is truncated.  A
-    ``--json`` on stdout's file is closed unwritten, so the text goes
-    out once, through stdout."""
+    before anything is printed, any existing file is truncated, or a new
+    file is left behind.  A ``--json`` on stdout's file is closed
+    unwritten, so the text goes out once, through stdout."""
     files = dict.fromkeys(("json", "csv"))
-    with contextlib.ExitStack() as stack:
+    # Once ``stack`` has closed the files, ``undo`` unlinks the new ones.
+    with contextlib.ExitStack() as undo, contextlib.ExitStack() as stack:
+        def opener(path, flags):
+            # "w" but no O_TRUNC until checked; O_EXCL finds a new path.
+            try:
+                fd = os.open(path, flags & ~os.O_TRUNC | os.O_EXCL, 0o666)
+            except FileExistsError:
+                return os.open(path, flags & ~os.O_TRUNC, 0o666)
+            undo.callback(os.unlink, path)
+            return fd
+
         for flag in files:
             path = getattr(args, flag, None)
             try:
-                if path is not None:  # "w" without O_TRUNC, until checked
+                if path is not None:
                     files[flag] = stack.enter_context(open(
                         path, "w", encoding="utf-8", newline="",
-                        opener=lambda p, fl: os.open(p, fl & ~os.O_TRUNC,
-                                                     0o666)))
+                        opener=opener))
             except OSError as exc:
                 raise ValueError(f"could not write --{flag} file "
                                  f"'{path}': {exc}") from exc
@@ -305,6 +314,7 @@ def _emit(payload: dict, args, header=(), rows=()) -> None:
                 files["json"].close()
                 del stats[files["json"]]
                 files["json"] = None
+        undo.pop_all()  # checked: the files made stay
         for f, st in stats.items():  # "w" truncates regular files only
             if stat.S_ISREG(st.st_mode):
                 f.truncate()

@@ -401,10 +401,10 @@ class TestTestShift:
         code, out = run_cli(["test-shift", "--f", "pow:m=2",
                              "--trials", "200", "--seed", "3"], capsys)
         assert code == 0
-        # sha256 of the stdout from when the atom count and value cap were
-        # the flags --max-atoms (default 5) and --value-cap (default 4.0).
+        # sha256 of the stdout of the one-Philox-stream scan; the payload
+        # is checked against property_scan below.
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "4381addf9f799e3cafbaf1af8b1d039d29ea3bba698b65c20ef16f52d9781bd5")
+            "445d6893e7b2b6b2f4bb70efb313dff46fb2caedb4bc2f746866a857e7d926dc")
         payload = json.loads(out)
         report = property_scan(parse_function_spec("pow:m=2"), 200, 3)
         assert payload["trials"] == report.trials
@@ -417,20 +417,20 @@ class TestTestShift:
             [v, p] for v, p in report.argmin_rv.atoms]
         assert payload["injected_gap"] == report.injected_gap
 
-    # sha256 of the stdout from the scan that evaluated one trial at a
-    # time; exp:lambda=10 carries the large unscaled min_gap that the
-    # relative violation threshold forgives.
+    # sha256 of the stdout of the one-Philox-stream scan, matched by the
+    # one-trial oracle in test_shift.py; exp:lambda=10 carries the large
+    # unscaled min_gap that the relative violation threshold forgives.
     @pytest.mark.parametrize("f,trials,digest", [
         ("exp:lambda=0.5", "5000",
-         "d1cd61b7fbcce25a4d2927d85542c84afc537f3c2a735154061118ab6d1693ce"),
+         "8b6a50389b8849553a61c832b07f4b6655357e2f6f482ecc468ab579e471b7ee"),
         ("pow:m=2", "5000",
-         "9ce3845fc258d2c41b28b63898476cb4add774caa7f20819030652db9d02288b"),
+         "2812c7940477c9f5be30d08aec71d644d4181c09f633152e34facdcb4cb0db42"),
         ("quad", "5000",
-         "dcdc707af0bbdf37d7047ebe52de7ed8477aa7259fae376248cb1ae590cb27cb"),
+         "7118432e37e47df40eeecaea1645f45f54819aa42e0538a9d4373b017fefb513"),
         ("remark2", "5000",
-         "24a4e6e5c55b7da23f8d36c81e7a7d39f7eb07f589ebbc7186e06d7f0023a627"),
+         "7af01f00f933152bf03fe2e7ca394af52b3d48b40eded33442afc0275ab9de03"),
         ("exp:lambda=10", "2000",
-         "55777ee75993be7d78887cde0b92d3843a589a71e980838ad9266f0fb368e6b9"),
+         "4326af939949ea63932587c8c9ce681e023ef19a7d3e8a8b0f1ab9aa27bbc1b4"),
     ])
     def test_scan_outputs_are_pinned(self, f, trials, digest, capsys):
         code, out = run_cli(["test-shift", "--f", f, "--trials", trials,
@@ -607,7 +607,7 @@ class TestPinnedTableOutputs:
                              "--step", "0.3"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "a09d8e1de6c614033f2a5a905bdc99d7e61b86bad6f579f0a1f31e4319f47c95")
+            "30d3482dade8fd1aa88cec206692a155b01c40e1149a6f7321d3450e8e715224")
 
     def test_chain_through_interpolated_policy_reads(self, tmp_path, capsys):
         # Step 1/75 puts the reachable y = 0.32, 0.64, ... off the grid,
@@ -829,6 +829,22 @@ class TestStreamedEmit:
         code = self.run_to_file(["solve-recursion", "--f", "quad", "--json",
                                  os.devnull, "--csv", csv_path], out)
         assert code == 2
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize("case", ["unopenable-csv", "same-file",
+                                      "csv-on-stdout"])
+    def test_refusal_leaves_a_new_path_absent(self, case, tmp_path):
+        # A refused run once left an empty --json file that had not
+        # existed before it.
+        (tmp_path / "d").mkdir()
+        new, out = tmp_path / "new.json", tmp_path / "out"
+        csv_path = {"unopenable-csv": tmp_path / "no" / "y.csv",
+                    "same-file": tmp_path / "d" / ".." / "new.json",
+                    "csv-on-stdout": out}[case]
+        code = self.run_to_file(["solve-recursion", "--f", "quad", "--json",
+                                 str(new), "--csv", str(csv_path)], out)
+        assert code == 2
+        assert not new.exists()
         assert out.read_bytes() == b""
 
     def test_json_on_stdout_writes_the_same_bytes(self, tmp_path):

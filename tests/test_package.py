@@ -85,3 +85,30 @@ def test_every_module_level_function_has_a_caller():
                 if isinstance(node, ast.FunctionDef)
                 and node.name not in called]
     assert uncalled == []
+
+
+def test_every_private_module_name_is_read_in_its_module():
+    # The package-wide check above lets a leftover private name pass when
+    # another module reads one of the same spelling (chains and shift
+    # each had a _MASK32), so each module must read its own.
+    unread = []
+    for path in (ROOT / "src" / "compensator_bounds").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined = [name.id for target in targets
+                           for name in ast.walk(target)
+                           if isinstance(name, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.stem}.{name}" for name in defined
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in loaded]
+    assert unread == []
