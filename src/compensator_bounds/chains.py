@@ -8,12 +8,11 @@ stays at 0 with its compensator raised to ``y_{t+1} = y_t + a_t``.  The
 value table with ``n`` steps left.  The unabsorbed state is
 deterministic, so one running product gives the exact finite-support
 law of either chain, as two arrays of support points and
-probabilities, which validates the one sampler.  The sampler reads path
-``i``'s uniforms from row ``i`` of one ``Generator(Philox(seed))`` draw,
-but a path is absorbed after a few steps, so it evaluates the Philox
-counter blocks itself and only those that hold a live path's next
-uniform.  It returns the absorption step of every path: memory is
-O(paths + chunk), whatever the number of steps.
+probabilities, which validates the one sampler.  The sampler draws
+each step from one ``Generator(Philox(seed))`` stream: the paths still
+live at step ``t`` take its next uniforms, in index order, and a path
+leaves at its first jump.  It returns the absorption step of every
+path: memory is O(paths), whatever the number of steps.
 """
 
 from __future__ import annotations
@@ -40,18 +39,6 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
-
-# Paths per chunk of the Philox kernel: its thirteen work buffers take
-# 1.6 MB.
-_CHUNK_PATHS = 1 << 14
-
-# Philox4x64-10 (Salmon et al., SC'11, as numpy's ``Philox`` runs it):
-# round multipliers, key increments (Weyl constants) and round count.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
 
 
 class ChainLaw(NamedTuple):
@@ -152,103 +139,23 @@ def doob_decompose(x_path, kernel) -> np.ndarray:
 # Monte Carlo
 
 
-def _mulhilo(m: int, b, hi, s1, s2, s3) -> None:
-    """The 128-bit product ``m * b`` of a 64-bit constant and a uint64
-    array, in place: ``hi`` gets its high words and ``b`` its low words.
-    The high words are summed from 32-bit half products so that no sum
-    overflows; ``s1``-``s3`` are scratch arrays of ``b``'s length."""
-    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
-    np.bitwise_and(b, _MASK32, out=s1)
-    np.right_shift(b, 32, out=s2)
-    np.multiply(b, np.uint64(m), out=b)
-    np.multiply(s1, m_lo, out=hi)
-    np.right_shift(hi, 32, out=hi)
-    np.multiply(s2, m_lo, out=s3)
-    np.add(hi, s3, out=hi)
-    np.multiply(s1, m_hi, out=s1)
-    np.bitwise_and(hi, _MASK32, out=s3)
-    np.add(s1, s3, out=s1)
-    np.right_shift(hi, 32, out=hi)
-    np.multiply(s2, m_hi, out=s2)
-    np.add(hi, s2, out=hi)
-    np.right_shift(s1, 32, out=s1)
-    np.add(hi, s1, out=hi)
-
-
-def _philox_blocks(bufs, key) -> tuple:
-    """Philox4x64-10 on many counters at once.  ``bufs`` is nine uint64
-    arrays of one length, whose first four hold the counters' four
-    64-bit lanes, low lane first; ``key`` is two Python ints.  Returns
-    the four output lanes, which are four of the nine buffers."""
-    x0, x1, x2, x3, h0, h1, s1, s2, s3 = bufs
-    k0, k1 = key
-    for _ in range(_PHILOX_ROUNDS):
-        _mulhilo(_PHILOX_M[0], x0, h0, s1, s2, s3)
-        _mulhilo(_PHILOX_M[1], x2, h1, s1, s2, s3)
-        np.bitwise_xor(h1, x1, out=h1)
-        np.bitwise_xor(h1, np.uint64(k0), out=h1)
-        np.bitwise_xor(h0, x3, out=h0)
-        np.bitwise_xor(h0, np.uint64(k1), out=h0)
-        x0, x1, x2, x3, h0, h1 = h1, x2, h0, x0, x1, x3
-        # Python ints: a numpy scalar would warn on the wraparound.
-        k0 = (k0 + _PHILOX_W[0]) & _MASK64
-        k1 = (k1 + _PHILOX_W[1]) & _MASK64
-    return x0, x1, x2, x3
-
-
 def _first_hits(seed: int, a_sched: np.ndarray, n_paths: int) -> np.ndarray:
-    """1-based absorption step of each path, ``n_steps + 1`` for none,
-    as ``Generator(Philox(seed)).random((n_paths, n_steps)) < a_sched``
-    gives it.
+    """1-based absorption step of each path, ``n_steps + 1`` for none.
 
-    Path ``i``'s uniform at step ``t`` is word ``k = i*n_steps + t`` of
-    the Philox stream: lane ``k % 4`` of the block with counter
-    ``k // 4 + 1``, turned into ``(w >> 11) * 2**-53``.  Round ``r``
-    evaluates, for every path still live, its ``r``-th block, which
-    holds the steps ``4r - (i*n_steps) % 4`` to 3 more; a path leaves at
-    its first jump.
+    One ``Generator(Philox(seed))`` stream feeds every step: at step
+    ``t`` the paths still live take its next uniforms, one each in index
+    order, and a path jumps when its uniform is below ``a_sched[t]``.
+    The draw stops once no path is live.
     """
-    n_steps = len(a_sched)
-    key = [int(w) for w in np.random.Philox(seed).state["state"]["key"]]
-    # (w >> 11) * 2**-53 < a exactly when (w >> 11) < ceil(a * 2**53);
-    # the three leading and four trailing zeros stand for the words of
-    # a block that belong to the paths before and after.
-    thresholds = np.zeros(n_steps + 7, dtype=np.uint64)
-    thresholds[3:n_steps + 3] = np.ceil(a_sched * 2.0 ** 53)
-    t_hit = np.full(n_paths, n_steps + 1, dtype=np.int64)
-    chunk = _CHUNK_PATHS
-    bufs = [np.empty(chunk, dtype=np.uint64) for _ in range(9)]
-    word, base, index, hits = (np.empty(chunk, dtype=np.int64)
-                               for _ in range(4))
+    rng = np.random.Generator(np.random.Philox(seed))
+    t_hit = np.full(n_paths, len(a_sched) + 1, dtype=np.int64)
     live = np.arange(n_paths)
-    r = 0
-    while len(live):
-        survivors = []
-        for lo in range(0, len(live), chunk):
-            paths = live[lo:lo + chunk]
-            m = len(paths)
-            x = [b[:m] for b in bufs]
-            k, lane0, idx, hit = word[:m], base[:m], index[:m], hits[:m]
-            np.multiply(paths, n_steps, out=k)
-            np.bitwise_and(k, 3, out=lane0)
-            np.subtract(4 * r, lane0, out=lane0)   # the step of lane 0
-            np.right_shift(k, 2, out=k)
-            np.add(k, r + 1, out=x[0].view(np.int64))
-            for lane in x[1:4]:
-                lane.fill(0)
-            w = _philox_blocks(x, key)
-            # Lane j holds step lane0 + j, whose threshold sits at index
-            # lane0 + j + 3; keep that index of the first jump, or 0.
-            hit.fill(0)
-            for j in (3, 2, 1, 0):
-                np.add(lane0, j + 3, out=idx)
-                np.copyto(hit, idx,
-                          where=(w[j] >> 11) < thresholds.take(idx))
-            absorbed = hit > 0
-            t_hit[paths[absorbed]] = hit[absorbed] - 2
-            survivors.append(paths[~absorbed & (lane0 + 4 < n_steps)])
-        live = np.concatenate(survivors)
-        r += 1
+    for t, a in enumerate(a_sched):
+        if not len(live):
+            break
+        jump = rng.random(len(live)) < a
+        t_hit[live[jump]] = t + 1
+        live = live[~jump]
     return t_hit
 
 
@@ -275,11 +182,11 @@ class SimulationResult:
 
 def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
                       seed: int, audit_paths: int = 200) -> SimulationResult:
-    """Monte-Carlo draw of the chain on a schedule: path ``i`` jumps at
-    the first step ``t`` where ``u[i, t] < a_sched[t]``, ``u`` being one
-    ``Generator(Philox(seed)).random((n_paths, steps))`` draw.  Only the
-    Philox blocks that hold a live path's next uniform are computed,
-    with the same bits.  The first ``audit_paths`` paths are audited."""
+    """Monte-Carlo draw of the chain on a schedule: a path jumps at the
+    first step ``t`` where its uniform is below ``a_sched[t]``, the
+    paths still live at step ``t`` taking the next uniforms of one
+    ``Generator(Philox(seed))`` stream in index order.  The first
+    ``audit_paths`` paths are audited."""
     a_sched = _increments(a_sched)
     n_steps = len(a_sched)
     if n_steps < 1:
@@ -296,7 +203,7 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
                              f"the schedule's last compensator value "
                              f"{float(y_sched[-1])!r}")
     # Counter-based bit generator: a fixed seed pins every uniform,
-    # independent of platform threading and of the chunk size.
+    # independent of platform threading.
     t_hit = _first_hits(seed, a_sched, n_paths)
     values = spec.forms.f(y_sched)[np.minimum(t_hit, n_steps)]
     mean_f = float(values.mean())

@@ -495,7 +495,7 @@ def _load_policy(path: str, expected: FunctionSpec):
         values_at_zero = [float(v) for v in data["values_at_zero"]]
         if not np.all(np.isfinite(values_at_zero)):
             raise ValueError("values_at_zero has non-finite entries")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed value-table artifact '{path}': "
                          f"{type(exc).__name__}: {exc}") from exc
     artifact_spec = parse_function_spec(function)

@@ -8,11 +8,10 @@ variable ``Y`` and any shift ``a >= 0`` satisfy::
 with equality for exponentials and at ``a = 0``.  :func:`shift_gap`
 measures the right side minus the left; :func:`property_scan` hammers
 the inequality with seeded random discrete distributions, trial ``t``
-drawn from row ``t`` of one ``Generator(Philox(seed))`` stream, as the
-chain sampler draws its paths.  The ``remark2`` family is the built-in
-function that breaks the inequality, and its fixed counterexample
-instance (a two-point coin on {0, 1} with a unit shift) is always
-evaluated as trial zero of a scan.
+drawn from row ``t`` of one ``Generator(Philox(seed))`` stream.  The
+``remark2`` family is the built-in function that breaks the inequality,
+and its fixed counterexample instance (a two-point coin on {0, 1} with
+a unit shift) is always evaluated as trial zero of a scan.
 """
 
 from __future__ import annotations

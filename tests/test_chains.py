@@ -340,34 +340,8 @@ class TestExtremalChain:
                               seed=3)
 
 
-def same_result(a, b) -> None:
-    for name in ("n_steps", "n_paths", "seed", "mean_f", "std_error",
-                 "max_doob_residual"):
-        assert getattr(a, name) == getattr(b, name), name
-    assert a.t_hit.dtype == b.t_hit.dtype
-    np.testing.assert_array_equal(a.t_hit, b.t_hit)
-
-
 class TestStreamedDraw:
-    """The kernel evaluates the one Philox stream in chunks of paths."""
-
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_intro_chunks_match_one_draw(self, rows, monkeypatch):
-        n_steps, n_paths = 12, 4001
-        monkeypatch.setattr(chains, "_CHUNK_PATHS", n_paths)
-        whole = simulate_intro(EXP_ONE, n_steps, n_paths, seed=9)
-        monkeypatch.setattr(chains, "_CHUNK_PATHS", rows)
-        chunked = simulate_intro(EXP_ONE, n_steps, n_paths, seed=9)
-        same_result(chunked, whole)
-
-    def test_extremal_chunks_match_one_draw(self, exp_table_30, monkeypatch):
-        sched = policy_schedule(extremal_policy(exp_table_30), 30)
-        n_paths = 3001
-        monkeypatch.setattr(chains, "_CHUNK_PATHS", n_paths)
-        whole = simulate_schedule(EXP_HALF, *sched, n_paths, seed=11)
-        monkeypatch.setattr(chains, "_CHUNK_PATHS", 7)
-        chunked = simulate_schedule(EXP_HALF, *sched, n_paths, seed=11)
-        same_result(chunked, whole)
+    """The draw keeps only per-path arrays, whatever the horizon."""
 
     def test_draw_does_not_hold_the_whole_block(self):
         n_steps, n_paths = 60, 50_000
@@ -405,51 +379,39 @@ class TestStreamedDraw:
                                      100, seed=1)
 
 
-def full_draw_hits(seed, a_sched, n_paths) -> np.ndarray:
-    """Absorption steps from one whole ``(n_paths, steps)`` uniform
-    draw: the formula the kernel must reproduce."""
-    jumps = np.random.Generator(np.random.Philox(seed)).random(
-        (n_paths, len(a_sched))) < a_sched
-    return np.where(jumps.any(axis=1), jumps.argmax(axis=1) + 1,
-                    len(a_sched) + 1)
+def loop_hits(seed, a_sched, n_paths) -> np.ndarray:
+    """Absorption steps from a plain loop over steps and live paths: one
+    ``rng.random()`` call per live path, in index order, on one
+    ``Generator(Philox(seed))`` stream."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    t_hit = np.full(n_paths, len(a_sched) + 1)
+    live = list(range(n_paths))
+    for t, a in enumerate(a_sched):
+        stay = []
+        for i in live:
+            if rng.random() < a:
+                t_hit[i] = t + 1
+            else:
+                stay.append(i)
+        live = stay
+    return t_hit
 
 
-def kernel_blocks(key, counters) -> np.ndarray:
-    """Philox blocks at the given (Python int) counters, one row each."""
-    bufs = [np.zeros(len(counters), dtype=np.uint64) for _ in range(9)]
-    for lane in range(4):
-        bufs[lane][:] = [(c >> 64 * lane) & (2 ** 64 - 1) for c in counters]
-    return np.stack(chains._philox_blocks(bufs, key), axis=1)
-
-
-class TestPhiloxKernel:
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 40, 2 ** 63])
-    @pytest.mark.parametrize("counter", [0, 2 ** 32 - 3, 2 ** 64 - 3,
-                                         2 ** 128 - 2])
-    def test_blocks_match_numpy(self, seed, counter):
-        key = np.random.Philox(seed).state["state"]["key"]
-        # random_raw's first block is the one at counter + 1.  The four
-        # blocks cross 2**32, a split point of the 32-bit half products,
-        # or carry into counter lane 1 (2**64) or lane 2 (2**128).
-        want = np.random.Philox(key=key, counter=counter).random_raw(16)
-        got = kernel_blocks([int(k) for k in key],
-                            [counter + b for b in range(1, 5)])
-        np.testing.assert_array_equal(got.ravel(), want)
-
+class TestLiveSetDraw:
     @pytest.mark.parametrize("n_steps", [1, 7, 60, 61])
     @pytest.mark.parametrize("schedule", ["half", "edges", "small"])
-    def test_hits_match_the_full_draw(self, n_steps, schedule):
+    def test_hits_match_the_loop(self, n_steps, schedule):
         a_sched = {
             "half": np.full(n_steps, 0.5),
             # Exact 0 and 1 entries: never and always a jump.
             "edges": np.resize([0.0, 0.3, 1.0, 0.0, 0.7], n_steps),
-            # Paths live about 20 steps, through many blocks.
+            # Paths live about 20 steps.
             "small": np.full(n_steps, 0.05),
         }[schedule]
-        n_paths = chains._CHUNK_PATHS + 3
-        np.testing.assert_array_equal(
-            chains._first_hits(8, a_sched, n_paths),
-            full_draw_hits(8, a_sched, n_paths))
+        # Not a multiple of four: a step's draw starts mid-block.
+        n_paths = 1003
+        np.testing.assert_array_equal(chains._first_hits(8, a_sched, n_paths),
+                                      loop_hits(8, a_sched, n_paths))
 
     def test_threshold_is_the_uniform_itself(self):
         # u < a is false at a == u and true one ulp above it.
@@ -457,8 +419,52 @@ class TestPhiloxKernel:
         for a, t_hit in ((u[0], 2), (np.nextafter(u[0], 1.0), 1)):
             hits = chains._first_hits(4, np.array([a]), 3)
             assert hits[0] == t_hit
-            np.testing.assert_array_equal(
-                hits, full_draw_hits(4, np.array([a]), 3))
+            np.testing.assert_array_equal(hits,
+                                          loop_hits(4, np.array([a]), 3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 8, 2 ** 40, 2 ** 63,
+                                      2 ** 64 + 1, 2 ** 128 - 2])
+    def test_seed_reaches_the_stream_whole(self, seed):
+        a_sched = np.array([0.05, 0.3, 0.0, 0.7, 0.05, 0.5, 0.2])
+        hits = chains._first_hits(seed, a_sched, 203)
+        np.testing.assert_array_equal(hits, loop_hits(seed, a_sched, 203))
+        # Bits above the 64th still pick the stream.
+        assert not np.array_equal(
+            hits, chains._first_hits(seed + 2 ** 64, a_sched, 203))
+
+    @pytest.mark.parametrize("cut", [1, 2, 7, 30, 59])
+    def test_prefix_fixes_the_hits(self, cut):
+        # Step t reads only a_sched[:t + 1]: cutting the schedule keeps
+        # every hit up to the cut and leaves the rest unabsorbed.
+        a_sched = np.resize([0.05, 0.1, 0.0, 0.02], 60)
+        full = chains._first_hits(5, a_sched, 2001)
+        np.testing.assert_array_equal(
+            chains._first_hits(5, a_sched[:cut], 2001),
+            np.where(full <= cut, full, cut + 1))
+
+    @pytest.mark.parametrize("schedule",
+                             ["half", "edges", "small", "random", "policy"])
+    def test_hit_law_matches_the_schedule(self, schedule, exp_table_30):
+        a_sched = {
+            "half": lambda: np.full(12, 0.5),
+            "edges": lambda: np.resize([0.0, 0.3, 0.0, 0.7, 1.0, 0.4], 12),
+            "small": lambda: np.full(60, 0.05),
+            "random": lambda: random_schedule(3)[0],
+            "policy": lambda: policy_schedule(
+                extremal_policy(exp_table_30), 30)[0],
+        }[schedule]()
+        n_steps, n_paths = len(a_sched), 200_000
+        live = np.cumprod(np.concatenate(([1.0], 1.0 - a_sched)))
+        prob = np.append(live[:-1] * a_sched, live[-1])
+        counts = np.bincount(chains._first_hits(6, a_sched, n_paths),
+                             minlength=n_steps + 2)
+        assert counts[0] == 0
+        freq = counts[1:] / n_paths
+        # A step the chain cannot be absorbed at is never drawn; every
+        # other frequency is within five binomial standard errors.
+        np.testing.assert_array_equal(freq[prob == 0.0], 0.0)
+        se = np.sqrt(prob * (1.0 - prob) / n_paths)
+        assert np.all(np.abs(freq - prob) <= 5.0 * se + 1e-12)
 
 
 class TestAudit:

@@ -471,7 +471,7 @@ class TestSimulate:
 
     def test_intro_output_is_pinned(self, tmp_path, capsys):
         # sha256 of the stdout and CSV bytes, frozen from the sampler
-        # that drew one (paths, steps) block in a single call.
+        # that draws each step for the live paths from one Philox stream.
         paths_csv = tmp_path / "paths.csv"
         code, out = run_cli(["simulate", "--chain", "intro",
                              "--f", "exp:lambda=1", "--n", "12",
@@ -479,9 +479,9 @@ class TestSimulate:
                              "--csv", str(paths_csv)], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "87ebeacd3972c8b4b82c31b8b796aa591ed871a8e28b0b45ab7e47abd29ac7e0")
+            "874b109311a26fe48cc2f2e534fd097d6498a7a4ec04b2dc4064d2cf0648fc48")
         assert hashlib.sha256(paths_csv.read_bytes()).hexdigest() == (
-            "a1ac922cf7987f132667ae0ea1fc3f0e9295c869e39799e57caf6c51d78bc33e")
+            "b2d26de37a51263cfd1203fdf0dcd556b28efd93841f4a13402e7dd36d7085fe")
 
     def test_overflowing_f_is_usage_error(self, tmp_path, capsys):
         # This printed exact_f: Infinity and exited 0.
@@ -577,15 +577,17 @@ class TestPinnedTableOutputs:
         assert table_json.read_text(encoding="utf-8") == out
         assert hashlib.sha256(table_csv.read_bytes()).hexdigest() == (
             "364835bfe00166607e7db64e874ca51c465e9f900ac0e40fae93896f2e4bb982")
+        # The simulate digests are frozen from the sampler that draws
+        # each step for the live paths from one Philox stream.
         code, out = run_cli(["simulate", "--chain", "extremal",
                              "--f", "pow:m=2", "--policy", str(table_json),
                              "--paths", "4000", "--seed", "9",
                              "--csv", str(paths_csv)], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "afc658c5839b953d07a9dccfd42dfbe8770e0ff0676aeb9a8cbe0121ba414164")
+            "29a4f9dbcdaa33b669d884600df9ed6ab9e58c1eabebc8035082c0d379c06153")
         assert hashlib.sha256(paths_csv.read_bytes()).hexdigest() == (
-            "f4554e2e0b37c2df9b2e6f04873f569b4e9e5855a052d7a19df144d64127dbbd")
+            "41d616b642ac57f3874ed0ee72d895d140ab4df9ebba19f48838bb56191763c2")
 
     def test_compare(self, tmp_path, capsys):
         rows_csv = tmp_path / "c.csv"
@@ -625,7 +627,7 @@ class TestPinnedTableOutputs:
                              "--paths", "1000"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "3155358a76790cb7ac173ff0087deeb04cb2d6506c7568459cc437dcece58919")
+            "3d30f3df92cd4aee5f163ec49db731ee85286980111a43cc448243ddca99202b")
 
     def test_readme_scale_table(self, capsys):
         code, out = run_cli(["solve-bellman", "--f", "exp:lambda=0.5",
@@ -1123,6 +1125,21 @@ class TestPolicyArtifact:
         # float() takes "2" and true, so a string y_max, a true table
         # value (printed as table_value 1.0) and a string action all
         # used to exit 0.
+        path = hand_artifact(tmp_path / "a.json", **overrides)
+        code, err = self.simulate(path, capsys)
+        assert code == 2
+        assert "malformed" in err
+
+
+    @pytest.mark.parametrize("overrides", [
+        {"values_at_zero": [1.0, 10 ** 400, 2.0]},
+        {"grid": {"y_max": 10 ** 400, "step": 0.5}},
+        {"actions": [[0.0] * 5, [1.0] * 5, [0.5] * 4 + [10 ** 400]]}])
+    def test_integer_past_the_float_range(self, overrides, tmp_path, capsys,
+                                          no_sampling):
+        # json reads 1e400 written as digits as an int, which float()
+        # and np.array refuse with an OverflowError: exit 1 and a
+        # traceback.
         path = hand_artifact(tmp_path / "a.json", **overrides)
         code, err = self.simulate(path, capsys)
         assert code == 2
