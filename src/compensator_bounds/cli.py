@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -116,7 +117,10 @@ _positive_int = _int_arg(1, "positive count")
 _seed_arg = _int_arg(0, "non-negative seed")
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse starts
+    from a fresh namespace, so a reused parser carries nothing over."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH",
                         help="also write the JSON document to this file")
@@ -192,7 +196,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_rep.add_argument("--horizon", type=_positive_int, default=20)
     p_rep.add_argument("--step", type=_step_arg, default="1/512")
     p_rep.add_argument("--trials", type=_positive_int, default=1000)
+    return parser
 
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "simulate":
@@ -519,12 +527,18 @@ def _load_policy(path: str, expected: FunctionSpec):
 
 
 def _dump_path_rows(result, y_sched):
-    for i in range(min(len(result.t_hit), _DUMP_PATHS)):
-        t = int(result.t_hit[i])
-        for k in range(result.n_steps + 1):
-            x = 1.0 if k >= t else 0.0
-            y = float(y_sched[min(k, t)])
-            yield str(i), str(k), repr(x), repr(y), repr(x - y)
+    """The ``path_id,k,X,Y,M`` rows of the first paths.  Before its
+    absorption step ``t`` a path reads ``X = 0`` and ``Y = y_k``, and
+    from ``t`` on ``X = 1`` and ``Y = y_t``, so the texts of each
+    schedule step are rendered once for either state."""
+    ys = [float(y) for y in y_sched[:result.n_steps + 1]]
+    steps = [str(k) for k in range(len(ys))]
+    live = [("0.0", repr(y), repr(0.0 - y)) for y in ys]
+    hit = [("1.0", repr(y), repr(1.0 - y)) for y in ys]
+    for i, t in enumerate(result.t_hit[:_DUMP_PATHS].tolist()):
+        path = str(i)
+        for k, step in enumerate(steps):
+            yield (path, step, *(live[k] if k < t else hit[t]))
 
 
 def _cmd_simulate(args):

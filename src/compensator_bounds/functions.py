@@ -55,8 +55,11 @@ class _Forms(NamedTuple):
     """Closed forms of one family member, its parameter bound in.
 
     ``f`` and ``deriv`` take numpy arrays, ``f_scalar`` and ``inverse``
-    plain floats.  None checks its domain (``[0, inf)``, and ``[f(0),
-    inf)`` for ``inverse``): hot loops read them and keep to it, and
+    plain floats; :meth:`FunctionSpec.inverse` takes arrays by applying
+    ``inverse`` to each element, since a whole-array ``np.power`` for
+    ``pow`` differs from the C ``pow`` of ``**`` in the last bit for some
+    targets.  None checks its domain (``[0, inf)``, and ``[f(0), inf)``
+    for ``inverse``): hot loops read them and keep to it, and
     :class:`FunctionSpec`'s methods are the checked evaluators.
     ``argmax(b, o)`` maximizes the recursion's one-step objective
     ``a f(a) + (1 - a) f(a + o)`` over ``[0, 1]``, with ``o = f^{-1}(b)``
@@ -312,23 +315,43 @@ class FunctionSpec:
         """``f(0)``: 1 for exponentials, 0 for the other families."""
         return _FAMILIES[self.family].f_zero
 
-    def inverse(self, y: float) -> float:
-        """``f^{-1}(y)`` for ``y >= f(0)``, in closed form.
+    def inverse(self, y):
+        """``f^{-1}(y)`` for ``y >= f(0)``, in closed form; accepts
+        scalars or numpy arrays, like :meth:`value`.
 
-        Targets a hair below ``f(0)`` from float rounding are clamped;
-        anything further below, and NaN, raises a range error.
+        Targets a hair below ``f(0)`` from float rounding are clamped to
+        0; anything further below, and NaN, raises a range error.  An
+        array is checked once as a whole, then each element goes through
+        the scalar closed form, so it gets the scalar's result bit for
+        bit.
         """
-        y = float(y)
         f0 = self.f_zero
-        # Negated so that NaN, for which every comparison is False, takes
-        # this branch too.
-        if not y >= f0:
-            if math.isnan(y):
-                raise ValueError("inverse target is NaN")
-            if y >= f0 - _INVERSE_CLAMP * max(1.0, abs(f0)):
+        if type(y) is float or np.ndim(y) == 0:
+            y = float(y)
+            # Negated so that NaN, for which every comparison is False,
+            # takes this branch too.
+            if not y >= f0:
+                self._check_below(np.array([y]))
                 return 0.0
-            raise ValueError(f"inverse target {y} below f(0) = {f0}")
-        return float(self.forms.inverse(y))
+            return float(self.forms.inverse(y))
+        ys = np.array(y, dtype=float)
+        low = ~(ys >= f0)
+        if low.any():
+            self._check_below(ys[low])
+            ys[low] = f0  # whose inverse is 0
+        return np.fromiter(map(self.forms.inverse, ys.ravel().tolist()),
+                           dtype=float, count=ys.size).reshape(ys.shape)
+
+    def _check_below(self, ys: np.ndarray) -> None:
+        """Raise unless every target in ``ys``, all below ``f(0)``, lies
+        within the clamp's float-rounding slack of it."""
+        if np.isnan(ys).any():
+            raise ValueError("inverse target is NaN")
+        f0 = self.f_zero
+        far = ys < f0 - _INVERSE_CLAMP * max(1.0, abs(f0))
+        if far.any():
+            raise ValueError(f"inverse target {float(ys[far][0])} below "
+                             f"f(0) = {f0}")
 
     # ------------------------------------------------------------------
     # the mini-language

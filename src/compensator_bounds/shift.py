@@ -204,8 +204,7 @@ def _chunk_gaps(spec: FunctionSpec, seed: int, start: int,
     f = spec.forms.f
     mean_f = _row_expectations(probs, f(values))
     lhs = _row_expectations(probs, f(shifts[:, None] + values))
-    offsets = np.array([spec.inverse(m) for m in mean_f])
-    return f(shifts + offsets) - lhs, lhs
+    return f(shifts + spec.inverse(mean_f)) - lhs, lhs
 
 
 def property_scan(spec: FunctionSpec, trials: int, seed: int) -> ScanReport:

@@ -23,6 +23,11 @@ from compensator_bounds.bellman import (
     extremal_policy,
     value_iteration,
 )
+from compensator_bounds.chains import (
+    intro_schedule,
+    policy_schedule,
+    simulate_schedule,
+)
 from compensator_bounds.cli import main, parse_args
 from compensator_bounds.functions import Family, parse_function_spec
 from compensator_bounds.shift import property_scan
@@ -192,6 +197,21 @@ class TestParseArgs:
                 parse_args(["simulate", "--f", "quad", *extra])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
+
+    def test_reused_parser_carries_nothing_over(self, capsys):
+        # The parser is built once per process and reused by every call.
+        intro = parse_args(["simulate", "--chain", "intro", "--f", "quad",
+                            "--n", "5", "--seed", "4"])
+        assert (intro.n, intro.seed, intro.policy) == (5, 4, None)
+        extremal = parse_args(["simulate", "--chain", "extremal",
+                               "--f", "quad", "--policy", "p"])
+        assert extremal.n is None
+        assert (extremal.policy, extremal.seed) == ("p", 0)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["simulate", "--chain", "intro", "--f", "quad"])
+            assert exc.value.code == 2
+            assert "--n is required" in capsys.readouterr().err
 
 
 class TestBound:
@@ -522,6 +542,40 @@ class TestSimulate:
                      "--f", "exp:lambda=0.5",
                      "--policy", str(tmp_path / "missing.json")])
         assert code == 2
+
+
+def path_rows_oracle(result, y_sched):
+    """The ``simulate --csv`` rows, field by field from the path."""
+    for i in range(min(len(result.t_hit), cli._DUMP_PATHS)):
+        t = int(result.t_hit[i])
+        for k in range(result.n_steps + 1):
+            x = 1.0 if k >= t else 0.0
+            y = float(y_sched[min(k, t)])
+            yield str(i), str(k), repr(x), repr(y), repr(x - y)
+
+
+class TestPathRows:
+    @staticmethod
+    def assert_rows_match(a_sched, y_sched):
+        n = len(a_sched)
+        result = simulate_schedule(parse_function_spec("quad"), a_sched,
+                                   y_sched, 300, seed=n)
+        # Absorbed at the first step, at the last, and never.
+        result.t_hit[:3] = [1, n, n + 1]
+        assert len(np.unique(result.t_hit[:cli._DUMP_PATHS])) >= min(n, 3)
+        assert (list(cli._dump_path_rows(result, y_sched))
+                == list(path_rows_oracle(result, y_sched)))
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_intro_rows_match_the_oracle(self, n):
+        self.assert_rows_match(*intro_schedule(n))
+
+    def test_extremal_rows_match_the_oracle_below_the_horizon(self):
+        table = value_iteration(parse_function_spec("pow:m=2"), 6,
+                                GridConfig(6.0, 1.0 / 64))
+        a_sched, y_sched = policy_schedule(extremal_policy(table), 4)
+        assert len(set(a_sched.tolist())) > 1
+        self.assert_rows_match(a_sched, y_sched)
 
 
 class TestPinnedRecursionOutputs:

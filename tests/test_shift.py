@@ -333,6 +333,21 @@ class TestPropertyScan:
         monkeypatch.setattr(shift, "_CHUNK_TRIALS", 7)
         assert property_scan(spec, 300, seed=3) == whole
 
+    def test_one_inverse_call_per_chunk(self, monkeypatch):
+        # The scan inverted each trial's E f(Y) in a checked call of its
+        # own, about two thirds of a 10^4-trial scan's time.
+        calls = []
+        inverse = FunctionSpec.inverse
+
+        def counted(spec, y):
+            calls.append(np.size(y))
+            return inverse(spec, y)
+
+        monkeypatch.setattr(FunctionSpec, "inverse", counted)
+        property_scan(QUAD, 5000, seed=1)
+        assert sum(calls) == 5000
+        assert len(calls) <= math.ceil(5000 / 2 ** 10)
+
     def test_deterministic_given_seed(self):
         a = property_scan(QUAD, 500, seed=13)
         b = property_scan(QUAD, 500, seed=13)
