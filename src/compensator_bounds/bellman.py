@@ -271,23 +271,18 @@ def _full_values(table: ValueTable, n: int, x: np.ndarray,
     every ``x = 0`` increment capped at ``1 - x[i]``, one row per
     increment, and its maximum over the rows.
 
-    States at the ceiling ``x = 1`` take ``f(y)`` without a backup.
+    At the ceiling ``x = 1`` every capped increment is 0 and the reach
+    ``x + a`` is 1, so each row is ``1 * f(y) + 0 * V(y) = f(y)``
+    exactly; a full table holds no NaN to spoil the zero term.
     """
     f_vec = table.spec.forms.f
     if n == 0:
         return f_vec(y)
-    vals = np.empty(len(y))
-    ceiling = x >= 1.0
-    vals[ceiling] = f_vec(y[ceiling])
-    rows = ~ceiling
-    if rows.any():
-        x, y = x[rows], y[rows]
-        a = np.minimum.outer(_lattice_increments(table.grid.step)[1], 1.0 - x)
-        q, reach = y + a, x + a
-        obj = (reach * f_vec(q)
-               + (1.0 - reach) * _interp(table.V[n - 1], table.grid.step, q))
-        vals[rows] = obj.max(axis=0)
-    return vals
+    a = np.minimum.outer(_lattice_increments(table.grid.step)[1], 1.0 - x)
+    q, reach = y + a, x + a
+    obj = (reach * f_vec(q)
+           + (1.0 - reach) * _interp(table.V[n - 1], table.grid.step, q))
+    return obj.max(axis=0)
 
 
 def full_value(table: ValueTable, n: int, x: float, y: float) -> float:
@@ -296,8 +291,8 @@ def full_value(table: ValueTable, n: int, x: float, y: float) -> float:
 
     It scans the same increments as the stored layers, capped at
     ``1 - x``, so at ``x = 0`` grid points of a dyadic grid it equals
-    the stored layer exactly; ``x = 1`` and ``n = 0`` collapse to
-    ``f(y)``.
+    the stored layer exactly; ``n = 0`` gives ``f(y)``, and so does the
+    backup at ``x = 1``, bit for bit.
     """
     _require_full(table)
     if not 0 <= n <= table.horizon:
@@ -444,17 +439,24 @@ def verify_lemma1(table: ValueTable) -> Lemma1Report:
 
 @dataclass(frozen=True)
 class BoundComparison:
-    """Exact growth values against the scalar recursion, per step."""
+    """Exact growth values against the scalar recursion, per step; the
+    largest gap and the budget verdict are read off the rows."""
 
     rows: tuple[tuple[int, float, float, float], ...]  # (n, c_n, b_n, gap)
     budget: float
-    max_gap: float
     enforced: bool
-    within_budget: bool
+
+    @property
+    def max_gap(self) -> float:
+        return max(g for _, _, _, g in self.rows)
 
     @property
     def max_abs_gap(self) -> float:
         return max(abs(g) for _, _, _, g in self.rows)
+
+    @property
+    def within_budget(self) -> bool:
+        return self.max_gap <= self.budget
 
 
 def compare_bounds(table: ValueTable) -> BoundComparison:
@@ -464,17 +466,8 @@ def compare_bounds(table: ValueTable) -> BoundComparison:
     ``c_n <= b_n + budget`` must hold for shift-class functions; the
     comparison is still tabulated, but not enforced, outside that class.
     """
-    spec = table.spec
-    b_seq, _ = recursion_sequence(spec, table.horizon)
-    budget = grid_error_budget(table.grid.step)
-    rows = []
-    max_gap = -math.inf
-    for n in range(table.horizon + 1):
-        c_n = table.value_at_zero(n)
-        b_n = b_seq[n]
-        gap = c_n - b_n
-        max_gap = max(max_gap, gap)
-        rows.append((n, c_n, b_n, gap))
-    enforced = is_class_s_family(spec)
-    return BoundComparison(tuple(rows), budget, max_gap, enforced,
-                           max_gap <= budget)
+    b_seq, _ = recursion_sequence(table.spec, table.horizon)
+    rows = tuple((n, c_n, b_n, c_n - b_n) for n, (c_n, b_n)
+                 in enumerate(zip(table.V[:, 0].tolist(), b_seq)))
+    return BoundComparison(rows, grid_error_budget(table.grid.step),
+                           is_class_s_family(table.spec))

@@ -12,9 +12,9 @@ All solvers in this package are parameterized by an increasing function
   the shift inequality that everything else here relies on.
 
 Each family is one record in ``_FAMILIES``: its parameter key and
-validity rule, ``f(0)``, whether it belongs to the shift class, and one
-builder that binds a parameter into a :class:`_Forms` record: ``f``,
-``f'``, ``f^{-1}``, the one-step maximizer and the fixed point ``B``.
+validity rule, whether it belongs to the shift class, and one builder
+that binds a parameter into a :class:`_Forms` record: ``f``, ``f'``,
+``f^{-1}``, the one-step maximizer and the fixed point ``B``.
 A :class:`FunctionSpec` holds a family, its parameter and those forms,
 evaluates them with domain checks, and round-trips through the little
 ``family:key=value`` string syntax used on the command line.
@@ -55,12 +55,13 @@ class _Forms(NamedTuple):
     """Closed forms of one family member, its parameter bound in.
 
     ``f`` and ``deriv`` take numpy arrays, ``f_scalar`` and ``inverse``
-    plain floats; :meth:`FunctionSpec.inverse` takes arrays by applying
-    ``inverse`` to each element, since a whole-array ``np.power`` for
-    ``pow`` differs from the C ``pow`` of ``**`` in the last bit for some
-    targets.  None checks its domain (``[0, inf)``, and ``[f(0), inf)``
-    for ``inverse``): hot loops read them and keep to it, and
-    :class:`FunctionSpec`'s methods are the checked evaluators.
+    plain floats; :meth:`FunctionSpec.inverse` applies ``inverse`` to
+    each element, whatever the input's shape, since a whole-array
+    ``np.power`` for ``pow`` differs from the C ``pow`` of ``**`` in the
+    last bit for some targets.  None checks its domain (``[0, inf)``, and
+    ``[f(0), inf)`` for ``inverse``): hot loops, the recursion step
+    among them, read them and keep to it, and :class:`FunctionSpec`'s
+    methods are the checked evaluators.
     ``argmax(b, o)`` maximizes the recursion's one-step objective
     ``a f(a) + (1 - a) f(a + o)`` over ``[0, 1]``, with ``o = f^{-1}(b)``
     and ties to the smallest ``a``: the slope's root in closed form for
@@ -228,19 +229,17 @@ class _Record(NamedTuple):
     key: str | None
     rule: str | None
     valid: Callable[[float], bool] | None
-    f_zero: float
     class_s: bool
     forms: Callable[[float | None], _Forms]
 
 
 _FAMILIES = {
     Family.EXPONENTIAL: _Record("lambda", "> 0", lambda p: p > 0.0,
-                                1.0, True, _exp_forms),
-    Family.POWER: _Record("m", ">= 1", lambda p: p >= 1.0,
-                          0.0, True, _pow_forms),
-    Family.QUAD: _Record(None, None, None, 0.0, True, _quad_forms),
+                                True, _exp_forms),
+    Family.POWER: _Record("m", ">= 1", lambda p: p >= 1.0, True, _pow_forms),
+    Family.QUAD: _Record(None, None, None, True, _quad_forms),
     # Outside the shift class: f''/f' jumps up at the splice.
-    Family.REMARK2: _Record(None, None, None, 0.0, False, _remark2_forms),
+    Family.REMARK2: _Record(None, None, None, False, _remark2_forms),
 }
 
 
@@ -312,46 +311,36 @@ class FunctionSpec:
 
     @property
     def f_zero(self) -> float:
-        """``f(0)``: 1 for exponentials, 0 for the other families."""
-        return _FAMILIES[self.family].f_zero
+        """``f(0)`` from the closed form: 1 for exponentials, 0 for the
+        other families."""
+        return self.forms.f_scalar(0.0)
 
     def inverse(self, y):
         """``f^{-1}(y)`` for ``y >= f(0)``, in closed form; accepts
-        scalars or numpy arrays, like :meth:`value`.
+        scalars or numpy arrays, like :meth:`value`, and returns a float
+        for a 0-d input.
 
         Targets a hair below ``f(0)`` from float rounding are clamped to
-        0; anything further below, and NaN, raises a range error.  An
-        array is checked once as a whole, then each element goes through
-        the scalar closed form, so it gets the scalar's result bit for
-        bit.
+        0; anything further below, and NaN, raises a range error.  The
+        input is checked once as a whole, then each element goes through
+        the family's scalar closed form.
         """
         f0 = self.f_zero
-        if type(y) is float or np.ndim(y) == 0:
-            y = float(y)
-            # Negated so that NaN, for which every comparison is False,
-            # takes this branch too.
-            if not y >= f0:
-                self._check_below(np.array([y]))
-                return 0.0
-            return float(self.forms.inverse(y))
         ys = np.array(y, dtype=float)
+        # Negated so that NaN, for which every comparison is False, is
+        # caught too.
         low = ~(ys >= f0)
         if low.any():
-            self._check_below(ys[low])
+            if np.isnan(ys).any():
+                raise ValueError("inverse target is NaN")
+            far = ys < f0 - _INVERSE_CLAMP * max(1.0, abs(f0))
+            if far.any():
+                raise ValueError(f"inverse target {float(ys[far][0])} "
+                                 f"below f(0) = {f0}")
             ys[low] = f0  # whose inverse is 0
-        return np.fromiter(map(self.forms.inverse, ys.ravel().tolist()),
-                           dtype=float, count=ys.size).reshape(ys.shape)
-
-    def _check_below(self, ys: np.ndarray) -> None:
-        """Raise unless every target in ``ys``, all below ``f(0)``, lies
-        within the clamp's float-rounding slack of it."""
-        if np.isnan(ys).any():
-            raise ValueError("inverse target is NaN")
-        f0 = self.f_zero
-        far = ys < f0 - _INVERSE_CLAMP * max(1.0, abs(f0))
-        if far.any():
-            raise ValueError(f"inverse target {float(ys[far][0])} below "
-                             f"f(0) = {f0}")
+        out = np.fromiter(map(self.forms.inverse, ys.ravel().tolist()),
+                          dtype=float, count=ys.size).reshape(ys.shape)
+        return float(out) if ys.ndim == 0 else out
 
     # ------------------------------------------------------------------
     # the mini-language

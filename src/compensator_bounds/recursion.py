@@ -87,9 +87,11 @@ def _make_stepper(spec: FunctionSpec):
     family record's maximizer, where the objective is evaluated once.
     A maximizer or value that overflows gives the value ``inf``."""
     argmax, f = spec.forms.argmax, spec.forms.f_scalar
+    inverse = spec.forms.inverse
 
     def step(b: float) -> tuple[float, float]:
-        offset = spec.inverse(b)
+        # In the domain: b_0 = f(0) and no step returns less than its b.
+        offset = float(inverse(b))
         try:
             a = argmax(b, offset)
             value = a * f(a) + (1.0 - a) * f(a + offset)

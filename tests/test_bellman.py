@@ -9,7 +9,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from compensator_bounds import bellman
 from compensator_bounds.bellman import (
     BoundComparison,
     GridConfig,
@@ -224,18 +223,11 @@ class TestFullValue:
 
     def test_ceiling_and_horizon_edges(self, exp_table_30):
         tab = exp_table_30
-        assert full_value(tab, 5, 1.0, 2.0) == EXP_HALF.value(2.0)
+        # At x = 1 every capped increment is 0: each row of the backup
+        # is 1 * f(y) + 0 * V(y), which is f(y) bit for bit.
+        for n, y in ((1, 0.0), (5, 2.0), (30, 0.0), (30, 0.3)):
+            assert full_value(tab, n, 1.0, y) == EXP_HALF.value(y)
         assert full_value(tab, 0, 0.3, 1.5) == EXP_HALF.value(1.5)
-
-    def test_ceiling_skips_the_backup(self, exp_table_30, monkeypatch):
-        def no_backup(*args):
-            raise AssertionError("backup at the ceiling")
-
-        # Every general-state backup reads the previous layer through
-        # _interp; the ceiling reads nothing.
-        monkeypatch.setattr(bellman, "_interp", no_backup)
-        for n, y in ((1, 0.0), (5, 2.0), (30, 0.0)):
-            assert full_value(exp_table_30, n, 1.0, y) == EXP_HALF.value(y)
 
     def test_decreasing_in_x(self, exp_table_30):
         tab = exp_table_30
@@ -329,6 +321,15 @@ class TestVerifyLemma1:
         assert report.worst_y_monotone == min(
             0.0, *(float(d.min()) for d in diffs)) == -0.25
 
+    def test_layers_that_resolve_no_sample_are_skipped(self):
+        # Layer n resolves y <= y_max - n - 1: at y_max = 4 layers 1-3
+        # keep 4, 3 and 1 of the sampled y, and layer 4 keeps none.
+        report = verify_lemma1(value_iteration(EXP_HALF, 4,
+                                               GridConfig(4.0, 1.0 / 16)))
+        assert report.x_monotone_checks == (4 + 3 + 1) * 8
+        assert report.x_convex_checks == (4 + 3 + 1) * 7
+        assert report.total_violations == 0
+
     def test_worst_slacks_are_tiny(self, lemma_tables):
         report = verify_lemma1(lemma_tables["exp"])
         assert report.worst_y_monotone >= -1e-9
@@ -337,6 +338,14 @@ class TestVerifyLemma1:
 
 
 class TestCompareBounds:
+    def test_verdict_follows_the_rows(self):
+        rows = ((0, 1.0, 1.0, 0.0), (1, 1.5, 1.25, 0.25),
+                (2, 1.75, 1.875, -0.125))
+        cmp = BoundComparison(rows, 0.25, True)
+        assert cmp.max_gap == 0.25 and cmp.max_abs_gap == 0.25
+        assert cmp.within_budget
+        assert not BoundComparison(rows, 0.125, True).within_budget
+
     def test_exponential_routes_agree(self, exp_table_30):
         cmp = compare_bounds(exp_table_30)
         assert isinstance(cmp, BoundComparison)

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from argparse import Namespace
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +20,7 @@ import pytest
 
 from compensator_bounds import cli
 from compensator_bounds.bellman import (
+    BoundComparison,
     GridConfig,
     extremal_policy,
     value_iteration,
@@ -30,6 +32,7 @@ from compensator_bounds.chains import (
 )
 from compensator_bounds.cli import main, parse_args
 from compensator_bounds.functions import Family, parse_function_spec
+from compensator_bounds.recursion import RecursionStatus, RecursionTrace
 from compensator_bounds.shift import property_scan
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -99,6 +102,15 @@ class TestParseArgs:
                         "--step", "zero"])
         assert exc.value.code == 2
         assert "grid step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["0", "-1/2"])
+    def test_non_positive_step_is_usage_error(self, step, capsys):
+        with pytest.raises(SystemExit) as exc:
+            # "--step=": argparse reads a bare "-1/2" as a flag.
+            parse_args(["compare", "--f", "quad", "--horizon", "5",
+                        f"--step={step}"])
+        assert exc.value.code == 2
+        assert "grid step must be > 0" in capsys.readouterr().err
 
     def test_csv_rejected_where_meaningless(self, capsys):
         for command in ("bound", "test-shift"):
@@ -275,6 +287,13 @@ class TestSolveRecursion:
         assert len(rows) == payload["iterations"] + 2
         assert rows[1] == ["0", "0.0", ""]
         assert float(rows[2][1]) == payload["b"][1]
+
+    def test_zero_tolerance_is_usage_error(self, capsys):
+        code = main(["solve-recursion", "--f", "quad", "--tol", "0"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "b_tolerance must be > 0" in out.err
 
     def test_function_string_round_trips(self, capsys):
         code, out = run_cli(["solve-recursion", "--f", "exp:lambda=0.25"],
@@ -1114,6 +1133,25 @@ class TestPolicyArtifact:
         assert code == 0
         assert json.loads(out)["increments"] == [0.5, 1.0]
 
+    @pytest.mark.parametrize("tag", ["compensator-bounds/value-table-v0",
+                                     None])
+    def test_wrong_or_missing_format_tag(self, tag, tmp_path, capsys,
+                                         no_sampling):
+        path = hand_artifact(tmp_path / "a.json", format=tag)
+        code, err = self.simulate(path, capsys)
+        assert code == 2
+        assert "is not a value-table artifact" in err
+
+    def test_horizon_past_the_artifact(self, tmp_path, capsys, no_sampling):
+        path = hand_artifact(tmp_path / "a.json")
+        code = main(["simulate", "--chain", "extremal",
+                     "--f", "exp:lambda=0.5", "--policy", str(path),
+                     "--horizon", "3"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "--horizon 3 exceeds the artifact horizon 2" in out.err
+
     @pytest.mark.parametrize("key", ["grid", "horizon", "actions",
                                      "function", "values_at_zero"])
     def test_missing_key(self, key, tmp_path, capsys, no_sampling):
@@ -1289,3 +1327,67 @@ class TestReport:
         assert payload["failures"] == [
             "extremal chain expectation does not reproduce the table value"]
         assert payload["status"] == "breach"
+
+    REPORT_EXP = ["report", "--f", "exp:lambda=0.5", "--horizon", "4",
+                  "--step", "1/64", "--trials", "50"]
+
+    def breach(self, argv, capsys):
+        """Run a report that must breach; return its one failure."""
+        code, out = run_cli(argv, capsys)
+        assert code == 3
+        payload = json.loads(out)
+        check("report", payload)
+        assert payload["status"] == "breach"
+        assert len(payload["failures"]) == 1
+        return payload["failures"][0]
+
+    def test_converged_trace_against_unbounded_bound_breaches(
+            self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "iterate", lambda spec: RecursionTrace(
+            (1.0, 1.5), (1.0,), RecursionStatus.CONVERGED, limit=1.5))
+        assert self.breach(["report", "--f", "exp:lambda=1", "--horizon",
+                            "4", "--step", "1/64", "--trials", "50"],
+                           capsys) == ("recursion converged although the "
+                                       "fixed-point bound is unbounded")
+
+    def test_diverged_trace_against_finite_bound_breaches(self, monkeypatch,
+                                                           capsys):
+        monkeypatch.setattr(cli, "iterate", lambda spec: RecursionTrace(
+            (1.0, 2e6), (1.0,), RecursionStatus.DIVERGED, diverged_at=1))
+        assert self.breach(self.REPORT_EXP, capsys) == (
+            "recursion diverged although the fixed-point bound is finite")
+
+    @pytest.mark.parametrize("miss, code", [(1.5e-3, 0), (2.5e-3, 3)])
+    def test_limit_away_from_the_bound_breaches(self, miss, code,
+                                                monkeypatch, capsys):
+        # B = 2, so a limit may miss it by 1e-3 * B = 2e-3.
+        limit = 2.0 + miss
+        monkeypatch.setattr(cli, "iterate", lambda spec: RecursionTrace(
+            (1.0, limit), (1.0,), RecursionStatus.CONVERGED, limit=limit))
+        if code == 0:
+            assert run_cli(self.REPORT_EXP, capsys)[0] == 0
+            return
+        assert self.breach(self.REPORT_EXP, capsys) == (
+            "recursion limit does not match the fixed-point bound")
+
+    def test_comparison_beyond_its_budget_breaches(self, monkeypatch,
+                                                   capsys):
+        compare = cli.compare_bounds
+
+        def low_recursion(table):
+            # A recursion one unit lower: every gap one unit wider.
+            cmp = compare(table)
+            return BoundComparison(
+                tuple((n, c, b - 1.0, g + 1.0) for n, c, b, g in cmp.rows),
+                cmp.budget, cmp.enforced)
+
+        monkeypatch.setattr(cli, "compare_bounds", low_recursion)
+        assert self.breach(self.REPORT_EXP, capsys) == (
+            "exact values exceed the recursion bound beyond the grid budget")
+
+    def test_shift_class_violation_breaches(self, monkeypatch, capsys):
+        scan = cli.property_scan
+        monkeypatch.setattr(cli, "property_scan", lambda *args: replace(
+            scan(*args), violations=1))
+        assert self.breach(self.REPORT_EXP, capsys) == (
+            "shift-inequality violations found for a shift-class function")

@@ -79,6 +79,8 @@ class TestEval:
     def test_value_at_zero(self):
         for spec in ALL_SPECS:
             assert spec.value(0.0) == spec.f_zero
+            assert type(spec.f_zero) is float
+        assert EXP_TWO.f_zero == 1.0 and POW_THREE.f_zero == 0.0
 
     def test_strictly_increasing(self):
         xs = np.linspace(0.0, 6.0, 301)
@@ -200,7 +202,10 @@ class TestInverse:
             spec.value(rng.uniform(0.0, 6.0, 2000)),
         ])
         targets = targets[targets >= f0]
-        scalar = np.array([spec.inverse(t) for t in targets.tolist()])
+        # The family's unchecked scalar form, which every element of
+        # every input, a 0-d one too, goes through.
+        scalar = np.array([float(spec.forms.inverse(t))
+                           for t in targets.tolist()])
         batch = spec.inverse(targets)
         assert batch.dtype == np.float64 and batch.shape == targets.shape
         np.testing.assert_array_equal(batch.view(np.uint64),
@@ -208,6 +213,21 @@ class TestInverse:
         grid = targets[:20].reshape(4, 5)
         np.testing.assert_array_equal(spec.inverse(grid),
                                       scalar[:20].reshape(4, 5))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_scalar_inputs_give_a_float(self, spec):
+        f0 = spec.f_zero
+        want = float(spec.forms.inverse(f0 + 1.5))
+        hair = f0 - 1e-12 * max(1.0, f0)
+        for make in (float, np.float64, np.array):
+            got = spec.inverse(make(f0 + 1.5))
+            assert type(got) is float and got == want
+            clamped = spec.inverse(make(hair))
+            assert type(clamped) is float and clamped == 0.0
+            with pytest.raises(ValueError, match="below f\\(0\\)"):
+                spec.inverse(make(f0 - 0.5))
+            with pytest.raises(ValueError, match="NaN"):
+                spec.inverse(make(math.nan))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_array_keeps_the_per_element_rules(self, spec):
@@ -316,6 +336,10 @@ class TestParse:
     def test_bad_number_named(self):
         with pytest.raises(ValueError, match="'0.5x'"):
             parse_function_spec("pow:m=0.5x")
+
+    def test_parameter_free_family_refuses_a_parameter(self):
+        with pytest.raises(ValueError, match="quad takes no parameter"):
+            FunctionSpec(Family.QUAD, 2.0)
 
     def test_out_of_range_parameters(self):
         with pytest.raises(ValueError, match="lambda must be > 0"):

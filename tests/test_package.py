@@ -36,6 +36,10 @@ def test_benchmark_library_calls_resolve():
     assert (cfg.opt_grid_points, cfg.refine_iters) == (64, 20)
     coarse = recursion.SolverConfig(refine_iters=0)
     f = parse_function_spec("exp:lambda=0.5")
+    t = f.value(1.5)
+    assert type(t) is float and type(f.inverse(t)) is float
+    assert f.inverse(t) == 1.5
+    assert f.value(bellman.GridConfig(3.0, 0.25).points()).shape == (13,)
     b_seq, _ = recursion.recursion_sequence(f, 3, coarse)
     assert len(b_seq) == 4
     table = bellman.value_iteration(f, 2, bellman.GridConfig(3.0, 0.25),

@@ -346,6 +346,28 @@ class TestIterate:
         for trace in (pow2_long_trace, pow3_long_trace):
             assert np.all(np.diff(trace.b) >= 0.0)
 
+    @pytest.mark.parametrize("spec", [
+        EXP_ONE, POW_TWO, FunctionSpec(Family.POWER, 2.5), POW_THREE, QUAD,
+        REMARK2], ids=str)
+    def test_steps_read_the_family_record(self, spec, monkeypatch):
+        # Each step called the checked FunctionSpec.inverse, whose domain
+        # check cost more than the rest of the step.
+        calls = []
+        inverse = FunctionSpec.inverse
+
+        def counted(self, y):
+            calls.append(y)
+            return inverse(self, y)
+
+        monkeypatch.setattr(FunctionSpec, "inverse", counted)
+        trace = iterate(spec, SolverConfig(max_iterations=2000))
+        assert len(trace.b) > 1
+        assert calls == []
+
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError, match="n_steps must be >= 0"):
+            recursion_sequence(EXP_HALF, -1)
+
     def test_fixed_horizon_sequence(self):
         b_seq, a_seq = recursion_sequence(EXP_HALF, 10)
         assert len(b_seq) == 11 and len(a_seq) == 10
