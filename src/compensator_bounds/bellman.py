@@ -186,20 +186,19 @@ def _trusted_counts(grid: GridConfig, horizon: int,
 
 @dataclass
 class ValueTable:
-    """Stacked ``x = 0`` value layers ``V[n]`` on the grid ``y``; the
-    maximizing increments come from ``extremal_policy``.
+    """Stacked ``x = 0`` value layers ``V[n]`` on the nodes of ``grid``;
+    the maximizing increments come from ``extremal_policy``.
 
     Layer ``n`` is accurate for ``y <= y_max - n`` only: reads past the
-    top of the grid clamp to the last node.  A ``trusted_only`` table
-    computed no more than that (plus the nodes its own reads need), a
-    leading run of each layer, and holds NaN in ``V`` everywhere else.
+    top of the grid clamp to the last node.  A table built with
+    ``trusted_only`` computed no more than that (plus the nodes its own
+    reads need), a leading run of each layer, and holds NaN in ``V``
+    everywhere else.
     """
 
     spec: FunctionSpec
     grid: GridConfig
-    y: np.ndarray
     V: np.ndarray
-    trusted_only: bool = False
 
     @property
     def horizon(self) -> int:
@@ -224,8 +223,8 @@ def value_iteration(spec: FunctionSpec, horizon: int,
     ``y <= y_max - n`` and the few above them that later reads need;
     those nodes equal the full table's bit for bit, and every other
     node holds NaN.  That is all ``V[n, 0]`` and the policy read from
-    the origin use, and ``full_value`` and ``verify_lemma1`` refuse such
-    a table.
+    the origin use, and ``full_value`` and ``verify_lemma1`` refuse a
+    table that holds such a node.
 
     Raises ``ValueError`` when ``f`` is not finite on ``[0, y_max + 1]``.
     """
@@ -252,7 +251,7 @@ def value_iteration(spec: FunctionSpec, horizon: int,
         best.fill(-np.inf)
         for _, obj in _objectives(lattice, V[n - 1], counts[n]):
             np.maximum(best, obj, out=best)
-    return ValueTable(spec, grid, grid.points(), V, trusted_only)
+    return ValueTable(spec, grid, V)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +259,8 @@ def value_iteration(spec: FunctionSpec, horizon: int,
 
 
 def _require_full(table: ValueTable) -> None:
-    if table.trusted_only:
+    # Uncomputed nodes are NaN and end each layer that has any.
+    if np.isnan(table.V[:, -1]).any():
         raise ValueError("the table holds only its trusted triangle; "
                          "general-x values need every node")
 
@@ -334,8 +334,8 @@ def extremal_policy(table: ValueTable) -> ExtremalPolicy:
     Each computed node of layer ``n`` takes the first increment, in
     ascending order, whose objective (the one ``value_iteration`` took
     the max of, bit for bit) equals ``V[n]`` there, so ties go to the
-    smallest.  ``A[0]`` is all zeros; nodes a ``trusted_only`` table
-    did not compute, a trailing run of NaN in ``V``, stay NaN in ``A``.
+    smallest.  ``A[0]`` is all zeros; nodes the table did not compute,
+    a trailing run of NaN in ``V``, stay NaN in ``A``.
     """
     V = table.V
     A = np.full(V.shape, np.nan)
@@ -371,23 +371,32 @@ _LEMMA_X = np.linspace(0.0, 1.0, 9)
 @dataclass(frozen=True)
 class Lemma1Report:
     """Violation counts for the structural properties of the value
-    function: nondecreasing in ``y``, nonincreasing in ``x``, and
-    convex in ``x``."""
+    function, each with its number of checks and its worst difference:
+    nondecreasing in ``y``, nonincreasing in ``x``, and convex in
+    ``x``."""
 
     y_monotone_checks: int
     y_monotone_violations: int
+    worst_y_monotone: float
     x_monotone_checks: int
     x_monotone_violations: int
+    worst_x_monotone: float
     x_convex_checks: int
     x_convex_violations: int
-    worst_y_monotone: float
-    worst_x_monotone: float
     worst_x_convex: float
 
     @property
     def total_violations(self) -> int:
         return (self.y_monotone_violations + self.x_monotone_violations
                 + self.x_convex_violations)
+
+
+def _tally(diffs: np.ndarray, tol: float) -> tuple[int, int, float]:
+    """One check's ``(checks, violations, worst)``: how many differences
+    there are, how many fall below ``-tol``, and the least of them and
+    0."""
+    return (diffs.size, int(np.sum(diffs < -tol)),
+            float(np.min(diffs, initial=0.0)))
 
 
 def verify_lemma1(table: ValueTable) -> Lemma1Report:
@@ -399,38 +408,24 @@ def verify_lemma1(table: ValueTable) -> Lemma1Report:
     actually resolves (``y + 1 <= y_max - n + 1``).  A difference
     counts as a violation below ``-_MONOTONE_TOL`` (1e-9) for the
     monotonicity checks and below ``-_CONVEX_TOL`` (1e-6) for convexity.
-    Raises ``ValueError`` on a ``trusted_only`` table.
+    Raises ``ValueError`` on a table with uncomputed nodes.
     """
     _require_full(table)
-    y_diffs = np.diff(table.V, axis=1)
-    y_checks = y_diffs.size
-    y_viols = int(np.sum(y_diffs < -_MONOTONE_TOL))
-    worst_y = float(np.min(y_diffs, initial=0.0))
-
-    x_checks = x_viols = 0
-    cx_checks = cx_viols = 0
-    worst_x = 0.0
-    worst_cx = 0.0
+    # One row of x samples per resolved (n, y), each layer's rows backed
+    # up in one call.
+    rows = [np.empty((0, len(_LEMMA_X)))]
     for n in range(1, table.horizon + 1):
-        y_cap = table.grid.y_max - n - 1.0
-        ys = _LEMMA_Y[_LEMMA_Y <= y_cap]
-        if not len(ys):
-            continue
-        # One row of x samples per y sample, all backed up in one call.
+        ys = _LEMMA_Y[_LEMMA_Y <= table.grid.y_max - n - 1.0]
         x_all = np.tile(_LEMMA_X, len(ys))
         y_all = np.repeat(ys, len(_LEMMA_X))
-        vals = _full_values(table, n, x_all, y_all).reshape(len(ys), -1)
-        drops = vals[:, :-1] - vals[:, 1:]
-        x_checks += drops.size
-        x_viols += int(np.sum(drops < -_MONOTONE_TOL))
-        slacks = vals[:, :-2] + vals[:, 2:] - 2.0 * vals[:, 1:-1]
-        cx_checks += slacks.size
-        cx_viols += int(np.sum(slacks < -_CONVEX_TOL))
-        worst_x = min(worst_x, float(np.min(drops)))
-        worst_cx = min(worst_cx, float(np.min(slacks)))
-
-    return Lemma1Report(y_checks, y_viols, x_checks, x_viols,
-                        cx_checks, cx_viols, worst_y, worst_x, worst_cx)
+        rows.append(_full_values(table, n, x_all, y_all).reshape(
+            -1, len(_LEMMA_X)))
+    vals = np.concatenate(rows)
+    return Lemma1Report(
+        *_tally(np.diff(table.V, axis=1), _MONOTONE_TOL),
+        *_tally(vals[:, :-1] - vals[:, 1:], _MONOTONE_TOL),
+        *_tally(vals[:, :-2] + vals[:, 2:] - 2.0 * vals[:, 1:-1],
+                _CONVEX_TOL))
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact laws and simulation for the extremal chains.
 
-Both chains run on a schedule ``(a_t, y_t)``: from ``X = 0`` the chain
-jumps to the ceiling ``X = 1`` with probability ``a_t``, and otherwise
-stays at 0 with its compensator raised to ``y_{t+1} = y_t + a_t``.  The
-*doubling chain* is the constant schedule ``a_t = 1/2``; the
+Both chains run on a schedule of increments ``a_t``: from ``X = 0`` the
+chain jumps to the ceiling ``X = 1`` with probability ``a_t``, and
+otherwise stays at 0 with its compensator raised by ``a_t``.  So the
+increments fix the chain, and its compensator path is their running
+sum.  The *doubling chain* is the constant schedule ``a_t = 1/2``; the
 *table-driven chain* takes ``a = policy.action(n, y)`` from a computed
 value table with ``n`` steps left.  The unabsorbed state is
 deterministic, so one running product gives the exact finite-support
@@ -53,38 +54,38 @@ class ChainLaw(NamedTuple):
 # schedules and their exact laws
 
 
-def intro_schedule(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The doubling chain as a schedule: ``a[t] = 1/2``, ``y[t] = t/2``."""
-    return np.full(n_steps, 0.5), 0.5 * np.arange(n_steps + 1)
+def intro_schedule(n_steps: int) -> np.ndarray:
+    """The doubling chain's increments: ``a[t] = 1/2``."""
+    return np.full(n_steps, 0.5)
 
 
-def policy_schedule(policy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic increments and compensator path of the unabsorbed
-    state: ``a[t]`` applied with ``horizon - t`` steps left, ``y[t]``
-    the compensator after ``t`` steps."""
+def policy_schedule(policy, horizon: int) -> np.ndarray:
+    """Deterministic increments of the unabsorbed state: ``a[t]``
+    applied with ``horizon - t`` steps left, at the compensator the
+    steps before it summed to."""
     a_sched = np.empty(horizon)
-    y_sched = np.zeros(horizon + 1)
+    y = 0.0
     for t in range(horizon):
-        a_sched[t] = policy.action(horizon - t, y_sched[t])
-        y_sched[t + 1] = y_sched[t] + a_sched[t]
-    return a_sched, y_sched
-
-
-def _increments(a_sched) -> np.ndarray:
-    """The schedule's increments as a float64 array, each in ``[0, 1]``."""
-    a_sched = np.asarray(a_sched, dtype=float)
-    if not np.all((a_sched >= 0.0) & (a_sched <= 1.0)):
-        raise ValueError("schedule increments must lie in [0, 1]")
+        a_sched[t] = policy.action(horizon - t, y)
+        y += a_sched[t]
     return a_sched
 
 
-def schedule_law(a_sched, y_sched) -> ChainLaw:
+def _compensator(a_sched) -> tuple[np.ndarray, np.ndarray]:
+    """The schedule's increments as a float64 array, each in ``[0, 1]``,
+    and the compensator path ``y[t + 1] = y[t] + a[t]`` from ``y[0] = 0``."""
+    a_sched = np.asarray(a_sched, dtype=float)
+    if not np.all((a_sched >= 0.0) & (a_sched <= 1.0)):
+        raise ValueError("schedule increments must lie in [0, 1]")
+    return a_sched, np.concatenate(([0.0], np.cumsum(a_sched)))
+
+
+def schedule_law(a_sched) -> ChainLaw:
     """Exact terminal law on a schedule: absorption at step ``t`` puts
     ``prod(1 - a[:t]) * a[t]`` on ``y[t + 1]``, the unabsorbed remainder
     ``prod(1 - a)`` on ``y[-1]``; the product runs in step order, and
     only positive probabilities are kept."""
-    a_sched = _increments(a_sched)
-    y_sched = np.asarray(y_sched, dtype=float)
+    a_sched, y_sched = _compensator(a_sched)
     live = np.cumprod(np.concatenate(([1.0], 1.0 - a_sched)))
     prob = np.append(live[:-1] * a_sched, live[-1])
     keep = prob > 0.0
@@ -96,7 +97,7 @@ def extremal_chain_law(policy, horizon: int) -> ChainLaw:
     over ``horizon`` steps."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return schedule_law(*policy_schedule(policy, horizon))
+    return schedule_law(policy_schedule(policy, horizon))
 
 
 def exact_expectation(spec: FunctionSpec, law: ChainLaw) -> float:
@@ -177,24 +178,28 @@ class SimulationResult:
     distinct step among the audited paths is rebuilt once.
     """
 
-    n_steps: int
-    n_paths: int
     seed: int
     mean_f: float
     std_error: float
     max_doob_residual: float
+    # The compensator of the unabsorbed state after 0 .. n_steps steps.
+    y_path: np.ndarray = field(repr=False)
     # 1-based absorption step per path; n_steps + 1 means never absorbed.
     t_hit: np.ndarray = field(repr=False)
 
+    @property
+    def n_paths(self) -> int:
+        return len(self.t_hit)
 
-def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
-                      seed: int, audit_paths: int = 200) -> SimulationResult:
+
+def simulate_schedule(spec: FunctionSpec, a_sched, n_paths: int, seed: int,
+                      audit_paths: int = 200) -> SimulationResult:
     """Monte-Carlo draw of the chain on a schedule: a path jumps at the
     first step ``t`` where its uniform is below ``a_sched[t]``, the
     paths still live at step ``t`` taking the next uniforms of one
     ``Generator(Philox(seed))`` stream in index order.  The first
     ``audit_paths`` paths are audited."""
-    a_sched = _increments(a_sched)
+    a_sched, y_sched = _compensator(a_sched)
     n_steps = len(a_sched)
     if n_steps < 1:
         raise ValueError("the schedule needs at least one step")
@@ -227,17 +232,15 @@ def simulate_schedule(spec: FunctionSpec, a_sched, y_sched, n_paths: int,
     steps = np.arange(n_steps + 1)
     for t in np.unique(t_hit[:audit_paths]):
         x_path = (steps >= t).astype(float)
-        y_path = doob_decompose(x_path, kernel)
+        rebuilt = doob_decompose(x_path, kernel)
         closed = y_sched[np.minimum(steps, t)]
-        residual = max(residual, float(np.max(np.abs(y_path - closed))))
-    return SimulationResult(n_steps, n_paths, seed, mean_f, std_error,
-                            residual, t_hit)
+        residual = max(residual, float(np.max(np.abs(rebuilt - closed))))
+    return SimulationResult(seed, mean_f, std_error, residual, y_sched,
+                            t_hit)
 
 
 def simulate_intro(spec: FunctionSpec, n_steps: int, n_paths: int,
                    seed: int, audit_paths: int = 200) -> SimulationResult:
     """Monte-Carlo draw of the doubling chain."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    return simulate_schedule(spec, *intro_schedule(n_steps), n_paths, seed,
+    return simulate_schedule(spec, intro_schedule(n_steps), n_paths, seed,
                              audit_paths)

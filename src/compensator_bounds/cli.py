@@ -429,7 +429,7 @@ def _table_layers(table, actions):
     """The ``n,y,value,action`` rows of each layer.  A layer's values
     are all distinct; its actions take a few hundred values, so each of
     those is rendered once."""
-    y_texts = [repr(y) for y in table.y.tolist()]
+    y_texts = [repr(y) for y in table.grid.points().tolist()]
     for n in range(table.horizon + 1):
         yield zip(itertools.repeat(str(n)), y_texts,
                   map(repr, table.V[n].tolist()),
@@ -526,12 +526,12 @@ def _load_policy(path: str, expected: FunctionSpec):
     return ExtremalPolicy(actions, grid), values_at_zero
 
 
-def _dump_path_rows(result, y_sched):
+def _dump_path_rows(result):
     """The ``path_id,k,X,Y,M`` rows of the first paths.  Before its
     absorption step ``t`` a path reads ``X = 0`` and ``Y = y_k``, and
     from ``t`` on ``X = 1`` and ``Y = y_t``, so the texts of each
     schedule step are rendered once for either state."""
-    ys = [float(y) for y in y_sched[:result.n_steps + 1]]
+    ys = result.y_path.tolist()
     steps = [str(k) for k in range(len(ys))]
     live = [("0.0", repr(y), repr(0.0 - y)) for y in ys]
     hit = [("1.0", repr(y), repr(1.0 - y)) for y in ys]
@@ -543,7 +543,7 @@ def _dump_path_rows(result, y_sched):
 
 def _cmd_simulate(args):
     if args.chain == "intro":
-        a_sched, y_sched = intro_schedule(args.n)
+        a_sched = intro_schedule(args.n)
         fields = {"chain": "intro", "n_steps": args.n}
     else:
         policy, values_at_zero = _load_policy(args.policy, args.f)
@@ -551,14 +551,14 @@ def _cmd_simulate(args):
         if horizon > policy.horizon:
             raise ValueError(f"--horizon {horizon} exceeds the artifact "
                              f"horizon {policy.horizon}")
-        a_sched, y_sched = policy_schedule(policy, horizon)
+        a_sched = policy_schedule(policy, horizon)
         # Increments along the only reachable trajectory, so their
         # time-only dependence can be inspected rather than assumed.
         fields = {"chain": "extremal", "horizon": horizon,
                   "table_value": values_at_zero[horizon],
                   "increments": [float(a) for a in a_sched]}
-    sim = simulate_schedule(args.f, a_sched, y_sched, args.paths, args.seed)
-    exact = exact_expectation(args.f, schedule_law(a_sched, y_sched))
+    sim = simulate_schedule(args.f, a_sched, args.paths, args.seed)
+    exact = exact_expectation(args.f, schedule_law(a_sched))
     payload = {
         **fields,
         "paths": sim.n_paths,
@@ -571,7 +571,7 @@ def _cmd_simulate(args):
         "max_doob_residual": sim.max_doob_residual,
     }
     return (0, payload, ("path_id", "k", "X", "Y", "M"),
-            _dump_path_rows(sim, y_sched))
+            _dump_path_rows(sim))
 
 
 # ----------------------------------------------------------------------

@@ -243,12 +243,16 @@ _FAMILIES = {
 }
 
 
-def _domain_check(x) -> None:
+def _checked(form: Callable, x):
+    """``form`` at ``x >= 0``; accepts scalars or numpy arrays, and
+    returns a float for a 0-d input."""
     # Negated so that NaN, for which every comparison is False, fails too.
     if not np.all(np.asarray(x) >= 0.0):
         if np.any(np.isnan(x)):
             raise ValueError("function argument is NaN")
         raise ValueError("function argument must be >= 0")
+    out = form(np.asarray(x, dtype=float))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -298,16 +302,12 @@ class FunctionSpec:
 
     def value(self, x):
         """``f(x)``; accepts scalars or numpy arrays, domain ``x >= 0``."""
-        _domain_check(x)
-        out = self.forms.f(np.asarray(x, dtype=float))
-        return float(out) if np.ndim(x) == 0 else out
+        return _checked(self.forms.f, x)
 
     def deriv(self, x):
         """``f'(x)``.  At the ``remark2`` splice point the left slope is
         used (the two one-sided slopes agree there anyway)."""
-        _domain_check(x)
-        out = self.forms.deriv(np.asarray(x, dtype=float))
-        return float(out) if np.ndim(x) == 0 else out
+        return _checked(self.forms.deriv, x)
 
     @property
     def f_zero(self) -> float:

@@ -171,12 +171,12 @@ def test_criterion_07_doubling_chain_expectations():
         r = math.exp(0.5) / 2.0
         oracle = math.fsum(r ** k for k in range(1, 61)) + r ** 60
         exp_one = FunctionSpec(Family.EXPONENTIAL, 1.0)
-        exact = exact_expectation(exp_one, schedule_law(*intro_schedule(60)))
+        exact = exact_expectation(exp_one, schedule_law(intro_schedule(60)))
         assert abs(exact - oracle) <= 1e-4, \
             f"exact {exact} vs oracle {oracle}"
 
         spec14 = FunctionSpec(Family.EXPONENTIAL, 1.4)
-        values = [exact_expectation(spec14, schedule_law(*intro_schedule(n)))
+        values = [exact_expectation(spec14, schedule_law(intro_schedule(n)))
                   for n in range(20, 42)]
         ratios = [b / a for a, b in zip(values, values[1:])]
         assert min(ratios) >= 1.001, f"min growth ratio {min(ratios)}"

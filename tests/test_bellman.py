@@ -104,8 +104,8 @@ class TestGridConfig:
 class TestValueIteration:
     def test_layer_zero_is_f(self):
         tab = value_iteration(QUAD, 0, GridConfig(2.0, 1.0 / 64))
-        np.testing.assert_allclose(tab.V[0], QUAD.value(tab.y), rtol=0,
-                                   atol=0)
+        np.testing.assert_allclose(tab.V[0], QUAD.value(tab.grid.points()),
+                                   rtol=0, atol=0)
         assert tab.horizon == 0
 
     @pytest.mark.parametrize("spec", [EXP_HALF, POW_TWO, QUAD])
@@ -113,7 +113,8 @@ class TestValueIteration:
         # One step to go: jumping straight to the ceiling (a = 1) is
         # optimal for convex f, so V_1(y) = f(y + 1) at every node.
         tab = value_iteration(spec, 1, GridConfig(4.0, 1.0 / 128))
-        np.testing.assert_allclose(tab.V[1], spec.value(tab.y + 1.0),
+        np.testing.assert_allclose(tab.V[1],
+                                   spec.value(tab.grid.points() + 1.0),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(extremal_policy(tab).A[1], 1.0, rtol=0,
                                    atol=1e-9)
@@ -188,7 +189,7 @@ class TestFullValue:
         tab = exp_table_30
         for n in (1, 3, 7, 15):
             for j in (0, 37, 512, 4096):
-                got = full_value(tab, n, 0.0, float(tab.y[j]))
+                got = full_value(tab, n, 0.0, float(tab.grid.points()[j]))
                 assert got == pytest.approx(tab.V[n, j], abs=1e-12)
 
     @pytest.mark.parametrize("text", ["exp:lambda=0.5", "pow:m=2", "quad",
@@ -200,7 +201,8 @@ class TestFullValue:
                               GridConfig(8.0, 1.0 / 64))
         for n in range(7):
             for j in [*range(0, tab.grid.n_points, 16), 510, 511, 512]:
-                assert full_value(tab, n, 0.0, float(tab.y[j])) == tab.V[n, j]
+                y = float(tab.grid.points()[j])
+                assert full_value(tab, n, 0.0, y) == tab.V[n, j]
 
     @pytest.mark.parametrize("text, digest", [
         ("exp:lambda=0.5",
@@ -426,7 +428,7 @@ class TestLatticeCertificate:
         coarse = value_iteration(spec, 6, GridConfig(6.0, 1.0 / 32))
         fine = value_iteration(spec, 6, GridConfig(6.0, 1.0 / 64))
         for n in range(7):
-            trusted = coarse.y <= coarse.grid.y_max - n
+            trusted = coarse.grid.points() <= coarse.grid.y_max - n
             assert np.all(fine.V[n, ::2][trusted] >= coarse.V[n][trusted])
 
     def test_exponential_lies_below_the_recursion(self, exp_table_30):
@@ -462,7 +464,7 @@ class TestLatticeCertificate:
                               trusted_only=True)
         dyadic = math.frexp(step)[0] == 0.5
         for n in range(horizon + 1):
-            layer = tab.V[n, tab.y <= tab.grid.y_max - n + 1e-9]
+            layer = tab.V[n, tab.grid.points() <= tab.grid.y_max - n + 1e-9]
             floor = 0.0 if dyadic else -1e-14 * max(1.0, np.abs(layer).max())
             assert np.diff(layer, 2).min(initial=0.0) >= floor, n
 
@@ -537,7 +539,7 @@ def backup_objectives(table, n, a_grid, x=0.0, y=None):
     reach the ceiling with probability ``x + a`` and collect
     ``f(y + a)``, else continue from ``(0, y + a)``, read by
     ``np.interp``, which clamps past the top like the tables do."""
-    nodes = table.y
+    nodes = table.grid.points()
     y = nodes if y is None else np.asarray(y, dtype=float)
     a = np.asarray(a_grid, dtype=float)[:, None]
     q, reach = y[None, :] + a, x + a
@@ -569,8 +571,8 @@ class TestLatticeBackup:
         kwargs = {} if solver is None else {"solver": solver}
         tab = value_iteration(EXP_HALF, 10, grid, **kwargs)
         for n in range(11):
-            ok = tab.y <= grid.y_max - n
-            expect = EXP_HALF.value(tab.y[ok]) * tab.V[n, 0]
+            ok = tab.grid.points() <= grid.y_max - n
+            expect = EXP_HALF.value(tab.grid.points()[ok]) * tab.V[n, 0]
             np.testing.assert_allclose(tab.V[n, ok], expect, rtol=1e-12,
                                        atol=0)
 
@@ -581,7 +583,8 @@ class TestLatticeBackup:
         tab = value_iteration(spec, 1, GridConfig(2.0, 0.4))
         best = brute_force_layer(tab, 1, np.linspace(0.0, 1.0, 2001))
         np.testing.assert_allclose(tab.V[1], best, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(tab.V[1], spec.value(tab.y + 1.0),
+        np.testing.assert_allclose(tab.V[1],
+                                   spec.value(tab.grid.points() + 1.0),
                                    rtol=1e-13, atol=1e-13)
         np.testing.assert_array_equal(extremal_policy(tab).A[1], 1.0)
 
@@ -595,7 +598,7 @@ class TestLatticeBackup:
         grid = GridConfig(6.0, 1.0 / 64)
         tab = value_iteration(parse_function_spec("pow:m=1"), 6, grid,
                               trusted_only=trusted_only)
-        trusted = tab.y <= grid.y_max - 2
+        trusted = tab.grid.points() <= grid.y_max - 2
         assert trusted.sum() == 257
         A = extremal_policy(tab).A
         np.testing.assert_array_equal(A[2, trusted], 0.0)
@@ -630,11 +633,15 @@ class TestLatticeBackup:
                 slacks += [vals[i] + vals[i + 2] - 2.0 * vals[i + 1]
                            for i in range(len(vals) - 2)]
         assert report == Lemma1Report(
-            len(diffs), sum(d < -1e-9 for d in diffs),
-            len(drops), sum(d < -1e-9 for d in drops),
-            len(slacks), sum(s < -1e-6 for s in slacks),
-            min(0.0, min(diffs)), min(0.0, min(drops)),
-            min(0.0, min(slacks)))
+            y_monotone_checks=len(diffs),
+            y_monotone_violations=sum(d < -1e-9 for d in diffs),
+            worst_y_monotone=min(0.0, min(diffs)),
+            x_monotone_checks=len(drops),
+            x_monotone_violations=sum(d < -1e-9 for d in drops),
+            worst_x_monotone=min(0.0, min(drops)),
+            x_convex_checks=len(slacks),
+            x_convex_violations=sum(s < -1e-6 for s in slacks),
+            worst_x_convex=min(0.0, min(slacks)))
 
 
 class TestTrustedOnly:
@@ -655,7 +662,7 @@ class TestTrustedOnly:
         grid = GridConfig(6.0, step)
         full = value_iteration(spec, 6, grid)
         part = value_iteration(spec, 6, grid, trusted_only=True)
-        assert part.trusted_only and not full.trusted_only
+        assert np.isnan(part.V).any()
         if field == "V":
             whole, trusted = full.V, part.V
         else:
@@ -664,8 +671,8 @@ class TestTrustedOnly:
         for n in range(7):
             # Layer 0 is whole; above it a leading run of nodes, the
             # triangle and one node more, and NaN on every other node.
-            count = (len(part.y) if n == 0
-                     else int(np.sum(part.y <= grid.y_max - n + 1e-9)) + 1)
+            count = (grid.n_points if n == 0 else int(np.sum(
+                grid.points() <= grid.y_max - n + 1e-9)) + 1)
             done = ~np.isnan(trusted[n])
             assert np.flatnonzero(done).tolist() == list(range(count))
             assert trusted[n, done].tobytes() == whole[n, done].tobytes()
@@ -678,7 +685,7 @@ class TestTrustedOnly:
         full_A, part_A = extremal_policy(full).A, extremal_policy(part).A
         for n in range(7):
             done = ~np.isnan(part.V[n])
-            assert done.sum() == (len(part.y) if n == 0
+            assert done.sum() == (len(part.grid.points()) if n == 0
                                   else (9 - n) * 64 + 2)
             np.testing.assert_array_equal(part.V[n, done], full.V[n, done])
             np.testing.assert_array_equal(part_A[n, done], full_A[n, done])
@@ -735,6 +742,24 @@ class TestTrustedOnly:
             verify_lemma1(part)
         with pytest.raises(ValueError, match="no action"):
             extremal_policy(part).action(6, 3.0)
+
+    @pytest.mark.parametrize("y_max", [1.0, 2.0])
+    @pytest.mark.parametrize("text", SPECS)
+    def test_a_table_without_uncomputed_nodes_is_whole(self, text, y_max):
+        # At H = 1 with step 1 the trusted triangle and its extra node
+        # cover the grid, so the trusted table computes every node.
+        # The refusal judges the values, so it takes this table, and
+        # it answers as the full table does.
+        spec = parse_function_spec(text)
+        grid = GridConfig(y_max, 1.0)
+        full = value_iteration(spec, 1, grid)
+        part = value_iteration(spec, 1, grid, trusted_only=True)
+        assert not np.isnan(part.V).any()
+        assert part.V.tobytes() == full.V.tobytes()
+        for x, y in product((0.0, 0.5, 1.0), (0.0, 0.25, y_max)):
+            assert (full_value(part, 1, x, y).hex()
+                    == full_value(full, 1, x, y).hex())
+        assert verify_lemma1(part) == verify_lemma1(full)
 
 
 class TestGoldenRefinement:

@@ -26,7 +26,11 @@ from compensator_bounds.chains import (
     simulate_intro,
     simulate_schedule,
 )
-from compensator_bounds.functions import Family, FunctionSpec
+from compensator_bounds.functions import (
+    Family,
+    FunctionSpec,
+    parse_function_spec,
+)
 
 EXP_ONE = FunctionSpec(Family.EXPONENTIAL, 1.0)
 EXP_HALF = FunctionSpec(Family.EXPONENTIAL, 0.5)
@@ -38,28 +42,41 @@ E60_DOUBLING = 4.693450263670712
 
 def doubling_law(n: int) -> ChainLaw:
     """Exact terminal law of the doubling chain after ``n`` steps."""
-    return schedule_law(*intro_schedule(n))
+    return schedule_law(intro_schedule(n))
 
 
-def loop_law(a_sched, y_sched) -> tuple[np.ndarray, np.ndarray]:
+def loop_law(a_sched) -> tuple[np.ndarray, np.ndarray]:
     """The per-step loop that once built ``schedule_law``, kept as its
     oracle: ``(y, prob)`` of each step with a positive absorption
-    probability, then of the unabsorbed remainder when it has one."""
+    probability, then of the unabsorbed remainder when it has one, with
+    the compensator ``y`` summed step by step."""
     y_values, probs = [], []
-    p_live = 1.0
-    for t, a in enumerate(a_sched):
+    p_live, y = 1.0, 0.0
+    for a in a_sched:
         p_absorb = p_live * a
+        y += a
         if p_absorb > 0.0:
-            y_values.append(float(y_sched[t + 1]))
+            y_values.append(float(y))
             probs.append(float(p_absorb))
         p_live *= 1.0 - a
     if p_live > 0.0:
-        y_values.append(float(y_sched[len(a_sched)]))
+        y_values.append(float(y))
         probs.append(float(p_live))
     return np.array(y_values), np.array(probs)
 
 
-def random_schedule(seed: int) -> tuple[np.ndarray, np.ndarray]:
+def step_sums(policy, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The loop that once built ``policy_schedule``: its increments and
+    the compensator path it summed step by step."""
+    a_sched = np.empty(horizon)
+    y_sched = np.zeros(horizon + 1)
+    for t in range(horizon):
+        a_sched[t] = policy.action(horizon - t, y_sched[t])
+        y_sched[t + 1] = y_sched[t] + a_sched[t]
+    return a_sched, y_sched
+
+
+def random_schedule(seed: int) -> np.ndarray:
     """A seeded schedule with zero increments, increments scaled by
     1e-3, one 1e-13 step and, for odd seeds, a final ``a = 1``."""
     rng = np.random.default_rng(seed)
@@ -69,7 +86,7 @@ def random_schedule(seed: int) -> tuple[np.ndarray, np.ndarray]:
     a[rng.integers(n)] = 1e-13
     if seed % 2:
         a[-1] = 1.0
-    return a, np.concatenate(([0.0], np.cumsum(a)))
+    return a
 
 
 def two_point(a: float, x: float):
@@ -100,10 +117,11 @@ class TestChainLaw:
     def test_validation(self):
         for bad in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                schedule_law([0.5, bad], np.arange(3.0))
+                schedule_law([0.5, bad])
         # A negative compensator is outside every f's domain.
         with pytest.raises(ValueError, match=">= 0"):
-            exact_expectation(EXP_ONE, schedule_law([0.5], [-1.0, -0.5]))
+            exact_expectation(EXP_ONE, ChainLaw(np.array([-1.0, -0.5]),
+                                                np.array([0.5, 0.5])))
 
     def test_array_views(self):
         law = doubling_law(4)
@@ -119,7 +137,7 @@ class TestChainLaw:
         # remainder is the last.
         a = np.array([0.5, 1e-13, 0.5])
         y = np.concatenate(([0.0], np.cumsum(a)))
-        law = schedule_law(a, y)
+        law = schedule_law(a)
         assert np.prod(1.0 - a) > 0.0
         np.testing.assert_array_equal(law.y_values, y[[1, 2, 3, 3]])
         assert law.probabilities[1] == 0.5 * 1e-13
@@ -130,9 +148,9 @@ class TestLawOracle:
     """``schedule_law`` gives the step loop's atoms bit for bit."""
 
     @staticmethod
-    def assert_same_law(a_sched, y_sched) -> None:
-        law = schedule_law(a_sched, y_sched)
-        y_values, probs = loop_law(a_sched, y_sched)
+    def assert_same_law(a_sched) -> None:
+        law = schedule_law(a_sched)
+        y_values, probs = loop_law(a_sched)
         np.testing.assert_array_equal(law.y_values, y_values)
         np.testing.assert_array_equal(law.probabilities, probs)
         assert (exact_expectation(EXP_ONE, law)
@@ -140,15 +158,15 @@ class TestLawOracle:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_schedules(self, seed):
-        self.assert_same_law(*random_schedule(seed))
+        self.assert_same_law(random_schedule(seed))
 
     @pytest.mark.parametrize("n", [0, 1, 60])
     def test_doubling_schedule(self, n):
-        self.assert_same_law(*intro_schedule(n))
+        self.assert_same_law(intro_schedule(n))
 
     def test_policy_schedule(self, exp_table_30):
         self.assert_same_law(
-            *policy_schedule(extremal_policy(exp_table_30), 30))
+            policy_schedule(extremal_policy(exp_table_30), 30))
 
 
 class TestIntroLaw:
@@ -247,8 +265,8 @@ class TestSimulateIntro:
         assert sim.t_hit.dtype.kind == "i"
         assert sim.t_hit.min() >= 1
         assert sim.t_hit.max() <= 13
-        _, y_sched = chains.intro_schedule(12)
-        y_final = y_sched[np.minimum(sim.t_hit, 12)]
+        np.testing.assert_array_equal(sim.y_path, 0.5 * np.arange(13))
+        y_final = sim.y_path[np.minimum(sim.t_hit, 12)]
         doubled = 2.0 * y_final
         np.testing.assert_array_equal(doubled, np.round(doubled))
         assert y_final.min() >= 0.5
@@ -284,7 +302,7 @@ class TestSimulateIntro:
             simulate_intro(spec, 600, 10, seed=1)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n_steps"):
+        with pytest.raises(ValueError, match="at least one step"):
             simulate_intro(EXP_ONE, 0, 100, seed=1)
         with pytest.raises(ValueError, match="n_paths"):
             simulate_intro(EXP_ONE, 10, 1, seed=1)
@@ -292,8 +310,7 @@ class TestSimulateIntro:
             simulate_intro(EXP_ONE, 5, 10, seed=1, audit_paths=-1)
         for bad in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                simulate_schedule(EXP_ONE, [0.5, bad], np.arange(3.0), 10,
-                                  seed=1)
+                simulate_schedule(EXP_ONE, [0.5, bad], 10, seed=1)
 
 
 class TestExtremalChain:
@@ -311,7 +328,7 @@ class TestExtremalChain:
         assert np.all(np.diff(law.y_values) > 0.0)
         # The last step jumps with probability one, so no unabsorbed
         # remainder survives: one atom per step, each an absorption.
-        a_sched, _ = policy_schedule(policy, 30)
+        a_sched = policy_schedule(policy, 30)
         assert a_sched[-1] == 1.0 and np.prod(1.0 - a_sched) == 0.0
         assert len(law.y_values) == 30
 
@@ -326,7 +343,7 @@ class TestExtremalChain:
         policy = extremal_policy(exp_table_30)
         law = extremal_chain_law(policy, 30)
         exact = exact_expectation(EXP_HALF, law)
-        sim = simulate_schedule(EXP_HALF, *policy_schedule(policy, 30),
+        sim = simulate_schedule(EXP_HALF, policy_schedule(policy, 30),
                                 20_000, seed=11)
         assert abs(sim.mean_f - exact) <= 4.0 * sim.std_error
         assert sim.max_doob_residual == 0.0
@@ -336,7 +353,7 @@ class TestExtremalChain:
         with pytest.raises(ValueError, match="horizon"):
             extremal_chain_law(policy, horizon=0)
         with pytest.raises(ValueError, match="n_paths"):
-            simulate_schedule(EXP_HALF, *policy_schedule(policy, 30), 1,
+            simulate_schedule(EXP_HALF, policy_schedule(policy, 30), 1,
                               seed=3)
 
 
@@ -371,11 +388,14 @@ class TestStreamedDraw:
         assert peak[600] - peak[60] < 100 * (600 - 60)
 
     def test_doubling_chain_is_the_half_schedule(self):
-        a_sched, y_sched = chains.intro_schedule(5)
-        np.testing.assert_array_equal(a_sched, [0.5] * 5)
-        np.testing.assert_array_equal(y_sched, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+        np.testing.assert_array_equal(chains.intro_schedule(5), [0.5] * 5)
+        sim = chains.simulate_schedule(EXP_ONE, chains.intro_schedule(5),
+                                       100, seed=1)
+        np.testing.assert_array_equal(sim.y_path,
+                                      [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+        assert sim.n_paths == 100
         with pytest.raises(ValueError, match="at least one step"):
-            chains.simulate_schedule(EXP_ONE, *chains.intro_schedule(0),
+            chains.simulate_schedule(EXP_ONE, chains.intro_schedule(0),
                                      100, seed=1)
 
 
@@ -449,9 +469,9 @@ class TestLiveSetDraw:
             "half": lambda: np.full(12, 0.5),
             "edges": lambda: np.resize([0.0, 0.3, 0.0, 0.7, 1.0, 0.4], 12),
             "small": lambda: np.full(60, 0.05),
-            "random": lambda: random_schedule(3)[0],
+            "random": lambda: random_schedule(3),
             "policy": lambda: policy_schedule(
-                extremal_policy(exp_table_30), 30)[0],
+                extremal_policy(exp_table_30), 30),
         }[schedule]()
         n_steps, n_paths = len(a_sched), 200_000
         live = np.cumprod(np.concatenate(([1.0], 1.0 - a_sched)))
@@ -486,14 +506,54 @@ class TestAudit:
         return residual
 
     @pytest.mark.parametrize("audit_paths", [0, 1, 200, 700])
-    def test_matches_the_per_path_audit(self, audit_paths):
+    def test_matches_the_per_path_audit(self, audit_paths, monkeypatch):
         n_steps, n_paths = 12, 500
-        # 0.1 is not a binary fraction: the rebuilt running sum drifts
-        # from 0.1 * k by a few ulps.
         a_sched = np.full(n_steps, 0.1)
+        # The summed path is the audit's own running sum, bit for bit, so
+        # the sampler is handed 0.1 * k instead: 0.1 is not a binary
+        # fraction, and the running sum drifts from 0.1 * k by a few ulps.
         y_sched = 0.1 * np.arange(n_steps + 1)
-        sim = simulate_schedule(EXP_ONE, a_sched, y_sched, n_paths, seed=2,
+        monkeypatch.setattr(chains, "_compensator",
+                            lambda a: (np.asarray(a, dtype=float), y_sched))
+        sim = simulate_schedule(EXP_ONE, a_sched, n_paths, seed=2,
                                 audit_paths=audit_paths)
         want = self.per_path_residual(sim, a_sched, y_sched, audit_paths)
         assert sim.max_doob_residual == want
         assert (want > 0.0) == (audit_paths > 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_summed_path_leaves_no_residual(self, seed):
+        a_sched = random_schedule(seed)
+        sim = simulate_schedule(EXP_ONE, a_sched, 500, seed=seed,
+                                audit_paths=500)
+        assert sim.max_doob_residual == 0.0
+        assert sim.max_doob_residual == self.per_path_residual(
+            sim, a_sched, sim.y_path, 500)
+
+
+class TestCompensatorPath:
+    """The one summed path, ``[0, cumsum(a)]``, is the path the old code
+    built by other means, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 20000])
+    def test_doubling_path_is_half_the_step_count(self, n):
+        _, y_sched = chains._compensator(intro_schedule(n))
+        assert y_sched.tobytes() == (0.5 * np.arange(n + 1)).tobytes()
+
+    @pytest.mark.parametrize("trusted_only", [False, True],
+                             ids=["full", "trusted"])
+    @pytest.mark.parametrize("text, horizon, step", [
+        ("pow:m=2", 30, 1.0 / 512), ("exp:lambda=0.5", 30, 1.0 / 512),
+        ("remark2", 6, 1.0 / 75), ("quad", 9, 0.3), ("pow:m=2", 12, 1.0 / 7),
+    ])
+    def test_policy_path_is_the_step_sums(self, text, horizon, step,
+                                          trusted_only):
+        table = value_iteration(parse_function_spec(text), horizon,
+                                GridConfig(float(horizon), step),
+                                trusted_only=trusted_only)
+        policy = extremal_policy(table)
+        for h in range(1, horizon + 1):
+            a_old, y_old = step_sums(policy, h)
+            a_sched, y_sched = chains._compensator(policy_schedule(policy, h))
+            assert a_sched.tobytes() == a_old.tobytes()
+            assert y_sched.tobytes() == y_old.tobytes()

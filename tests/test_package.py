@@ -11,6 +11,11 @@ import compensator_bounds.cli  # noqa: F401  (imports every layer)
 LAYERS = ("functions", "optimize", "recursion", "bellman", "chains",
           "shift", "cli")
 ROOT = Path(__file__).resolve().parents[1]
+# Parameters that no body reads, each with the reason it stays.
+UNREAD_PARAMETERS = {
+    "bellman.value_iteration(solver)": "bench/ passes it (ROADMAP item 5)",
+    "recursion.recursion_sequence(cfg)": "bench/ passes it (ROADMAP item 5)",
+}
 
 
 def test_layers_resolve_after_cli_import():
@@ -116,3 +121,33 @@ def test_every_private_module_name_is_read_in_its_module():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in loaded]
     assert unread == []
+
+
+def public_functions():
+    """``(name, node)`` of every function, and every method of a class,
+    that some layer's ``__all__`` names."""
+    for layer in LAYERS:
+        public = set(getattr(compensator_bounds, layer).__all__)
+        path = ROOT / "src" / "compensator_bounds" / f"{layer}.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                yield f"{layer}.{node.name}", node
+            elif isinstance(node, ast.ClassDef) and node.name in public:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{layer}.{node.name}.{item.name}", item
+
+
+def test_every_parameter_is_read():
+    # A parameter its body never reads takes a caller's argument and
+    # silently drops it.
+    unread = []
+    for name, node in public_functions():
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None and a.arg not in ("self", "cls")]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}({p})" for p in params if p not in read]
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)
