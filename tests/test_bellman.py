@@ -391,6 +391,54 @@ class TestCompareBounds:
         assert not cmp.enforced
 
 
+class TestFineGridPins:
+    """sha256 of the values and of the derived actions of the README-scale
+    tables (H = 30, step 1/512) and the Lemma 1 tables (H = 20,
+    GridConfig(23, 1/128)), full and trusted, taken from the plain
+    lattice scan: at these steps every blend rounds, so a restructured
+    backup that changes one rounding or one first-hit tie shows here."""
+
+    CASES = [
+        ("exp:lambda=0.5", 30, 30.0, 1.0 / 512, False,
+         "64d938d5b62c320d3fd9543b5d92d8f491f43a5c8cbe664cae6c54a4ec024134",
+         "2ebd361833cb79910a64332d840b20c30b754710c8dde9d68041d852d5cd0429"),
+        ("exp:lambda=0.5", 30, 30.0, 1.0 / 512, True,
+         "84c61aaec72673e5c6d120a058b63482c1637024a21df44ab947e6ed0bdd66c5",
+         "868bd5d6fd7fc5cd2a3f9c1d5c6c2606b152bf384bc42096a86c600bc1c6a3c9"),
+        ("pow:m=2", 30, 30.0, 1.0 / 512, False,
+         "eee0fe3952a62c0995705ea5b7263c916f237c2a6947341ca290b05637b2b746",
+         "3771c7990c10983a49285f8b19605aec12e47da5e856c49411d63f105ffaa7c6"),
+        ("pow:m=2", 30, 30.0, 1.0 / 512, True,
+         "5747e64f60d99b7a006da8c2024bdb08f3e8cd30ff84542c017fe217bb5cf2b6",
+         "af8c7139c19384c7154d62d08a2df1f57658cdcee74f027969ccf0ee89942c1c"),
+        ("exp:lambda=0.5", 20, 23.0, 1.0 / 128, False,
+         "c50dc012adb4d9bd93824cbe4231ca2b69b4ff6440189f724a9baac3649efae2",
+         "d95c11873b418c87e40eb02be898c9586ab6e4e5fef937398739d23698a23dea"),
+        ("exp:lambda=0.5", 20, 23.0, 1.0 / 128, True,
+         "225605087e7f3d0500da00ffce7755a40b9d33a0cc2470c0b89e30a45528e12d",
+         "926e243d525543b76d12fc38344f9114cbaed8558d4102dd564a247fd8949ccb"),
+        ("pow:m=2", 20, 23.0, 1.0 / 128, False,
+         "c6f278043d9f5787dd6716941af9e1e279cfce14f35da0655503f0adfe5d2690",
+         "8f1cc4fe4bb4a9de4e7cbdab420418f57678593d8f2461faaae84a258aa5265c"),
+        ("pow:m=2", 20, 23.0, 1.0 / 128, True,
+         "0fda4ca620807deb4d30d99d544ff7c7ca704dcdf305f8272c18d9022cd5138e",
+         "4899c4b850b564eef10f6a511b3bb6fc44d2a56a4586e40333ed85dd972a1ffe"),
+    ]
+
+    @pytest.mark.parametrize(
+        "text, horizon, y_max, step, trusted_only, v_digest, a_digest", CASES,
+        ids=[f"{c[0]}-H{c[1]}-{'trusted' if c[4] else 'full'}"
+             for c in CASES])
+    def test_values_and_actions_are_pinned(self, text, horizon, y_max, step,
+                                           trusted_only, v_digest, a_digest):
+        tab = value_iteration(parse_function_spec(text), horizon,
+                              GridConfig(y_max, step),
+                              trusted_only=trusted_only)
+        assert hashlib.sha256(tab.V.tobytes()).hexdigest() == v_digest
+        actions = extremal_policy(tab).A
+        assert hashlib.sha256(actions.tobytes()).hexdigest() == a_digest
+
+
 class TestGridRefinement:
     def test_step_halving_converges(self):
         vals = {}
