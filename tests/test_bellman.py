@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from compensator_bounds import bellman
 from compensator_bounds.bellman import (
     BoundComparison,
     GridConfig,
@@ -437,6 +438,115 @@ class TestFineGridPins:
         assert hashlib.sha256(tab.V.tobytes()).hexdigest() == v_digest
         actions = extremal_policy(tab).A
         assert hashlib.sha256(actions.tobytes()).hexdigest() == a_digest
+
+
+def plain_scan(lattice, V_prev, count):
+    """``(values, actions)`` of an ``x = 0`` layer's first ``count`` nodes
+    by the plain lattice scan: the objective of every increment at every
+    node, with the table's float operations, and the first maximizer in
+    ascending order."""
+    offsets, a_cand, f_ext, f_one = lattice
+    V_pad = np.concatenate((V_prev, np.full(offsets[-1], V_prev[-1])))
+    objs = [f_ext[c:c + count] * a + V_pad[c:c + count] * (1.0 - a)
+            for c, a in zip(offsets.tolist(), a_cand.tolist())]
+    if f_one is not None:
+        objs.append(f_one[:count])
+    objs = np.array(objs)
+    best = objs.max(axis=0)
+    return best, a_cand[np.argmax(objs == best, axis=0)]
+
+
+def plain_table(spec, horizon, grid):
+    """``(V, A)``: every layer of the whole grid by :func:`plain_scan`."""
+    lattice = bellman._lattice(spec, grid)
+    V = np.empty((horizon + 1, grid.n_points))
+    A = np.zeros_like(V)
+    V[0] = lattice[2][:grid.n_points]
+    for n in range(1, horizon + 1):
+        V[n], A[n] = plain_scan(lattice, V[n - 1], grid.n_points)
+    return V, A
+
+
+class TestPrunedScan:
+    """The block-pruned backup skips only objectives strictly below a
+    value already computed, so tables and first-hit actions equal the
+    plain lattice scan's bit for bit."""
+
+    FAMILIES = ["pow:m=1", "pow:m=1.5", "pow:m=2", "pow:m=3",
+                "exp:lambda=0.2", "exp:lambda=0.5", "exp:lambda=2", "quad",
+                "remark2"]
+    STEPS = [("1/256", 1.0 / 256), ("1/128", 1.0 / 128), ("1/75", 1.0 / 75),
+             ("0.4", 0.4), ("0.3", 0.3), ("1/7", 1.0 / 7)]
+    CASES = [pytest.param(text, step, trusted, id=f"{text}-{sid}-{kind}")
+             for text, (sid, step), (kind, trusted)
+             in product(FAMILIES, STEPS, [("full", False), ("trusted", True)])]
+
+    @pytest.mark.parametrize("text, step, trusted_only", CASES)
+    def test_equals_the_plain_scan(self, text, step, trusted_only):
+        # pow:m=1 ties every increment from layer 2 on, so nothing can
+        # be skipped there; the full tables read past the top edge.
+        spec = parse_function_spec(text)
+        grid = GridConfig(6.0, step)
+        V, A = plain_table(spec, 6, grid)
+        tab = value_iteration(spec, 6, grid, trusted_only=trusted_only)
+        done = ~np.isnan(tab.V)
+        assert done.all() != trusted_only
+        assert tab.V[done].tobytes() == V[done].tobytes()
+        assert extremal_policy(tab).A[done].tobytes() == A[done].tobytes()
+
+    def test_values_near_the_float_range(self):
+        # f(21) = e^709.7 = 1.65e308: the bound's own sums and
+        # differences overflow, which must widen it, never warn or skip.
+        spec = FunctionSpec(Family.EXPONENTIAL, 709.7 / 21)
+        grid = GridConfig(20.0, 1.0 / 64)
+        V, A = plain_table(spec, 20, grid)
+        tab = value_iteration(spec, 20, grid)
+        assert tab.V.tobytes() == V.tobytes()
+        assert extremal_policy(tab).A.tobytes() == A.tobytes()
+
+    def test_a_non_convex_layer_keeps_the_bound_sound(self):
+        # A dent and a bump in the layer read: its second differences
+        # drop to -6 there, so only the curvature term of the bound
+        # keeps the increments that read the bump, the maximizers of the
+        # nodes below it, from being skipped.
+        grid = GridConfig(4.0, 1.0 / 128)
+        lattice = bellman._lattice(POW_TWO, grid)
+        V_prev = POW_TWO.value(grid.points() + 0.5)
+        V_prev[200] -= 3.0
+        V_prev[300] += 3.0
+        want, first = plain_scan(lattice, V_prev, grid.n_points)
+        assert np.all(first[180:280] == (300 - np.arange(180, 280)) / 128)
+
+        top = np.full(grid.n_points, -np.inf)
+        for _ in bellman._objectives(lattice, V_prev, top):
+            pass
+        assert top.tobytes() == want.tobytes()
+        # The ascending scan against the known maximum finds the same
+        # first maximizers.
+        act = np.full(grid.n_points, np.nan)
+        for a, lo, obj in bellman._objectives(lattice, V_prev, want, True):
+            nodes = slice(lo, lo + obj.shape[1])
+            for a_i, row in zip(a.tolist(), obj):
+                new = (row == want[nodes]) & np.isnan(act[nodes])
+                act[nodes][new] = a_i
+        assert act.tobytes() == first.tobytes()
+
+    def test_readme_table_skips_most_of_the_lattice(self, monkeypatch):
+        # Counted from what the scan yields, so a scan that quietly
+        # evaluates every increment fails here.
+        evaluated = []
+        scan = bellman._objectives
+
+        def counted(*args):
+            for a, lo, obj in scan(*args):
+                evaluated.append(obj.size)
+                yield a, lo, obj
+
+        monkeypatch.setattr(bellman, "_objectives", counted)
+        tab = value_iteration(POW_TWO, 30, GridConfig(30.0, 1.0 / 512))
+        assert sum(evaluated) <= 0.20 * 30 * 15361 * 513
+        assert hashlib.sha256(tab.V.tobytes()).hexdigest() == (
+            "eee0fe3952a62c0995705ea5b7263c916f237c2a6947341ca290b05637b2b746")
 
 
 class TestGridRefinement:
