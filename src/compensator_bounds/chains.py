@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
+# Live paths drawn at a time.  Each chunk array, the largest being the
+# 64 kB of uniforms and of gather positions, stays at half glibc's
+# 128 kB mmap threshold, so all of them come from the heap.
+_DRAW_CHUNK = 1 << 13
 
 
 class ChainLaw(NamedTuple):
@@ -146,24 +150,37 @@ def _first_hits(seed: int, a_sched: np.ndarray, n_paths: int) -> np.ndarray:
     One ``Generator(Philox(seed))`` stream feeds every step: at step
     ``t`` the paths still live take its next uniforms, one each in index
     order, and a path jumps when its uniform is below ``a_sched[t]``.
-    The draw stops once no path is live.  The live indices are
-    ``int32`` wherever they fit, and are compacted by gathering at the
-    positions ``np.flatnonzero`` finds, which is several times faster
-    than indexing by the random boolean mask itself.  Memory peaks at
-    about 22 bytes a path on the doubling chain, and 25 when few paths
-    jump: the 8-byte absorption step, a 4-byte live index, and an 8-byte
-    uniform or gather position with 1-byte jump flags.
+    The draw stops once no path is live.  A step is drawn in chunks of
+    ``_DRAW_CHUNK`` live paths into one reused buffer; consecutive draws
+    of one stream are one draw, so the chunk size changes no hit.  A
+    chunk's jumping and surviving paths are gathered at the positions
+    ``np.flatnonzero`` finds, which is several times faster than
+    indexing by the random boolean mask itself, and the survivors are
+    written back, in order, to the front of the live index array.  The
+    absorption step is ``int16`` up to 32766 steps and ``int32`` past
+    that, and the live index ``int32`` wherever it fits, so the draw
+    holds 6 bytes a path and about 150 kB of chunk arrays.
     """
+    n_steps = len(a_sched)
     rng = np.random.Generator(np.random.Philox(seed))
-    t_hit = np.full(n_paths, len(a_sched) + 1, dtype=np.int64)
+    t_hit = np.full(n_paths, n_steps + 1,
+                    dtype=np.int16 if n_steps < 2 ** 15 - 1 else np.int32)
     live = np.arange(n_paths, dtype=np.int32 if n_paths < 2 ** 31
                      else np.intp)
+    uniforms = np.empty(min(_DRAW_CHUNK, n_paths))
+    n_live = n_paths
     for t, a in enumerate(a_sched):
-        if not len(live):
+        if not n_live:
             break
-        jump = rng.random(len(live)) < a
-        t_hit[live[np.flatnonzero(jump)]] = t + 1
-        live = live[np.flatnonzero(~jump)]
+        kept = 0
+        for start in range(0, n_live, _DRAW_CHUNK):
+            ids = live[start:min(start + _DRAW_CHUNK, n_live)]
+            jump = rng.random(out=uniforms[:len(ids)]) < a
+            t_hit[ids[np.flatnonzero(jump)]] = t + 1
+            stay = ids[np.flatnonzero(~jump)]
+            live[kept:kept + len(stay)] = stay
+            kept += len(stay)
+        n_live = kept
     return t_hit
 
 
@@ -185,6 +202,7 @@ class SimulationResult:
     # The compensator of the unabsorbed state after 0 .. n_steps steps.
     y_path: np.ndarray = field(repr=False)
     # 1-based absorption step per path; n_steps + 1 means never absorbed.
+    # int16 up to 32766 steps, int32 past that.
     t_hit: np.ndarray = field(repr=False)
 
     @property
@@ -217,9 +235,19 @@ def simulate_schedule(spec: FunctionSpec, a_sched, n_paths: int, seed: int,
     # Counter-based bit generator: a fixed seed pins every uniform,
     # independent of platform threading.
     t_hit = _first_hits(seed, a_sched, n_paths)
-    values = spec.forms.f(y_sched)[np.minimum(t_hit, n_steps)]
-    mean_f = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n_paths))
+    # f at each path's end, y[min(t_hit, n_steps)]: the padded copy maps
+    # the unabsorbed n_steps + 1 to y[n_steps], and the narrow t_hit is
+    # cast to indices block by block, so no path-length index is made.
+    f_y = spec.forms.f(y_sched)
+    values = np.append(f_y, f_y[-1])[t_hit]
+    # values.mean() and values.std(ddof=1), bit for bit, in numpy's own
+    # order of operations, with the deviations squared in place.
+    mean = values.sum() / n_paths
+    values -= mean
+    np.multiply(values, values, out=values)
+    variance = values.sum() / (n_paths - 1)
+    mean_f = float(mean)
+    std_error = math.sqrt(variance) / math.sqrt(n_paths)
 
     def kernel(step, x):
         # Jump to the ceiling with probability a_sched[step]; the

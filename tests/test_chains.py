@@ -387,6 +387,21 @@ class TestStreamedDraw:
         # per step; one more draw row per path would add 8 bytes a path.
         assert peak[600] - peak[60] < 100 * (600 - 60)
 
+    def test_call_holds_under_fourteen_bytes_a_path(self):
+        n_paths = 10 ** 5
+        simulate_intro(EXP_ONE, 60, n_paths, seed=1)
+        tracemalloc.start()
+        try:
+            simulate_intro(EXP_ONE, 60, n_paths, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The statistics hold the 2-byte absorption steps and the 8-byte
+        # f values; the draw before them a 4-byte live index and about
+        # 150 kB of chunk arrays.  An 8-byte t_hit or a path-length index
+        # array would put the peak past 14 bytes a path.
+        assert peak < 14 * n_paths
+
     def test_doubling_chain_is_the_half_schedule(self):
         np.testing.assert_array_equal(chains.intro_schedule(5), [0.5] * 5)
         sim = chains.simulate_schedule(EXP_ONE, chains.intro_schedule(5),
@@ -417,21 +432,47 @@ def loop_hits(seed, a_sched, n_paths) -> np.ndarray:
     return t_hit
 
 
+def live_schedule(name: str, n_steps: int) -> np.ndarray:
+    """The live-set draw's test schedules."""
+    return {
+        "half": lambda: np.full(n_steps, 0.5),
+        # Exact 0 and 1 entries: never and always a jump.
+        "edges": lambda: np.resize([0.0, 0.3, 1.0, 0.0, 0.7], n_steps),
+        # Paths live about 20 steps.
+        "small": lambda: np.full(n_steps, 0.05),
+    }[name]()
+
+
 class TestLiveSetDraw:
     @pytest.mark.parametrize("n_steps", [1, 7, 60, 61])
     @pytest.mark.parametrize("schedule", ["half", "edges", "small"])
     def test_hits_match_the_loop(self, n_steps, schedule):
-        a_sched = {
-            "half": np.full(n_steps, 0.5),
-            # Exact 0 and 1 entries: never and always a jump.
-            "edges": np.resize([0.0, 0.3, 1.0, 0.0, 0.7], n_steps),
-            # Paths live about 20 steps.
-            "small": np.full(n_steps, 0.05),
-        }[schedule]
+        a_sched = live_schedule(schedule, n_steps)
         # Not a multiple of four: a step's draw starts mid-block.
         n_paths = 1003
         np.testing.assert_array_equal(chains._first_hits(8, a_sched, n_paths),
                                       loop_hits(8, a_sched, n_paths))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1000])
+    @pytest.mark.parametrize("schedule", ["half", "edges", "small"])
+    def test_chunk_size_does_not_change_the_hits(self, chunk, schedule,
+                                                 monkeypatch):
+        # 1003 paths are 334 chunks of 3 and one more, or a chunk of 1000
+        # and one of 3: a chunk boundary falls inside the first step, and
+        # inside later ones while more than a chunk of paths is live.
+        monkeypatch.setattr(chains, "_DRAW_CHUNK", chunk)
+        a_sched = live_schedule(schedule, 61)
+        np.testing.assert_array_equal(chains._first_hits(8, a_sched, 1003),
+                                      loop_hits(8, a_sched, 1003))
+
+    @pytest.mark.parametrize("n_steps, dtype", [
+        (60, np.int16), (600, np.int16), (2 ** 15 - 2, np.int16),
+        (2 ** 15 - 1, np.int32)])
+    def test_absorption_step_type_holds_the_horizon(self, n_steps, dtype):
+        # The narrowest of int16 and int32 that holds n_steps + 1.
+        t_hit = chains._first_hits(1, np.zeros(n_steps), 5)
+        assert t_hit.dtype == dtype
+        np.testing.assert_array_equal(t_hit, n_steps + 1)
 
     def test_threshold_is_the_uniform_itself(self):
         # u < a is false at a == u and true one ulp above it.
@@ -485,6 +526,40 @@ class TestLiveSetDraw:
         np.testing.assert_array_equal(freq[prob == 0.0], 0.0)
         se = np.sqrt(prob * (1.0 - prob) / n_paths)
         assert np.all(np.abs(freq - prob) <= 5.0 * se + 1e-12)
+
+
+class TestMoments:
+    """``mean_f`` and ``std_error`` are numpy's mean and ``ddof=1``
+    standard deviation of the sampled ``f(Y_n)``, bit for bit."""
+
+    @pytest.mark.parametrize("n_paths", [2, 3, 1003, 10 ** 5])
+    @pytest.mark.parametrize("schedule", ["intro", "edges", "extremal"])
+    def test_moments_are_numpys(self, schedule, n_paths, exp_table_30):
+        spec, a_sched = {
+            "intro": lambda: (EXP_ONE, intro_schedule(60)),
+            "edges": lambda: (parse_function_spec("pow:m=2"),
+                              live_schedule("edges", 61)),
+            "extremal": lambda: (EXP_HALF, policy_schedule(
+                extremal_policy(exp_table_30), 30)),
+        }[schedule]()
+        sim = simulate_schedule(spec, a_sched, n_paths, seed=n_paths,
+                                audit_paths=0)
+        values = spec.forms.f(sim.y_path)[np.minimum(sim.t_hit,
+                                                     len(a_sched))]
+        assert sim.mean_f.hex() == float(values.mean()).hex()
+        assert sim.std_error.hex() == float(
+            values.std(ddof=1) / math.sqrt(n_paths)).hex()
+
+    def test_long_horizon_does_not_wrap(self):
+        # Past 2^15 - 2 steps the absorption step no longer fits int16;
+        # no path jumps, so every one ends at n_steps + 1.
+        a_sched = np.zeros(2 ** 15 + 3)
+        sim = simulate_schedule(EXP_ONE, a_sched, 50, seed=1)
+        np.testing.assert_array_equal(sim.t_hit, len(a_sched) + 1)
+        exact = exact_expectation(EXP_ONE, schedule_law(a_sched))
+        assert sim.mean_f == exact == 1.0
+        assert sim.std_error == 0.0
+        assert sim.max_doob_residual == 0.0
 
 
 class TestAudit:

@@ -18,7 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from compensator_bounds import cli
+from compensator_bounds import chains, cli
 from compensator_bounds.bellman import (
     BoundComparison,
     GridConfig,
@@ -550,6 +550,29 @@ class TestSimulate:
         assert payload["exact_f"] == pytest.approx(payload["table_value"],
                                                    abs=2.0 / 64)
         assert len(payload["increments"]) == 4
+
+    @pytest.mark.parametrize("chain", ["intro", "extremal"])
+    def test_chunk_size_does_not_change_the_output(self, chain, tmp_path,
+                                                   capsys, monkeypatch):
+        # Results do not depend on chunk sizes: 1000 paths drawn in one
+        # chunk, then in 62 chunks of 16 and one of 8.
+        if chain == "intro":
+            argv = ["simulate", "--chain", "intro", "--f", "exp:lambda=1",
+                    "--n", "20"]
+        else:
+            policy = tmp_path / "policy.json"
+            run_cli(BELLMAN_SMALL + ["--json", str(policy)], capsys)
+            argv = ["simulate", "--chain", "extremal",
+                    "--f", "exp:lambda=0.5", "--policy", str(policy)]
+        outputs = []
+        for chunk in (chains._DRAW_CHUNK, 16):
+            monkeypatch.setattr(chains, "_DRAW_CHUNK", chunk)
+            paths_csv = tmp_path / f"paths-{chunk}.csv"
+            code, out = run_cli(argv + ["--paths", "1000", "--seed", "5",
+                                        "--csv", str(paths_csv)], capsys)
+            assert code == 0
+            outputs.append((out, paths_csv.read_bytes()))
+        assert outputs[1] == outputs[0]
 
     def test_extremal_artifact_mismatch(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"

@@ -123,6 +123,52 @@ def test_every_private_module_name_is_read_in_its_module():
     assert unread == []
 
 
+# The modules each package module imports, all at its top level.  An
+# import moves the memory and start-up time of every command that loads
+# the package (`import compensator_bounds.cli` loads all of them), so a
+# change to this set is made on purpose.
+IMPORTS = {
+    "__init__": set(),
+    "bellman": {"__future__", "math", "dataclasses", "numpy",
+                ".functions", ".recursion"},
+    "chains": {"__future__", "math", "dataclasses", "typing", "numpy",
+               ".functions"},
+    "cli": {"__future__", "argparse", "contextlib", "functools",
+            "itertools", "json", "os", "stat", "sys", "numpy",
+            ".bellman", ".chains", ".functions", ".recursion", ".shift",
+            ".optimize"},
+    "functions": {"__future__", "enum", "math", "numbers", "dataclasses",
+                  "typing", "numpy"},
+    "optimize": {"__future__", "math", "typing"},
+    "recursion": {"__future__", "math", "dataclasses", "enum", "numpy",
+                  ".functions"},
+    "shift": {"__future__", "math", "dataclasses", "numpy", ".functions"},
+}
+
+
+def test_imports_are_pinned():
+    imported, nested = {}, []
+    for path in (ROOT / "src" / "compensator_bounds").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                # `from . import optimize` imports the module optimize.
+                names.update([f"{'.' * node.level}{node.module}"]
+                             if node.module else
+                             [f"{'.' * node.level}{alias.name}"
+                              for alias in node.names])
+        imported[path.stem] = names
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and id(node) not in top]
+    assert imported == IMPORTS
+    assert nested == []
+
+
 def public_functions():
     """``(name, node)`` of every function, and every method of a class,
     that some layer's ``__all__`` names."""
