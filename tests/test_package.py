@@ -155,11 +155,10 @@ def test_imports_are_pinned():
             if isinstance(node, ast.Import):
                 names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
+                prefix = "." * node.level
                 # `from . import optimize` imports the module optimize.
-                names.update([f"{'.' * node.level}{node.module}"]
-                             if node.module else
-                             [f"{'.' * node.level}{alias.name}"
-                              for alias in node.names])
+                names.update([prefix + node.module] if node.module else
+                             [prefix + alias.name for alias in node.names])
         imported[path.stem] = names
         top = {id(node) for node in tree.body}
         nested += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
